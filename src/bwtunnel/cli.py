@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from .resonance import (
     WindowTooCoarseError,
     resonance_sets,
 )
-from .scattering import grid, grid_csv_rows, scan_alpha
+from .scattering import grid, grid_csv_rows
 from .serialize import csv_row, json_dumps
 from .transfer import chain_matrix, closed_form
 from .zerolimit import classify, converge_study
@@ -306,21 +305,13 @@ def _complex_dict(z: complex) -> dict:
 
 def run(config: RunConfig) -> int:
     cmd = config.command
-    if cmd == "scan-alpha":
-        pts = scan_alpha(config.params(0.0), config.k, config.alpha_min,
-                         config.alpha_max, config.steps)
-        if config.out_format == "csv":
-            rows = ((a, config.k, t, math.log10(t) if t > 0 else -math.inf) for a, t in pts)
-            _emit(_scan_csv(rows), config.out_path)
+    if cmd in ("scan-alpha", "grid"):
+        alpha_range = (config.alpha_min, config.alpha_max)
+        if cmd == "scan-alpha":
+            g = grid(config.params(0.0), alpha_range, (config.k, config.k), config.steps, 1)
         else:
-            payload = {"alphas": [a for a, _ in pts], "ks": [config.k],
-                       "values": [[t] for _, t in pts]}
-            _emit(json_dumps(payload) + "\n", config.out_path)
-        return 0
-
-    if cmd == "grid":
-        g = grid(config.params(0.0), (config.alpha_min, config.alpha_max),
-                 (config.k_min, config.k_max), config.alpha_steps, config.k_steps)
+            g = grid(config.params(0.0), alpha_range, (config.k_min, config.k_max),
+                     config.alpha_steps, config.k_steps)
         if config.out_format == "csv":
             _emit(_scan_csv(grid_csv_rows(g)), config.out_path)
         else:

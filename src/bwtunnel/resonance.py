@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .potential import BWParams, Kind, bw_geometry, sigma_split
-from .scattering import scan_alpha, transmissivity
+from .scattering import grid, transmissivity
 from .transfer import wave_numbers
 
 
@@ -479,8 +479,8 @@ def peak_refine(
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
     lo, hi = alpha_guess - radius, alpha_guess + radius
-    pts = scan_alpha(template, k, lo, hi, prescan_steps)
-    ts = np.array([t for _, t in pts])
+    prescan = grid(template, (lo, hi), (k, k), prescan_steps, 1)
+    ts = prescan.values[:, 0]
     diffs = np.diff(ts)
     if np.all(diffs >= 0) or np.all(diffs <= 0):
         raise NoPeakError(f"transmission is monotone on [{lo}, {hi}]")
@@ -489,8 +489,9 @@ def peak_refine(
         raise NoPeakError(f"no interior crest on [{lo}, {hi}]")
 
     cell = (hi - lo) / (prescan_steps - 1)
-    a = max(lo, pts[imax][0] - 2 * cell)
-    b = min(hi, pts[imax][0] + 2 * cell)
+    a_max = float(prescan.alphas[imax])
+    a = max(lo, a_max - 2 * cell)
+    b = min(hi, a_max + 2 * cell)
 
     def tval(alpha: float) -> float:
         return transmissivity(replace(template, alpha=alpha), k)

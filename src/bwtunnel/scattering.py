@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .transfer import (
     NEAR_OPAQUE_THRESHOLD,
     TransferMatrix,
     chain_matrix,
+    closed_form_entries,
     require_real,
 )
 
@@ -54,9 +56,9 @@ class TransmissionGrid:
 
     def to_json_dict(self) -> dict:
         return {
-            "alphas": [float(a) for a in self.alphas],
-            "ks": [float(k) for k in self.ks],
-            "values": [[float(v) for v in row] for row in self.values],
+            "alphas": self.alphas.tolist(),
+            "ks": self.ks.tolist(),
+            "values": self.values.tolist(),
         }
 
 
@@ -126,29 +128,15 @@ def _uv_arrays(kind: Kind, alphas, ks, eps: float, c1: float, c2: float, sigma: 
         p = np.sqrt((E - a * h).astype(complex))
         q = np.sqrt((E + a * d).astype(complex))
         # alpha = 0 makes p = q = k exactly; no division hazards there
-        sp = np.sin(p * l)
-        cp = np.cos(p * l)
-        sq = np.sin(q * r)
-        cq = np.cos(q * r)
-        s2p = np.sin(2 * p * l)
-        c2p = np.cos(2 * p * l)
-        s2q = np.sin(2 * q * r)
-        c2q = np.cos(2 * q * r)
-        por = p / q + q / p
-        if kind is Kind.PLUS:
-            m11 = c2p * cq**2 - 0.25 * (3 * p / q + q / p) * s2p * s2q \
-                + ((p / q) ** 2 * sp**2 - cp**2) * sq**2
-            m22 = c2p * cq**2 - 0.25 * (p / q + 3 * q / p) * s2p * s2q \
-                + ((q / p) ** 2 * sp**2 - cp**2) * sq**2
-            m12 = s2p * cq**2 / p + cp**2 * s2q / q \
-                - por * (sp * cq / p + cp * sq / q) * sp * sq
-            m21 = -p * s2p * cq**2 - q * cp**2 * s2q \
-                + por * (p * sp * cq + q * cp * sq) * sp * sq
-        else:
-            m11 = c2p * c2q - 0.5 * por * s2p * s2q
-            m22 = m11
-            m12 = s2p * c2q / p + ((p / q) * cp**2 - (q / p) * sp**2) * s2q / p
-            m21 = -p * s2p * c2q + p * ((p / q) * sp**2 - (q / p) * cp**2) * s2q
+        m11, m12, m21, m22 = closed_form_entries(kind, p, q, l, r, np.sin, np.cos)
+        # p = 0 or q = 0 exactly is 0/0 in the closed form: refill those
+        # points from the slab product (MINUS m22 is m11 itself)
+        for i, j in zip(*np.nonzero((p == 0) | (q == 0))):
+            params = BWParams(kind, float(a[i, 0]), eps, c1, c2, sigma)
+            L = chain_matrix(realize(params), float(E[0, j]))
+            m11[i, j], m12[i, j], m21[i, j] = L.m11, L.m12, L.m21
+            if m22 is not m11:
+                m22[i, j] = L.m22
         u_c = m11 - m22
         v_c = k * m12 + m21 / k
         mag = np.maximum(np.maximum(np.abs(m11), np.abs(m12)),
@@ -166,8 +154,8 @@ def _transmission_array(kind, alphas, ks, eps, c1, c2, sigma):
     u, v, opaque = _uv_arrays(kind, alphas, ks, eps, c1, c2, sigma)
     with np.errstate(over="ignore"):
         t = 4.0 / (4.0 + u * u + v * v)
-    t = np.where(np.isfinite(t), t, 0.0)
-    return np.where(opaque, 0.0, t)
+    t[opaque] = 0.0
+    return t
 
 
 def scan_alpha(
@@ -180,19 +168,13 @@ def scan_alpha(
     """Transmissivity on a uniform strength grid, endpoints included.
 
     steps is the number of grid points (>= 2); output order follows the
-    grid, so repeated runs are identical. Points are independent and the
-    evaluation is vectorized.
+    grid, so repeated runs are identical. This is the one-column grid at
+    wave number k, returned as (alpha, T) pairs.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    if alpha_min > alpha_max:
-        raise ValueError("alpha_min must not exceed alpha_max")
-    if k <= 0:
-        raise ValueError(f"k must be > 0, got {k}")
-    alphas = np.linspace(alpha_min, alpha_max, steps)
-    t = _transmission_array(template.kind, alphas, [k], template.eps,
-                            template.c1, template.c2, template.sigma)
-    return [(float(a), float(ti)) for a, ti in zip(alphas, t[:, 0])]
+    g = grid(template, (alpha_min, alpha_max), (k, k), steps, 1)
+    return list(zip(g.alphas.tolist(), g.values[:, 0].tolist()))
 
 
 def grid(
@@ -228,11 +210,9 @@ def grid_csv_rows(g: TransmissionGrid):
 
     log10 of a flagged zero is the -inf sentinel (emitted as "-inf").
     """
-    for i, a in enumerate(g.alphas):
-        for j, k in enumerate(g.ks):
-            t = float(g.values[i, j])
-            logt = math.log10(t) if t > 0.0 else -math.inf
-            yield float(a), float(k), t, logt
+    points = product(g.alphas.tolist(), g.ks.tolist())
+    for (a, k), t in zip(points, g.values.ravel().tolist()):
+        yield a, k, t, math.log10(t) if t > 0.0 else -math.inf
 
 
 def subbarrier_bound(alpha: float, c1: float, c2: float, eps: float) -> float:

@@ -6,6 +6,7 @@ round-trip any double exactly). Output is byte-stable across runs.
 
 from __future__ import annotations
 
+import json
 import math
 
 
@@ -47,9 +48,7 @@ def _emit(obj, sig: int, out: list[str]) -> None:
         else:
             out.append(fmt_float(obj, sig))
     elif isinstance(obj, str):
-        import json as _json
-
-        out.append(_json.dumps(obj))
+        out.append(json.dumps(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -57,9 +56,7 @@ def _emit(obj, sig: int, out: list[str]) -> None:
                 out.append(", ")
             if not isinstance(k, str):
                 raise TypeError(f"JSON keys must be str, got {type(k)}")
-            import json as _json
-
-            out.append(_json.dumps(k))
+            out.append(json.dumps(k))
             out.append(": ")
             _emit(v, sig, out)
         out.append("}")

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .potential import BWParams, Kind, SegmentChain, bw_geometry
+from .potential import BWParams, Kind, SegmentChain, bw_geometry, realize
 
 # Entries past this magnitude mean the structure is effectively a wall;
 # downstream code reports zero transmission instead of erroring out.
@@ -138,57 +138,65 @@ def chain_matrix(chain: SegmentChain, E: float) -> TransferMatrix:
     return m
 
 
-def closed_form_plus(params: BWParams, E: float) -> TransferMatrix:
-    """Closed-form transfer matrix of the repeated barrier-well pair.
+def closed_form_entries(kind: Kind, p, q, l, r, sin, cos):
+    """Closed-form entries (m11, m12, m21, m22) of the four-slab chain.
 
-    Degenerate points with p = 0 or q = 0 exactly are not special-cased
-    here; use chain_matrix there (its series branch handles them).
+    Pure arithmetic on the slab wave numbers p, q and widths l, r, so the
+    one formula serves Python complex numbers (with cmath.sin/cos) and
+    numpy arrays (with np.sin/np.cos) alike. The mirror arrangement's
+    diagonal entries are equal by spatial symmetry and are computed once:
+    its m22 is the very object returned as m11. p = 0 or q = 0 divides
+    by zero; callers route those points through chain_matrix.
     """
-    if params.kind is not Kind.PLUS:
-        raise ValueError("closed_form_plus requires the PLUS arrangement")
-    _, l, _, r = bw_geometry(params)
-    w = wave_numbers(params, E)
-    p, q = w.p, w.q
-    sp, cp = cmath.sin(p * l), cmath.cos(p * l)
-    sq, cq = cmath.sin(q * r), cmath.cos(q * r)
-    s2p, c2p = cmath.sin(2 * p * l), cmath.cos(2 * p * l)
-    s2q = cmath.sin(2 * q * r)
+    sp, cp = sin(p * l), cos(p * l)
+    s2p, c2p = sin(2 * p * l), cos(2 * p * l)
+    s2q = sin(2 * q * r)
     por = p / q + q / p
-    m11 = c2p * cq * cq - 0.25 * (3 * p / q + q / p) * s2p * s2q \
-        + ((p / q) ** 2 * sp * sp - cp * cp) * sq * sq
-    m12 = s2p * cq * cq / p + cp * cp * s2q / q \
-        - por * (sp * cq / p + cp * sq / q) * sp * sq
-    m21 = -p * s2p * cq * cq - q * cp * cp * s2q \
-        + por * (p * sp * cq + q * cp * sq) * sp * sq
-    m22 = c2p * cq * cq - 0.25 * (p / q + 3 * q / p) * s2p * s2q \
-        + ((q / p) ** 2 * sp * sp - cp * cp) * sq * sq
-    return TransferMatrix(m11, m12, m21, m22)
-
-
-def closed_form_minus(params: BWParams, E: float) -> TransferMatrix:
-    """Closed-form transfer matrix of the mirror arrangement.
-
-    The diagonal entries are equal by spatial symmetry and are computed
-    once, so m11 == m22 holds exactly.
-    """
-    if params.kind is not Kind.MINUS:
-        raise ValueError("closed_form_minus requires the MINUS arrangement")
-    _, l, _, r = bw_geometry(params)
-    w = wave_numbers(params, E)
-    p, q = w.p, w.q
-    sp, cp = cmath.sin(p * l), cmath.cos(p * l)
-    s2p, c2p = cmath.sin(2 * p * l), cmath.cos(2 * p * l)
-    s2q, c2q = cmath.sin(2 * q * r), cmath.cos(2 * q * r)
-    diag = c2p * c2q - 0.5 * (p / q + q / p) * s2p * s2q
-    m12 = s2p * c2q / p + ((p / q) * cp * cp - (q / p) * sp * sp) * s2q / p
-    m21 = -p * s2p * c2q + p * ((p / q) * sp * sp - (q / p) * cp * cp) * s2q
-    return TransferMatrix(diag, m12, m21, diag)
+    if kind is Kind.PLUS:
+        sq, cq = sin(q * r), cos(q * r)
+        m11 = c2p * cq**2 - 0.25 * (3 * p / q + q / p) * s2p * s2q \
+            + ((p / q) ** 2 * sp**2 - cp**2) * sq**2
+        m22 = c2p * cq**2 - 0.25 * (p / q + 3 * q / p) * s2p * s2q \
+            + ((q / p) ** 2 * sp**2 - cp**2) * sq**2
+        m12 = s2p * cq**2 / p + cp**2 * s2q / q \
+            - por * (sp * cq / p + cp * sq / q) * sp * sq
+        m21 = -p * s2p * cq**2 - q * cp**2 * s2q \
+            + por * (p * sp * cq + q * cp * sq) * sp * sq
+        return m11, m12, m21, m22
+    c2q = cos(2 * q * r)
+    diag = c2p * c2q - 0.5 * por * s2p * s2q
+    m12 = s2p * c2q / p + ((p / q) * cp**2 - (q / p) * sp**2) * s2q / p
+    m21 = -p * s2p * c2q + p * ((p / q) * sp**2 - (q / p) * cp**2) * s2q
+    return diag, m12, m21, diag
 
 
 def closed_form(params: BWParams, E: float) -> TransferMatrix:
-    if params.kind is Kind.PLUS:
-        return closed_form_plus(params, E)
-    return closed_form_minus(params, E)
+    """Closed-form transfer matrix of the realized four-slab chain.
+
+    At the degenerate points p = 0 or q = 0 exactly (E = alpha*h or
+    E = -alpha*d) the closed form is 0/0; there the slab product is
+    returned, whose series branch is regular.
+    """
+    _, l, _, r = bw_geometry(params)
+    w = wave_numbers(params, E)
+    if w.p == 0 or w.q == 0:
+        return chain_matrix(realize(params), E)
+    return TransferMatrix(*closed_form_entries(params.kind, w.p, w.q, l, r,
+                                               cmath.sin, cmath.cos))
+
+
+def closed_form_plus(params: BWParams, E: float) -> TransferMatrix:
+    """Closed-form transfer matrix of the repeated barrier-well pair."""
+    if params.kind is not Kind.PLUS:
+        raise ValueError("closed_form_plus requires the PLUS arrangement")
+    return closed_form(params, E)
+
+
+def closed_form_minus(params: BWParams, E: float) -> TransferMatrix:
+    """Closed-form transfer matrix of the mirror arrangement."""
+    if params.kind is not Kind.MINUS:
+        raise ValueError("closed_form_minus requires the MINUS arrangement")
+    return closed_form(params, E)
 
 
 def lambda21_factored(kind: Kind, params: BWParams, E: float) -> complex:

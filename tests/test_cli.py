@@ -4,7 +4,8 @@ import math
 import pytest
 
 from bwtunnel.cli import parse_args
-from bwtunnel.potential import Kind
+from bwtunnel.potential import BWParams, Kind
+from bwtunnel.scattering import transmissivity
 
 from conftest import KNOWN_SIGMA_PLUS, KNOWN_SIGMA_PRIME
 
@@ -191,3 +192,26 @@ class TestDeterminism:
         code2, out2, _ = run_cli(argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestDegeneratePoints:
+    # b = 1, eps = 0.5 gives h = d = 4: at k = 2 the barrier wave number p
+    # vanishes exactly at alpha = 1 and the well wave number q at alpha = -1
+
+    def test_matrix_at_zero_barrier_wave_number(self, run_cli):
+        code, out, err = run_cli([
+            "matrix", "--b", "1", "--eps", "0.5", "--alpha", "1", "--k", "2"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["max_rel_diff"] < 1e-12
+
+    @pytest.mark.parametrize("model, lo, hi", [
+        ("plus", "0", "2"), ("plus", "-2", "0"), ("minus", "0", "2"), ("minus", "-2", "0")])
+    def test_scan_through_degenerate_strength(self, run_cli, model, lo, hi):
+        code, out, _ = run_cli([
+            "scan-alpha", "--model", model, "--b", "1", "--eps", "0.5", "--k", "2",
+            "--alpha-min", lo, "--alpha-max", hi, "--steps", "5", "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        for alpha, (t,) in zip(payload["alphas"], payload["values"]):
+            direct = transmissivity(BWParams(Kind(model), alpha, 0.5, 1.0, 1.0, 1.0), 2.0)
+            assert abs(t - direct) < 1e-9

@@ -213,6 +213,17 @@ class TestGrid:
         assert rows[1][3] == -math.inf
 
 
+def test_grid_refills_degenerate_points_from_slab_product():
+    # b = 1, eps = 0.5: p = 0 where k^2 = 4*alpha and q = 0 where k^2 = -4*alpha,
+    # which this grid hits at alpha = +-0.25 (k = 1) and alpha = +-1 (k = 2)
+    for kind in Kind:
+        template = BWParams(kind, 0.0, 0.5, 1.0, 1.0, 1.0)
+        g = grid(template, (-2.0, 2.0), (1.0, 2.0), 17, 2)
+        for i, alpha in enumerate(g.alphas):
+            for j, k in enumerate(g.ks):
+                direct = transmissivity(BWParams(kind, float(alpha), 0.5, 1.0, 1.0, 1.0), k)
+                assert abs(g.values[i, j] - direct) < 1e-9
+
 class TestSubbarrierBound:
     def test_positive_branch(self):
         assert subbarrier_bound(2.0, 1.0, 1.0, 1.0) == pytest.approx(math.sqrt(2.0))

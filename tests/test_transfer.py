@@ -13,6 +13,7 @@ from bwtunnel.transfer import (
     TransferMatrix,
     chain_matrix,
     closed_form,
+    closed_form_entries,
     closed_form_minus,
     closed_form_plus,
     lambda21_factored,
@@ -202,3 +203,29 @@ def test_near_opaque_flag():
     assert TransferMatrix(1e13 + 0j, 0j, 0j, 1e-13 + 0j).near_opaque
     assert not TransferMatrix.identity().near_opaque
     assert TransferMatrix(complex(math.inf), 0j, 0j, 0j).near_opaque
+
+
+class TestClosedFormEntries:
+    @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
+    @pytest.mark.parametrize("alpha", [1.0, -1.0])
+    def test_degenerate_point_is_the_slab_product(self, kind, alpha):
+        # b = 1, eps = 0.5, E = 4: p = 0 at alpha = 1 and q = 0 at alpha = -1
+        params = BWParams(kind, alpha, 0.5, 1.0, 1.0, 1.0)
+        w = wave_numbers(params, 4.0)
+        assert w.p == 0 or w.q == 0
+        assert closed_form(params, 4.0) == chain_matrix(realize(params), 4.0)
+
+    @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
+    def test_array_route_matches_scalar_route(self, kind):
+        rng = np.random.default_rng(5150)
+        p = np.sqrt(rng.uniform(-30.0, 30.0, 64).astype(complex))
+        q = np.sqrt(rng.uniform(-30.0, 30.0, 64).astype(complex))
+        arrays = closed_form_entries(kind, p, q, 0.3, 0.1, np.sin, np.cos)
+        if kind is Kind.MINUS:
+            assert arrays[3] is arrays[0]
+        for i in range(len(p)):
+            scalars = closed_form_entries(kind, complex(p[i]), complex(q[i]), 0.3, 0.1,
+                                          cmath.sin, cmath.cos)
+            scale = 1.0 + max(abs(z) for z in scalars)
+            for z_arr, z in zip(arrays, scalars):
+                assert abs(z_arr[i] - z) <= 1e-13 * scale
