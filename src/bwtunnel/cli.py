@@ -1,17 +1,23 @@
 """Command-line front end. Batch computations, plot-ready CSV/JSON output.
 
-All configuration is by flags (optionally seeded from a JSON config
-file whose keys mirror the flag names; explicit flags win). Identical
-invocations produce byte-identical output: fixed float formatting,
-fixed ordering, no environment dependence.
+Every value reaches the library through argparse. Each flag is declared
+once in ``_FLAGS`` with its default and a type converter that checks its
+range (numbers must be finite); ``_COMMANDS`` lists the flags of each
+subcommand. A JSON config file (``--config``) is turned into
+``--flag=value`` tokens that are parsed before the command line's own
+flags, so its keys are flag names, its values pass the same checks and
+an explicit flag wins. Only checks that span several flags run after
+parsing. Exit codes: 0 success, 1 computation error, 2 usage error.
+Identical invocations produce byte-identical output: fixed float
+formatting, fixed ordering, no environment dependence.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .potential import BWParams, Kind, Segment, SegmentChain, realize
@@ -26,263 +32,168 @@ from .serialize import csv_row, json_dumps
 from .transfer import chain_matrix, closed_form
 from .zerolimit import classify, converge_study
 
-_DEFAULTS = {
-    "model": "plus",
-    "b": 3.0,
-    "sigma": 1.0,
-    "eps": 0.1,
-    "k": 1.0,
-    "alpha_min": -40.0,
-    "alpha_max": 40.0,
-    "steps": 4000,
-    "alpha_steps": 401,
-    "k_min": 0.01,
-    "k_max": 10.0,
-    "k_steps": 201,
-    "grid_steps": 20000,
-    "tol": 1e-10,
-    "match_tol": 1e-6,
-    "radius": 0.5,
-    "x_left": 0.0,
-    "format": None,  # per-command default
+
+def _checked(what: str, ok=lambda v: True, cast=float):
+    """Type converter: a finite number for which ``ok`` holds, cast by ``cast``."""
+    def convert(text: str):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return cast(value)
+    return convert
+
+
+_finite = _checked("a finite number")
+_positive = _checked("a finite number > 0", lambda v: v > 0)
+_nonneg = _checked("a finite number >= 0", lambda v: v >= 0)
+
+
+def _count(least: int):
+    # integral floats count too, so a JSON config may write 4000.0
+    return _checked(f"an integer >= {least}", lambda v: v >= least and v.is_integer(), int)
+
+
+def _eps_list(text: str) -> list[float]:
+    eps = [_positive(x) for x in text.split(",") if x.strip()]
+    if not eps or any(a <= b for a, b in zip(eps, eps[1:])):
+        raise argparse.ArgumentTypeError(f"must be strictly decreasing, got {text!r}")
+    return eps
+
+
+def _raw_chain(text: str) -> tuple[Segment, ...]:
+    segs = []
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        try:
+            value, width = part.split(":")
+            segs.append(Segment(width=float(width), value=float(value)))
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(f"entry {part!r} is not 'value:width': {e}") from None
+    if not segs:
+        raise argparse.ArgumentTypeError("the chain is empty")
+    return tuple(segs)
+
+
+_FLAGS = {
+    "model": dict(type=Kind, default=Kind.PLUS, metavar="{plus,minus}",
+                  help="arrangement: plus (barrier-well repeated) or minus (mirror); default plus"),
+    "b": dict(type=_positive, help="shape ratio c1/c2 > 0; sets c1=b, c2=1 (default 3)"),
+    "c1": dict(type=_positive, help="barrier shape constant > 0 (use together with --c2)"),
+    "c2": dict(type=_positive, help="well shape constant > 0 (use together with --c1)"),
+    "sigma": dict(type=_nonneg, default=1.0, help="well-depth control, >= 0 (default %(default)s)"),
+    "config": dict(help="JSON file of flag values; keys are flag names, explicit flags win"),
+    "out": dict(dest="out_path", metavar="PATH", help="write output to this file instead of stdout"),
+    "format": dict(dest="out_format", choices=("csv", "json"), default="csv",
+                   help="output format (default %(default)s)"),
+    "alpha": dict(type=_finite, default=0.0,
+                  help="strength (required by converge and classify; matrix default %(default)s)"),
+    "k": dict(type=_positive, default=1.0, help="wave number > 0 (default %(default)s)"),
+    "eps": dict(type=_positive, default=0.1, help="squeezing parameter > 0 (default %(default)s)"),
+    "alpha-min": dict(type=_finite, default=-40.0, help="strength window lower edge (default %(default)s)"),
+    "alpha-max": dict(type=_finite, default=40.0, help="strength window upper edge (default %(default)s)"),
+    "steps": dict(type=_count(2), default=4000, help="grid points, >= 2 (default %(default)s)"),
+    "alpha-steps": dict(type=_count(2), default=401, help="strength grid points, >= 2 (default %(default)s)"),
+    "k-min": dict(type=_positive, default=0.01, help="wave number lower edge, > 0 (default %(default)s)"),
+    "k-max": dict(type=_finite, default=10.0, help="wave number upper edge (default %(default)s)"),
+    "k-steps": dict(type=_count(2), default=201, help="wave number grid points, >= 2 (default %(default)s)"),
+    "grid-steps": dict(type=_count(100), default=20000, help="root-scan cells, >= 100 (default %(default)s)"),
+    "tol": dict(type=_positive, default=1e-10, help="bisection width tolerance > 0 (default %(default)s)"),
+    "match-tol": dict(type=_nonneg, default=1e-6, help="set-membership tolerance >= 0 (default %(default)s)"),
+    "radius": dict(type=_positive, default=0.5, help="search radius around the strength (default %(default)s)"),
+    "eps-list": dict(type=_eps_list, help="comma-separated strictly decreasing eps values > 0 (required)"),
+    "raw": dict(type=_raw_chain, help="explicit chain 'value:width,value:width,...' instead of the "
+                                      "eps parametrization (no closed form available)"),
+    "x-left": dict(type=_finite, default=0.0, help="left edge position for --raw chains (default %(default)s)"),
 }
 
+_COMMON = ("model", "b", "c1", "c2", "sigma", "config", "out")
 
-@dataclass
-class RunConfig:
-    command: str
-    model: Kind
-    c1: float
-    c2: float
-    sigma: float
-    eps: float
-    k: float
-    alpha: float | None
-    alpha_min: float
-    alpha_max: float
-    steps: int
-    alpha_steps: int
-    k_min: float
-    k_max: float
-    k_steps: int
-    grid_steps: int
-    tol: float
-    match_tol: float
-    radius: float
-    eps_list: list[float] | None
-    out_format: str
-    out_path: str | None
-    raw: str | None
-    x_left: float
-
-    @property
-    def b(self) -> float:
-        return self.c1 / self.c2
-
-    def params(self, alpha: float) -> BWParams:
-        return BWParams(kind=self.model, alpha=alpha, eps=self.eps,
-                        c1=self.c1, c2=self.c2, sigma=self.sigma)
+# command: (help, optional flags beyond _COMMON, required flags); without --format it writes JSON
+_COMMANDS = {
+    "scan-alpha": ("transmissivity vs strength at fixed wave number",
+                   ("format", "k", "eps", "alpha-min", "alpha-max", "steps"), ()),
+    "grid": ("transmissivity over an (alpha, k) grid",
+             ("format", "eps", "alpha-min", "alpha-max", "alpha-steps", "k-min", "k-max", "k-steps"), ()),
+    "resonances": ("quantized transparency strengths in a window (JSON)",
+                   ("alpha-min", "alpha-max", "grid-steps", "tol"), ()),
+    "converge": ("finite-squeezing peak drift toward a limiting strength",
+                 ("format", "k", "eps-list", "radius"), ("alpha",)),
+    "classify": ("limiting transparency of one strength (JSON)",
+                 ("alpha-min", "alpha-max", "grid-steps", "tol", "match-tol"), ("alpha",)),
+    "matrix": ("transfer matrix diagnostics at one point (JSON)",
+               ("alpha", "k", "eps", "raw", "x-left"), ()),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bwtunnel",
         description="Resonant tunneling through squeezed barrier-well structures. "
-                    "Defaults follow the reference configuration: model plus, "
-                    "b=3 (c1=3, c2=1), sigma=1, eps=0.1, k=1.",
+                    "Defaults follow the reference configuration; see each command's --help.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, fmt_choices=("csv", "json")) -> None:
-        p.add_argument("--model", choices=("plus", "minus"),
-                       help="arrangement: plus (barrier-well repeated) or minus (mirror); default plus")
-        p.add_argument("--b", type=float, help="shape ratio c1/c2; sets c1=b, c2=1 (default 3)")
-        p.add_argument("--c1", type=float, help="barrier shape constant (use together with --c2)")
-        p.add_argument("--c2", type=float, help="well shape constant (use together with --c1)")
-        p.add_argument("--sigma", type=float, help="well-depth control, >= 0 (default 1)")
-        p.add_argument("--config", help="JSON file with defaults; keys mirror flag names, flags win")
-        p.add_argument("--out", dest="out_path", help="write output to this file instead of stdout")
-        if fmt_choices:
-            p.add_argument("--format", choices=fmt_choices, help=f"output format (default {fmt_choices[0]})")
-
-    p = sub.add_parser("scan-alpha", help="transmissivity vs strength at fixed wave number")
-    common(p)
-    p.add_argument("--k", type=float, help="wave number > 0 (default 1)")
-    p.add_argument("--eps", type=float, help="squeezing parameter > 0 (default 0.1)")
-    p.add_argument("--alpha-min", type=float, help="strength window lower edge (default -40)")
-    p.add_argument("--alpha-max", type=float, help="strength window upper edge (default 40)")
-    p.add_argument("--steps", type=int, help="grid points, >= 2 (default 4000)")
-
-    p = sub.add_parser("grid", help="transmissivity over an (alpha, k) grid")
-    common(p)
-    p.add_argument("--eps", type=float, help="squeezing parameter > 0 (default 0.1)")
-    p.add_argument("--alpha-min", type=float, help="strength lower edge (default -40)")
-    p.add_argument("--alpha-max", type=float, help="strength upper edge (default 40)")
-    p.add_argument("--alpha-steps", type=int, help="strength grid points (default 401)")
-    p.add_argument("--k-min", type=float, help="wave number lower edge, > 0 (default 0.01)")
-    p.add_argument("--k-max", type=float, help="wave number upper edge (default 10)")
-    p.add_argument("--k-steps", type=int, help="wave number grid points (default 201)")
-
-    p = sub.add_parser("resonances", help="quantized transparency strengths in a window (JSON)")
-    common(p, fmt_choices=())
-    p.add_argument("--alpha-min", type=float, help="window lower edge (default -40)")
-    p.add_argument("--alpha-max", type=float, help="window upper edge (default 40)")
-    p.add_argument("--grid-steps", type=int, help="scan cells, >= 100 (default 20000)")
-    p.add_argument("--tol", type=float, help="bisection width tolerance (default 1e-10)")
-
-    p = sub.add_parser("converge", help="finite-squeezing peak drift toward a limiting strength")
-    common(p)
-    p.add_argument("--alpha", type=float, required=True, help="limiting strength to track")
-    p.add_argument("--k", type=float, help="wave number > 0 (default 1)")
-    p.add_argument("--eps-list", help="comma-separated strictly decreasing eps values")
-    p.add_argument("--radius", type=float, help="search radius around the strength (default 0.5)")
-
-    p = sub.add_parser("classify", help="limiting transparency of one strength (JSON)")
-    common(p, fmt_choices=())
-    p.add_argument("--alpha", type=float, required=True, help="strength to classify")
-    p.add_argument("--alpha-min", type=float, help="window lower edge (default -40)")
-    p.add_argument("--alpha-max", type=float, help="window upper edge (default 40)")
-    p.add_argument("--grid-steps", type=int, help="scan cells (default 20000)")
-    p.add_argument("--tol", type=float, help="root tolerance (default 1e-10)")
-    p.add_argument("--match-tol", type=float, help="set-membership tolerance (default 1e-6)")
-
-    p = sub.add_parser("matrix", help="transfer matrix diagnostics at one point (JSON)")
-    common(p, fmt_choices=())
-    p.add_argument("--alpha", type=float, help="strength (default 0)")
-    p.add_argument("--k", type=float, help="wave number > 0 (default 1)")
-    p.add_argument("--eps", type=float, help="squeezing parameter > 0 (default 0.1)")
-    p.add_argument("--raw", help="explicit chain 'value:width,value:width,...' instead of the "
-                                 "eps parametrization (no closed form available)")
-    p.add_argument("--x-left", type=float, help="left edge position for --raw chains (default 0)")
-
+    for name, (text, flags, required) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag in (*_COMMON, *flags, *required):
+            p.add_argument(f"--{flag}", required=flag in required, **_FLAGS[flag])
+        if "format" not in flags:
+            p.set_defaults(out_format="json")
     return parser
 
 
-def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
+def _config_tokens(path: str, command: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The config file as ``--flag=value`` tokens for ``command``.
+
+    Keys are flag names (``alpha-min`` or ``alpha_min``). Keys of other
+    commands are skipped, so one file can serve several; a null value
+    leaves its flag unset and a list is joined with commas.
+    """
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         parser.error(f"--config {path}: {e}")
     if not isinstance(data, dict):
         parser.error(f"--config {path}: top level must be a JSON object")
-    return {str(k).replace("-", "_"): v for k, v in data.items()}
+    _, flags, required = _COMMANDS[command]
+    tokens = []
+    for key, value in data.items():
+        flag = key.replace("_", "-")
+        if flag not in _FLAGS:
+            parser.error(f"--config {path}: key {key!r} is not a flag of any command")
+        if flag in (*_COMMON, *flags, *required) and value is not None:
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            tokens.append(f"--{flag}={value}")
+    return tokens
 
 
-def parse_args(argv: list[str]) -> RunConfig:
+def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    file_cfg = _load_config_file(ns.config, parser) if getattr(ns, "config", None) else {}
+    if ns.config:
+        ns = parser.parse_args([ns.command, *_config_tokens(ns.config, ns.command, parser), *argv[1:]])
 
-    def pick(name: str, fallback=None):
-        v = getattr(ns, name, None)
-        if v is not None:
-            return v
-        if name in file_cfg:
-            return file_cfg[name]
-        if name in _DEFAULTS:
-            return _DEFAULTS[name]
-        return fallback
-
-    b, c1, c2 = pick("b", None), pick("c1", None), pick("c2", None)
-    explicit_b = getattr(ns, "b", None) is not None or "b" in file_cfg
-    explicit_c = getattr(ns, "c1", None) is not None or getattr(ns, "c2", None) is not None \
-        or "c1" in file_cfg or "c2" in file_cfg
-    if explicit_b and explicit_c:
+    if ns.b is not None and (ns.c1 is not None or ns.c2 is not None):
         parser.error("provide either --b or the pair --c1/--c2, not both")
-    if explicit_c:
-        c1 = pick("c1", None) if ("c1" in file_cfg or ns.c1 is not None) else None
-        c2 = pick("c2", None) if ("c2" in file_cfg or ns.c2 is not None) else None
-        if c1 is None or c2 is None:
-            parser.error("--c1 and --c2 must be given together")
-        if c1 <= 0 or c2 <= 0:
-            parser.error("--c1 and --c2 must be > 0")
-    else:
-        bval = float(b if b is not None else _DEFAULTS["b"])
-        if bval <= 0:
-            parser.error("--b must be > 0")
-        c1, c2 = bval, 1.0
+    if (ns.c1 is None) != (ns.c2 is None):
+        parser.error("--c1 and --c2 must be given together")
+    if ns.c1 is None:
+        ns.c1, ns.c2 = (3.0 if ns.b is None else ns.b), 1.0
+    ns.b = ns.c1 / ns.c2
+    if "alpha_min" in ns and ns.alpha_min >= ns.alpha_max:
+        parser.error("--alpha-min must be strictly less than --alpha-max")
+    if "k_min" in ns and ns.k_min >= ns.k_max:
+        parser.error("--k-min must be strictly less than --k-max")
+    if ns.command == "converge" and ns.eps_list is None:
+        parser.error("--eps-list is required for converge")
+    return ns
 
-    sigma = float(pick("sigma"))
-    if sigma < 0:
-        parser.error("--sigma must be >= 0")
-    eps = float(pick("eps"))
-    if eps <= 0:
-        parser.error("--eps must be > 0")
-    k = float(pick("k"))
-    if k <= 0:
-        parser.error("--k must be > 0")
 
-    alpha_min = float(pick("alpha_min"))
-    alpha_max = float(pick("alpha_max"))
-    steps = int(pick("steps"))
-    alpha_steps = int(pick("alpha_steps"))
-    k_min = float(pick("k_min"))
-    k_max = float(pick("k_max"))
-    k_steps = int(pick("k_steps"))
-    grid_steps = int(pick("grid_steps"))
-    tol = float(pick("tol"))
-    match_tol = float(pick("match_tol"))
-    radius = float(pick("radius"))
-
-    command = ns.command
-    if command in ("scan-alpha", "grid", "resonances", "classify"):
-        if alpha_min >= alpha_max:
-            parser.error("--alpha-min must be strictly less than --alpha-max")
-    if command == "scan-alpha" and steps < 2:
-        parser.error(f"--steps must be at least 2, got {steps}")
-    if command == "grid":
-        if alpha_steps < 2:
-            parser.error(f"--alpha-steps must be at least 2, got {alpha_steps}")
-        if k_steps < 2:
-            parser.error(f"--k-steps must be at least 2, got {k_steps}")
-        if k_min <= 0:
-            parser.error("--k-min must be > 0")
-        if k_min >= k_max:
-            parser.error("--k-min must be strictly less than --k-max")
-    if command == "resonances" and grid_steps < 100:
-        parser.error(f"--grid-steps must be at least 100, got {grid_steps}")
-    if command in ("resonances", "classify") and tol <= 0:
-        parser.error("--tol must be > 0")
-    if command == "converge" and radius <= 0:
-        parser.error("--radius must be > 0")
-
-    eps_list = None
-    if command == "converge":
-        rawlist = pick("eps_list", None)
-        if rawlist is None:
-            parser.error("--eps-list is required for converge")
-        if isinstance(rawlist, str):
-            try:
-                eps_list = [float(x) for x in rawlist.split(",") if x.strip()]
-            except ValueError:
-                parser.error(f"--eps-list must be comma-separated numbers, got {rawlist!r}")
-        else:
-            eps_list = [float(x) for x in rawlist]
-        if not eps_list or any(e <= 0 for e in eps_list):
-            parser.error("--eps-list values must all be > 0")
-        if any(a <= b_ for a, b_ in zip(eps_list, eps_list[1:])):
-            parser.error("--eps-list must be strictly decreasing")
-
-    fmt = pick("format", None)
-    if fmt is None:
-        fmt = "json" if command in ("resonances", "classify", "matrix") else "csv"
-
-    model = Kind(pick("model"))
-    alpha = getattr(ns, "alpha", None)
-    if alpha is None and "alpha" in file_cfg:
-        alpha = float(file_cfg["alpha"])
-    if command == "matrix" and alpha is None:
-        alpha = 0.0
-
-    return RunConfig(
-        command=command, model=model, c1=float(c1), c2=float(c2), sigma=sigma,
-        eps=eps, k=k, alpha=alpha, alpha_min=alpha_min, alpha_max=alpha_max,
-        steps=steps, alpha_steps=alpha_steps, k_min=k_min, k_max=k_max,
-        k_steps=k_steps, grid_steps=grid_steps, tol=tol, match_tol=match_tol,
-        radius=radius, eps_list=eps_list, out_format=fmt,
-        out_path=pick("out_path", None), raw=pick("raw", None),
-        x_left=float(pick("x_left")),
-    )
+def _params(config: argparse.Namespace, alpha: float) -> BWParams:
+    return BWParams(kind=config.model, alpha=alpha, eps=config.eps,
+                    c1=config.c1, c2=config.c2, sigma=config.sigma)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -303,14 +214,14 @@ def _complex_dict(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     cmd = config.command
     if cmd in ("scan-alpha", "grid"):
         alpha_range = (config.alpha_min, config.alpha_max)
         if cmd == "scan-alpha":
-            g = grid(config.params(0.0), alpha_range, (config.k, config.k), config.steps, 1)
+            g = grid(_params(config, 0.0), alpha_range, (config.k, config.k), config.steps, 1)
         else:
-            g = grid(config.params(0.0), alpha_range, (config.k_min, config.k_max),
+            g = grid(_params(config, 0.0), alpha_range, (config.k_min, config.k_max),
                      config.alpha_steps, config.k_steps)
         if config.out_format == "csv":
             _emit(_scan_csv(grid_csv_rows(g)), config.out_path)
@@ -361,11 +272,10 @@ def run(config: RunConfig) -> int:
     if cmd == "matrix":
         E = config.k * config.k
         if config.raw:
-            chain = _parse_raw_chain(config.raw, config.x_left)
-            product = chain_matrix(chain, E)
+            product = chain_matrix(SegmentChain(config.raw, config.x_left), E)
             closed = None
         else:
-            params = config.params(config.alpha if config.alpha is not None else 0.0)
+            params = _params(config, config.alpha)
             product = chain_matrix(realize(params), E)
             closed = closed_form(params, E)
         det = product.det()
@@ -387,22 +297,6 @@ def run(config: RunConfig) -> int:
         return 0
 
     raise ValueError(f"unknown command {cmd!r}")
-
-
-def _parse_raw_chain(spec: str, x_left: float) -> SegmentChain:
-    segs = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            value_s, width_s = part.split(":")
-            segs.append(Segment(width=float(width_s), value=float(value_s)))
-        except ValueError as e:
-            raise ValueError(f"--raw entry {part!r} is not 'value:width': {e}") from None
-    if not segs:
-        raise ValueError("--raw chain is empty")
-    return SegmentChain(tuple(segs), x_left)
 
 
 def main(argv: list[str] | None = None) -> int:

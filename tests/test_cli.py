@@ -215,3 +215,95 @@ class TestDegeneratePoints:
         for alpha, (t,) in zip(payload["alphas"], payload["values"]):
             direct = transmissivity(BWParams(Kind(model), alpha, 0.5, 1.0, 1.0, 1.0), 2.0)
             assert abs(t - direct) < 1e-9
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("argv", [
+        ["scan-alpha", "--alpha-min", "0", "--alpha-max", "inf", "--steps", "3"],
+        ["grid", "--k-max", "inf", "--alpha-min", "0", "--alpha-max", "1",
+         "--alpha-steps", "2", "--k-steps", "2"],
+        ["scan-alpha", "--k", "nan"],
+    ])
+    def test_non_finite_number_is_usage_error(self, run_cli, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert "must be a finite number" in err
+
+    def test_malformed_raw_chain_is_usage_error(self, run_cli):
+        code, out, err = run_cli(["matrix", "--raw", "1:0.1,abc"])
+        assert code == 2 and out == ""
+        assert "'abc' is not 'value:width'" in err
+
+
+SCAN_ARGV = ["scan-alpha", "--alpha-min", "0", "--alpha-max", "1"]
+CONVERGE_ARGV = ["converge", "--alpha", "2.2826475"]
+
+
+class TestConfigFile:
+    @pytest.fixture
+    def config(self, tmp_path):
+        def _write(data):
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(data))
+            return str(path)
+        return _write
+
+    @pytest.mark.parametrize("data, argv, want", [
+        ({"steps": "abc"}, SCAN_ARGV, 2),
+        ({"model": "bogus"}, SCAN_ARGV, 2),
+        ({"steps": 4000.5}, SCAN_ARGV, 2),
+        ({"steps": 4000.0}, SCAN_ARGV, 0),
+        ({"eps": None}, SCAN_ARGV, 0),
+        ({"format": "xml", "eps-list": "0.1,0.05"}, CONVERGE_ARGV, 2),
+        # as --eps-list 5: no crest near 2.28 at eps = 5, a computation error
+        ({"eps_list": 5}, CONVERGE_ARGV, 1),
+    ])
+    def test_values_pass_the_flag_checks(self, run_cli, config, data, argv, want):
+        code, out, err = run_cli([*argv, "--config", config(data)])
+        assert code == want
+        assert (out != "") == (want == 0)
+        assert sum("error:" in line for line in err.splitlines()) == (want != 0)
+
+    @pytest.mark.parametrize("data, flags", [
+        ({"eps_list": 5}, ["--eps-list", "5"]),
+        ({"eps_list": [0.2, 0.1]}, ["--eps-list", "0.2,0.1"]),
+        ({"radius": 0.25, "k": None, "eps-list": "0.1"}, ["--radius", "0.25", "--eps-list", "0.1"]),
+        ({"model": "minus", "format": "json", "eps-list": "0.1"},
+         ["--model", "minus", "--format", "json", "--eps-list", "0.1"]),
+    ])
+    def test_values_parse_as_flags(self, config, data, flags):
+        from_file = vars(parse_args([*CONVERGE_ARGV, "--config", config(data)]))
+        from_flags = vars(parse_args([*CONVERGE_ARGV, *flags]))
+        assert {**from_file, "config": None} == from_flags
+
+    def test_out_and_format_keys(self, run_cli, config, tmp_path):
+        target = tmp_path / "scan.json"
+        code, out, _ = run_cli([*SCAN_ARGV, "--steps", "2",
+                                "--config", config({"out": str(target), "format": "json"})])
+        assert code == 0 and out == ""
+        assert json.loads(target.read_text())["alphas"] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("key", ["alpah_min", "out_path"])
+    def test_key_of_no_command_is_usage_error(self, run_cli, config, key):
+        code, _, err = run_cli([*SCAN_ARGV, "--config", config({key: 1})])
+        assert code == 2 and repr(key) in err
+
+    def test_keys_of_other_commands_are_skipped(self, config):
+        cfg = parse_args(["scan-alpha", "--config", config(
+            {"steps": 5, "k_steps": 3, "eps-list": "0.2,0.1", "raw": "1:1"})])
+        assert cfg.steps == 5
+        assert not any(name in cfg for name in ("k_steps", "eps_list", "raw"))
+
+    @pytest.mark.parametrize("data, flags", [
+        ({"b": 2.0}, ["--c1", "1", "--c2", "2"]),
+        ({"c1": 2.0, "c2": 1.0}, ["--b", "2"]),
+    ])
+    def test_b_and_c_pair_conflict_across_sources(self, config, data, flags):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["scan-alpha", *flags, "--config", config(data)])
+        assert exc.value.code == 2
+
+    def test_flag_wins_for_list_and_choice(self, config):
+        cfg = parse_args([*CONVERGE_ARGV, "--eps-list", "0.05", "--format", "csv",
+                          "--config", config({"eps_list": [0.2, 0.1], "format": "json"})])
+        assert cfg.eps_list == [0.05] and cfg.out_format == "csv"
