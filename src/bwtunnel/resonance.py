@@ -1,10 +1,12 @@
 """Resonance conditions at finite squeezing and their zero-range limits.
 
 The limiting equations quantize the strength values at which the
-squeezed structures stay transparent. Negative strengths are reached by
-analytic continuation through principal complex square roots; the
-resulting residual is purely real or purely imaginary, and the single
-nonzero component is what the root finder sees. The finder itself is a
+squeezed structures stay transparent. Each residual is written once, in
+real arithmetic, on two slab phases: one under tanh/cosh and one under
+tan/cos. Continuing a residual to negative strengths turns it purely
+real or purely imaginary and swaps its trigonometric and hyperbolic
+factors, so the real form there is that swap, with the tan phase moved
+from the well slot to the barrier slot. The finder itself is a
 bracketing bisection that knows the residuals alternate roots with tan
 poles and discards pole crossings by magnitude.
 """
@@ -71,52 +73,6 @@ class ResonanceSet:
 _POLE_TOL = 1e-12
 
 
-def _collapse(w: complex) -> float:
-    """Reduce a residual that must be purely real or purely imaginary.
-
-    Analytic continuation to negative strengths turns some residuals
-    purely imaginary; the imaginary component is then the real-rewritten
-    residual, so Re + Im is the correct scalar on both half-axes. A
-    residual with both components large signals a branch bug.
-    """
-    if min(abs(w.real), abs(w.imag)) > 1e-9 * (1.0 + abs(w)):
-        raise ValueError(f"residual is neither purely real nor purely imaginary: {w!r}")
-    return w.real + w.imag
-
-
-def _pole_check(alpha: float, b: float, sp: float, sm: float) -> None:
-    """Reject evaluation within 1e-12 of a tan singularity.
-
-    For positive strengths the real tan argument sits on the well side;
-    after continuation to negative strengths it moves to the barrier
-    side. The other trigonometric factors are hyperbolic and pole free.
-    """
-    if alpha > 0 and sm > 0:
-        t = math.sqrt(2.0 * alpha * sm / (1.0 + b))
-    elif alpha < 0 and sp > 0:
-        t = math.sqrt(2.0 * abs(alpha) * sp / (1.0 + 1.0 / b))
-    else:
-        return
-    if abs(math.fmod(t, math.pi) - math.pi / 2) < _POLE_TOL:
-        raise PoleError(f"tan argument {t} is within {_POLE_TOL} of a pole")
-
-
-def _tanhc(z: complex) -> complex:
-    """tanh(z)/z, continuous through z = 0."""
-    if abs(z) < 1e-6:
-        z2 = z * z
-        return 1.0 - z2 / 3.0 + 2.0 * z2 * z2 / 15.0
-    return cmath.tanh(z) / z
-
-
-def _tanc(z: complex) -> complex:
-    """tan(z)/z, continuous through z = 0."""
-    if abs(z) < 1e-6:
-        z2 = z * z
-        return 1.0 + z2 / 3.0 + 2.0 * z2 * z2 / 15.0
-    return cmath.tan(z) / z
-
-
 def _check_bsigma(b: float, sigma: float) -> None:
     if not (b > 0):
         raise ValueError(f"b must be > 0, got {b}")
@@ -124,30 +80,62 @@ def _check_bsigma(b: float, sigma: float) -> None:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
 
 
-def _sqrt_args(alpha: float, b: float, sp: float, sm: float) -> tuple[complex, complex]:
-    A = cmath.sqrt(complex(2.0 * alpha * sp / (1.0 + 1.0 / b), 0.0))
-    B = cmath.sqrt(complex(2.0 * alpha * sm / (1.0 + b), 0.0))
-    return A, B
+def _phases(alpha: float, b: float, sp: float, sm: float) -> tuple[float, float]:
+    """The two limiting slab phases (x, y) of a strength, both real.
+
+    x goes under tanh/cosh and y under tan/cos. For positive strengths y
+    is the well slot's phase; continuation to negative strengths swaps
+    the trigonometric and hyperbolic factors, so there y is the barrier
+    slot's. Only y carries sigma, so sigma = 0 gives y = 0.
+    """
+    barrier = math.sqrt(2.0 * abs(alpha) * sp / (1.0 + 1.0 / b))
+    well = math.sqrt(2.0 * abs(alpha) * sm / (1.0 + b))
+    return (barrier, well) if alpha >= 0 else (well, barrier)
+
+
+def _checked_phases(alpha: float, b: float, sigma: float) -> tuple[float, float, float, float]:
+    """(sp, sm, x, y) of a limiting residual after its input checks.
+
+    Rejects evaluation within 1e-12 of a tan singularity; the hyperbolic
+    factors are pole free.
+    """
+    _check_bsigma(b, sigma)
+    sp, sm = sigma_split(alpha, sigma)
+    x, y = _phases(alpha, b, sp, sm)
+    if abs(math.fmod(y, math.pi) - math.pi / 2) < _POLE_TOL:
+        raise PoleError(f"tan argument {y} is within {_POLE_TOL} of a pole")
+    return sp, sm, x, y
+
+
+def _tanc(z: float) -> float:
+    """tan(z)/z, continuous through z = 0."""
+    if abs(z) < 1e-6:
+        z2 = z * z
+        return 1.0 + z2 / 3.0 + 2.0 * z2 * z2 / 15.0
+    return math.tan(z) / z
+
+
+def _tanhc(z: float) -> float:
+    """tanh(z)/z, continuous through z = 0."""
+    if abs(z) < 1e-6:
+        z2 = z * z
+        return 1.0 - z2 / 3.0 + 2.0 * z2 * z2 / 15.0
+    return math.tanh(z) / z
 
 
 def f_plus(alpha: float, b: float, sigma: float) -> float:
     """Residual of the limiting strength equation for the repeated pair.
 
     Zero exactly at the quantized strengths of the first transparency
-    set. Written in a form regular at sigma = 0, where the prefactor
-    1/sqrt(sigma) and the vanishing tan argument would otherwise meet in
-    a 0*inf; in the degenerate case the residual stays strictly
-    negative, matching the disappearance of finite roots.
+    set. Written with tan(y)/y and tanh(x)/x so that it stays regular at
+    sigma = 0, where the prefactor 1/sqrt(sigma) and the vanishing tan
+    argument would otherwise meet in a 0*inf; in the degenerate case the
+    residual stays strictly negative, matching the disappearance of
+    finite roots.
     """
-    _check_bsigma(b, sigma)
-    sp, sm = sigma_split(alpha, sigma)
-    _pole_check(alpha, b, sp, sm)
-    A, B = _sqrt_args(alpha, b, sp, sm)
-    term1 = cmath.sqrt(complex(2.0 * alpha * b * sm / (1.0 + 1.0 / b), 0.0)) \
-        * _tanhc(A) * cmath.tan(B)
-    term2 = cmath.sqrt(complex(2.0 * alpha * sp / (b * (1.0 + b)), 0.0)) \
-        * _tanc(B) * cmath.tanh(A)
-    return _collapse(term1 - term2 - 2.0)
+    _, _, x, y = _checked_phases(alpha, b, sigma)
+    c = b if alpha >= 0 else 1.0 / b
+    return c * y * math.tan(y) * _tanhc(x) - x * math.tanh(x) * _tanc(y) / c - 2.0
 
 
 def f_minus(alpha: float, b: float, sigma: float) -> float:
@@ -158,83 +146,30 @@ def f_minus(alpha: float, b: float, sigma: float) -> float:
     so those branches return the direction-of-approach rescaled
     residual, which is finite, strictly positive, and rootless.
     """
-    _check_bsigma(b, sigma)
-    sp, sm = sigma_split(alpha, sigma)
-    _pole_check(alpha, b, sp, sm)
-    A, B = _sqrt_args(alpha, b, sp, sm)
+    sp, sm, x, y = _checked_phases(alpha, b, sigma)
     if sm == 0.0 and alpha > 0:
-        return _collapse(cmath.tanh(A)) * math.sqrt(2.0 * alpha / (1.0 + b)) \
-            + math.sqrt(b / sp)
+        return math.tanh(x) * math.sqrt(2.0 * alpha / (1.0 + b)) + math.sqrt(b / sp)
     if sp == 0.0 and alpha < 0:
         return 1.0
-    return _collapse(cmath.tanh(A) * cmath.tan(B) + math.sqrt(b * sm / sp))
+    t = math.tanh(x) * math.tan(y)
+    return (t if alpha >= 0 else -t) + math.sqrt(b * sm / sp)
 
 
 def f_prime(alpha: float, b: float, sigma: float) -> float:
     """Residual of the shared limiting equation of both arrangements.
 
     Vanishes identically at strength 0 (a degenerate double root that
-    the set builder excludes). For negative strengths the continued
-    residual is purely imaginary and its imaginary part is returned; see
-    _collapse.
+    the set builder excludes). For negative strengths continuation makes
+    the residual purely imaginary, and its imaginary part is returned;
+    at sigma = 0 that part diverges, so it is returned divided by its
+    diverging prefactor.
     """
-    _check_bsigma(b, sigma)
-    sp, sm = sigma_split(alpha, sigma)
-    _pole_check(alpha, b, sp, sm)
-    A, B = _sqrt_args(alpha, b, sp, sm)
-    if sm == 0.0 and alpha > 0:
-        return _collapse(cmath.tanh(A))
-    if sp == 0.0 and alpha < 0:
-        return _collapse(-cmath.tan(B))
-    return _collapse(cmath.tanh(A) - math.sqrt(b * sm / sp) * cmath.tan(B))
-
-
-def f_plus_real(alpha: float, b: float, sigma: float) -> float:
-    """Explicit real rewriting of f_plus (tanh and tan swap for alpha < 0).
-
-    Cross-check implementation; requires both split parameters nonzero.
-    """
-    sp, sm = sigma_split(alpha, sigma)
-    if sp == 0 or sm == 0:
-        raise ValueError("real-form residuals require sigma > 0")
-    s = math.sqrt(b * sm / sp)
+    sp, sm, x, y = _checked_phases(alpha, b, sigma)
     if alpha >= 0:
-        a_ = math.sqrt(2.0 * alpha * sp / (1.0 + 1.0 / b))
-        b_ = math.sqrt(2.0 * alpha * sm / (1.0 + b))
-        return (s - 1.0 / s) * math.tanh(a_) * math.tan(b_) - 2.0
-    a_ = math.sqrt(2.0 * abs(alpha) * sp / (1.0 + 1.0 / b))
-    b_ = math.sqrt(2.0 * abs(alpha) * sm / (1.0 + b))
-    return -(s - 1.0 / s) * math.tan(a_) * math.tanh(b_) - 2.0
-
-
-def f_minus_real(alpha: float, b: float, sigma: float) -> float:
-    """Explicit real rewriting of f_minus."""
-    sp, sm = sigma_split(alpha, sigma)
-    if sp == 0 or sm == 0:
-        raise ValueError("real-form residuals require sigma > 0")
-    s = math.sqrt(b * sm / sp)
-    if alpha >= 0:
-        a_ = math.sqrt(2.0 * alpha * sp / (1.0 + 1.0 / b))
-        b_ = math.sqrt(2.0 * alpha * sm / (1.0 + b))
-        return math.tanh(a_) * math.tan(b_) + s
-    a_ = math.sqrt(2.0 * abs(alpha) * sp / (1.0 + 1.0 / b))
-    b_ = math.sqrt(2.0 * abs(alpha) * sm / (1.0 + b))
-    return -math.tan(a_) * math.tanh(b_) + s
-
-
-def f_prime_real(alpha: float, b: float, sigma: float) -> float:
-    """Explicit real rewriting of f_prime."""
-    sp, sm = sigma_split(alpha, sigma)
-    if sp == 0 or sm == 0:
-        raise ValueError("real-form residuals require sigma > 0")
-    s = math.sqrt(b * sm / sp)
-    if alpha >= 0:
-        a_ = math.sqrt(2.0 * alpha * sp / (1.0 + 1.0 / b))
-        b_ = math.sqrt(2.0 * alpha * sm / (1.0 + b))
-        return math.tanh(a_) - s * math.tan(b_)
-    a_ = math.sqrt(2.0 * abs(alpha) * sp / (1.0 + 1.0 / b))
-    b_ = math.sqrt(2.0 * abs(alpha) * sm / (1.0 + b))
-    return math.tan(a_) - s * math.tanh(b_)
+        return math.tanh(x) - math.sqrt(b * sm / sp) * math.tan(y)
+    if sp == 0.0:
+        return -math.tanh(x)
+    return math.tan(y) - math.sqrt(b * sm / sp) * math.tanh(x)
 
 
 def theta_factor(alpha_prime: float, b: float, sigma_plus: float, sigma_minus: float) -> float:
@@ -244,11 +179,15 @@ def theta_factor(alpha_prime: float, b: float, sigma_plus: float, sigma_minus: f
     negative strengths swaps them into cos over cosh. Signals PoleError
     when the denominator is within 1e-12 of zero.
     """
-    A, B = _sqrt_args(alpha_prime, b, sigma_plus, sigma_minus)
-    denom = cmath.cos(B)
+    _check_bsigma(b, sigma_plus)
+    _check_bsigma(b, sigma_minus)
+    x, y = _phases(alpha_prime, b, sigma_plus, sigma_minus)
+    if alpha_prime < 0:
+        return math.cos(y) / math.cosh(x)
+    denom = math.cos(y)
     if abs(denom) < _POLE_TOL:
         raise PoleError(f"cos denominator {denom!r} is within {_POLE_TOL} of zero")
-    return _collapse(cmath.cosh(A) / denom)
+    return math.cosh(x) / denom
 
 
 def finite_eps_residuals(params: BWParams, E: float) -> tuple[complex, complex, complex]:
@@ -275,11 +214,12 @@ def db_resonance_residual(k: float, alpha: float, eps: float, c1: float, c2: flo
 
     Applies to the well-free (sigma = 0) mirror structure with positive
     strength; its roots are the k values where the structure transmits
-    perfectly. Tunneling wave numbers are handled by continuation and
-    give a real residual.
+    perfectly. With p the barrier wave number it reads
+    (p/k + k/p) tan(p*l) - 2 cot(2*k*r); tunneling wave numbers turn tan
+    into tanh, and at p = 0 it takes its regular limit k*l - 2 cot(2*k*r).
     """
-    if k <= 0:
-        raise ValueError(f"k must be > 0, got {k}")
+    if not (0 < k < math.inf):
+        raise ValueError(f"k must be finite and > 0, got {k}")
     if alpha <= 0:
         raise ValueError(f"double-barrier residual needs alpha > 0, got {alpha}")
     if eps <= 0 or c1 <= 0 or c2 <= 0:
@@ -288,16 +228,17 @@ def db_resonance_residual(k: float, alpha: float, eps: float, c1: float, c2: flo
     l = c1 * eps
     r = c2 * eps
     p2 = k * k - alpha * h
-    if p2 > 0:
-        pl = math.sqrt(p2) * l
-        if abs(math.fmod(pl, math.pi) - math.pi / 2) < _POLE_TOL:
-            raise PoleError(f"tan argument {pl} is within {_POLE_TOL} of a pole")
+    p = math.sqrt(abs(p2))
+    pl = p * l
+    if p2 > 0 and abs(math.fmod(pl, math.pi) - math.pi / 2) < _POLE_TOL:
+        raise PoleError(f"tan argument {pl} is within {_POLE_TOL} of a pole")
     krm = math.fmod(2.0 * k * r, math.pi)
     if min(krm, math.pi - krm) < _POLE_TOL:
         raise PoleError(f"cot argument {2 * k * r} is within {_POLE_TOL} of a pole")
-    p = cmath.sqrt(complex(p2, 0.0))
     cot = math.cos(2.0 * k * r) / math.sin(2.0 * k * r)
-    return _collapse((p / k + k / p) * cmath.tan(p * l) - 2.0 * cot)
+    if p2 >= 0:
+        return p / k * math.tan(pl) + k * l * _tanc(pl) - 2.0 * cot
+    return k * l * _tanhc(pl) - p / k * math.tanh(pl) - 2.0 * cot
 
 
 def find_roots(
@@ -316,6 +257,8 @@ def find_roots(
     then have been missed.
     """
     lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"window must be finite, got {window}")
     if not lo < hi:
         raise ValueError(f"window must satisfy lo < hi, got {window}")
     if grid_steps < 100:

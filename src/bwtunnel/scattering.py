@@ -190,6 +190,8 @@ def grid(
     reduces to pointwise transmissivity.
     """
     for name, (lo, hi), n in (("alpha", alpha_range, alpha_steps), ("k", k_range, k_steps)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{name} range must be finite, got {(lo, hi)}")
         if n < 1:
             raise ValueError(f"{name}_steps must be >= 1, got {n}")
         if n == 1 and lo != hi:

@@ -1,9 +1,12 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from bwtunnel.potential import BWParams, Kind, bw_geometry
+from bwtunnel.potential import BWParams, Kind, bw_geometry, sigma_split
 from bwtunnel.resonance import (
     NoPeakError,
     PoleError,
@@ -11,11 +14,8 @@ from bwtunnel.resonance import (
     WindowTooCoarseError,
     db_resonance_residual,
     f_minus,
-    f_minus_real,
     f_plus,
-    f_plus_real,
     f_prime,
-    f_prime_real,
     find_roots,
     finite_eps_residuals,
     peak_refine,
@@ -31,6 +31,82 @@ from conftest import (
     KNOWN_SIGMA_PLUS,
     KNOWN_SIGMA_PRIME,
 )
+
+
+# The limiting equations by analytic continuation: negative strengths are
+# reached through principal complex square roots, and each result is
+# purely real or purely imaginary. This is the oracle for the real bodies
+# in bwtunnel.resonance.
+
+def _collapse(w: complex) -> float:
+    """The nonzero component of a purely real or purely imaginary residual."""
+    if min(abs(w.real), abs(w.imag)) > 1e-9 * (1.0 + abs(w)):
+        raise ValueError(f"residual is neither purely real nor purely imaginary: {w!r}")
+    return w.real + w.imag
+
+
+def _tanhc(z: complex) -> complex:
+    if abs(z) < 1e-6:
+        z2 = z * z
+        return 1.0 - z2 / 3.0 + 2.0 * z2 * z2 / 15.0
+    return cmath.tanh(z) / z
+
+
+def _tanc(z: complex) -> complex:
+    if abs(z) < 1e-6:
+        z2 = z * z
+        return 1.0 + z2 / 3.0 + 2.0 * z2 * z2 / 15.0
+    return cmath.tan(z) / z
+
+
+def _sqrt_args(alpha, b, sp, sm):
+    A = cmath.sqrt(complex(2.0 * alpha * sp / (1.0 + 1.0 / b), 0.0))
+    B = cmath.sqrt(complex(2.0 * alpha * sm / (1.0 + b), 0.0))
+    return A, B
+
+
+def f_plus_continued(alpha, b, sigma):
+    sp, sm = sigma_split(alpha, sigma)
+    A, B = _sqrt_args(alpha, b, sp, sm)
+    term1 = cmath.sqrt(complex(2.0 * alpha * b * sm / (1.0 + 1.0 / b), 0.0)) \
+        * _tanhc(A) * cmath.tan(B)
+    term2 = cmath.sqrt(complex(2.0 * alpha * sp / (b * (1.0 + b)), 0.0)) \
+        * _tanc(B) * cmath.tanh(A)
+    return _collapse(term1 - term2 - 2.0)
+
+
+def f_minus_continued(alpha, b, sigma):
+    sp, sm = sigma_split(alpha, sigma)
+    A, B = _sqrt_args(alpha, b, sp, sm)
+    if sm == 0.0 and alpha > 0:
+        return _collapse(cmath.tanh(A)) * math.sqrt(2.0 * alpha / (1.0 + b)) \
+            + math.sqrt(b / sp)
+    if sp == 0.0 and alpha < 0:
+        return 1.0
+    return _collapse(cmath.tanh(A) * cmath.tan(B) + math.sqrt(b * sm / sp))
+
+
+def f_prime_continued(alpha, b, sigma):
+    sp, sm = sigma_split(alpha, sigma)
+    A, B = _sqrt_args(alpha, b, sp, sm)
+    if sm == 0.0 and alpha > 0:
+        return _collapse(cmath.tanh(A))
+    if sp == 0.0 and alpha < 0:
+        return _collapse(-cmath.tan(B))
+    return _collapse(cmath.tanh(A) - math.sqrt(b * sm / sp) * cmath.tan(B))
+
+
+def theta_continued(alpha_prime, b, sigma_plus, sigma_minus):
+    A, B = _sqrt_args(alpha_prime, b, sigma_plus, sigma_minus)
+    return _collapse(cmath.cosh(A) / cmath.cos(B))
+
+
+def db_continued(k, alpha, eps, c1, c2):
+    h = 2.0 / (c1 * (c1 + c2)) / (eps * eps)
+    l, r = c1 * eps, c2 * eps
+    p = cmath.sqrt(complex(k * k - alpha * h, 0.0))
+    cot = math.cos(2.0 * k * r) / math.sin(2.0 * k * r)
+    return _collapse((p / k + k / p) * cmath.tan(p * l) - 2.0 * cot)
 
 
 class TestResidualFunctions:
@@ -66,15 +142,16 @@ class TestResidualFunctions:
         with pytest.raises(PoleError):
             f_plus(2.0 * (math.pi / 2.0) ** 2, 3.0, 1.0)
 
-    @pytest.mark.parametrize("f, f_real", [
-        (f_plus, f_plus_real), (f_minus, f_minus_real), (f_prime, f_prime_real)])
-    def test_continuation_matches_explicit_real_form(self, f, f_real):
+    @pytest.mark.parametrize("f, f_continued", [
+        (f_plus, f_plus_continued), (f_minus, f_minus_continued),
+        (f_prime, f_prime_continued)])
+    def test_continuation_matches_explicit_real_form(self, f, f_continued):
         for alpha in np.linspace(-39.7, 39.7, 311):
             try:
                 got = f(float(alpha), 3.0, 1.0)
             except PoleError:
                 continue
-            want = f_real(float(alpha), 3.0, 1.0)
+            want = f_continued(float(alpha), 3.0, 1.0)
             assert got == pytest.approx(want, abs=1e-10 * (1.0 + abs(want)))
 
     def test_sigma_zero_residuals_have_no_roots(self):
@@ -87,6 +164,32 @@ class TestResidualFunctions:
             assert f_plus(float(alpha), 3.0, 0.0) < 0
             assert f_minus(float(alpha), 3.0, 0.0) > 0
             assert f_prime(float(alpha), 3.0, 0.0) < 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(alpha=st.floats(-60.0, 60.0), b=st.floats(0.2, 8.0),
+           sigma=st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    def test_real_bodies_match_continued_forms(self, alpha, b, sigma):
+        sp, sm = sigma_split(alpha, sigma)
+        try:
+            pairs = [(f(alpha, b, sigma), f_c(alpha, b, sigma)) for f, f_c in (
+                (f_plus, f_plus_continued), (f_minus, f_minus_continued),
+                (f_prime, f_prime_continued))]
+            pairs.append((theta_factor(alpha, b, sp, sm), theta_continued(alpha, b, sp, sm)))
+        except PoleError:
+            reject()
+        # Both forms take tan of the same phase; their terms grow like it
+        # and are rounded in a different order, so the tolerance does too.
+        A, B = _sqrt_args(alpha, b, sp, sm)
+        scale = 1.0 + max(abs(cmath.tanh(A)), abs(cmath.tan(B)))
+        for got, want in pairs:
+            if math.isfinite(want):
+                assert abs(got - want) <= 1e-11 * (1.0 + abs(want)) * scale, (got, want)
+            elif math.isnan(want):
+                # sqrt(b/sigma) overflows at subnormal-scale sigma, and the
+                # oracle's complex product turns inf * 0 into nan
+                assert math.isinf(got), (got, want)
+            else:
+                assert got == want
 
 
 class TestFindRoots:
@@ -120,6 +223,11 @@ class TestFindRoots:
             find_roots(lambda a: a, (0.0, 1.0), grid_steps=10)
         with pytest.raises(ValueError):
             find_roots(lambda a: a, (0.0, 1.0), tol=0.0)
+        for window in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                find_roots(lambda a: a - 1.0, window, 100)
+        with pytest.raises(ValueError, match="finite"):
+            resonance_sets(Kind.PLUS, 3.0, 1.0, (-math.inf, 40.0))
 
     def test_f_plus_window(self):
         roots = find_roots(lambda a: f_plus(a, 3.0, 1.0), (-40.0, 40.0))
@@ -205,6 +313,13 @@ class TestThetaFactor:
         with pytest.raises(PoleError):
             theta_factor(2.0 * (math.pi / 2.0) ** 2, 3.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("args", [
+        (5.0, -3.0, 1.0, 1.0), (5.0, 0.0, 1.0, 1.0), (5.0, 3.0, -1.0, 1.0),
+        (5.0, 3.0, 1.0, -1.0), (-5.0, 3.0, math.nan, 1.0)])
+    def test_invalid_parameters_rejected(self, args):
+        with pytest.raises(ValueError):
+            theta_factor(*args)
+
 
 class TestFiniteEpsResiduals:
     def test_alpha_zero_reduction(self):
@@ -273,6 +388,26 @@ class TestDoubleBarrierResonance:
             db_resonance_residual(0.0, 1.0, 0.1, 3.0, 1.0)
         with pytest.raises(ValueError):
             db_resonance_residual(1.0, -1.0, 0.1, 3.0, 1.0)
+        for k in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                db_resonance_residual(k, 1.0, 0.1, 3.0, 1.0)
+
+    def test_regular_at_barrier_top(self):
+        # k^2 = alpha*h exactly (p = 0): the limit k*l - 2*cot(2*k*r)
+        got = db_resonance_residual(1.0, 1.0, 1.0, 1.0, 1.0)
+        assert got == pytest.approx(1.0 - 2.0 / math.tan(2.0), rel=1e-15)
+        for k in (1.0 - 1e-9, 1.0 + 1e-9):
+            assert db_resonance_residual(k, 1.0, 1.0, 1.0, 1.0) == pytest.approx(got, abs=1e-8)
+
+    def test_matches_continued_form(self):
+        # both sides of the barrier top k = sqrt(alpha*h) = 22.36
+        for k in np.linspace(0.05, 40.0, 799):
+            try:
+                got = db_resonance_residual(float(k), 30.0, 0.1, 3.0, 1.0)
+            except PoleError:
+                continue
+            want = db_continued(float(k), 30.0, 0.1, 3.0, 1.0)
+            assert got == pytest.approx(want, abs=1e-10 * (1.0 + abs(want)))
 
 
 class TestPeakRefine:

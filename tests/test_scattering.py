@@ -204,6 +204,14 @@ class TestGrid:
             grid(template, (0.0, 1.0), (1.0, 2.0), 1, 2)  # non-degenerate 1-step axis
         with pytest.raises(ValueError):
             grid(template, (0.0, 1.0), (0.0, 2.0), 2, 2)  # k must stay positive
+        for alpha_range, k_range, k_steps in (((0.0, math.inf), (1.0, 1.0), 1),
+                                              ((math.nan, 1.0), (1.0, 1.0), 1),
+                                              ((0.0, 1.0), (1.0, math.inf), 2),
+                                              ((0.0, 1.0), (math.nan, math.nan), 1)):
+            with pytest.raises(ValueError, match="finite"):
+                grid(template, alpha_range, k_range, 3, k_steps)
+        with pytest.raises(ValueError, match="finite"):
+            scan_alpha(template, 1.0, 0.0, math.inf, 3)
 
     def test_csv_rows_order_and_log_sentinel(self):
         g = TransmissionGrid(np.array([1.0, 2.0]), np.array([0.5]),
