@@ -29,6 +29,7 @@ from .scattering import (
     TransmissionGrid,
     amplitudes,
     grid,
+    grid_blocks,
     scan_alpha,
     subbarrier_bound,
     transmissivity,
@@ -68,7 +69,7 @@ __all__ = [
     "segment_matrix", "chain_matrix", "closed_form", "closed_form_plus",
     "closed_form_minus", "lambda21_factored", "limit_matrix", "wave_numbers",
     "ScatteringResult", "TransmissionGrid", "amplitudes", "transmissivity",
-    "scan_alpha", "grid", "subbarrier_bound",
+    "scan_alpha", "grid", "grid_blocks", "subbarrier_bound",
     "PoleError", "WindowTooCoarseError", "NoPeakError", "SetLabel",
     "ResonanceRoot", "ResonanceSet", "f_plus", "f_minus", "f_prime",
     "finite_eps_residuals", "find_roots", "resonance_sets",

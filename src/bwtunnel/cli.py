@@ -7,7 +7,9 @@ subcommand. A JSON config file (``--config``) is turned into
 ``--flag=value`` tokens that are parsed before the command line's own
 flags, so its keys are flag names, its values pass the same checks and
 an explicit flag wins. Only checks that span several flags run after
-parsing. Exit codes: 0 success, 1 computation error, 2 usage error.
+parsing. Scans and grids are written block by block as they are
+computed; a failure after the range checks removes the partial --out
+file. Exit codes: 0 success, 1 computation error, 2 usage error.
 Identical invocations produce byte-identical output: fixed float
 formatting, fixed ordering, no environment dependence.
 """
@@ -15,8 +17,10 @@ formatting, fixed ordering, no environment dependence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -27,8 +31,8 @@ from .resonance import (
     WindowTooCoarseError,
     resonance_sets,
 )
-from .scattering import grid, grid_csv_rows
-from .serialize import csv_row, json_dumps
+from .scattering import BLOCK_POINTS, grid_blocks, log10_transmission
+from .serialize import csv_row, format_column, json_dumps
 from .transfer import chain_matrix, closed_form
 from .zerolimit import classify, converge_study
 
@@ -196,18 +200,57 @@ def _params(config: argparse.Namespace, alpha: float) -> BWParams:
                     c1=config.c1, c2=config.c2, sigma=config.sigma)
 
 
+@contextlib.contextmanager
+def _output(out_path: str | None):
+    """The --out file, or stdout without one; a failed run leaves no partial file."""
+    if not out_path:
+        yield sys.stdout
+        return
+    with open(out_path, "w") as out:
+        try:
+            yield out
+        except BaseException:
+            out.close()
+            os.remove(out_path)
+            raise
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out_path) as out:
+        out.write(text)
 
 
-def _scan_csv(rows) -> str:
-    lines = ["alpha,k,T,log10T"]
-    for a, k, t, logt in rows:
-        lines.append(csv_row((a, k, t, logt)))
-    return "\n".join(lines) + "\n"
+def _write_json_floats(out, values) -> None:
+    """A JSON list's floats, BLOCK_POINTS at a time, so a long axis costs no more than a block."""
+    for i in range(0, len(values), BLOCK_POINTS):
+        if i:
+            out.write(", ")
+        out.write(", ".join(format_column(values[i:i + BLOCK_POINTS], 17, quote_nonfinite=True)))
+
+
+def _write_grid(out, out_format: str, alphas, ks, blocks) -> None:
+    """Write a grid's rows (CSV) or its axes and value rows (JSON) block by block."""
+    if out_format == "csv":
+        out.write("alpha,k,T,log10T\n")
+        k_texts = format_column(ks, 12)
+        for a, t in blocks:
+            ts = t.ravel()
+            rows = zip([s for s in format_column(a, 12) for _ in k_texts],
+                       k_texts * len(a),
+                       format_column(ts, 12),
+                       format_column(log10_transmission(ts.tolist()), 12))
+            out.write("".join(map("%s,%s,%s,%s\n".__mod__, rows)))
+        return
+    out.write('{"alphas": [')
+    _write_json_floats(out, alphas)
+    out.write('], "ks": [')
+    _write_json_floats(out, ks)
+    out.write('], "values": [')
+    for i, (_, t) in enumerate(blocks):
+        texts = format_column(t, 17, quote_nonfinite=True)
+        rows = (", ".join(texts[j:j + len(ks)]) for j in range(0, len(texts), len(ks)))
+        out.write((", [" if i else "[") + "], [".join(rows) + "]")
+    out.write("]}\n")
 
 
 def _complex_dict(z: complex) -> dict:
@@ -218,15 +261,15 @@ def run(config: argparse.Namespace) -> int:
     cmd = config.command
     if cmd in ("scan-alpha", "grid"):
         alpha_range = (config.alpha_min, config.alpha_max)
+        # the range checks run here, before --out is opened
         if cmd == "scan-alpha":
-            g = grid(_params(config, 0.0), alpha_range, (config.k, config.k), config.steps, 1)
+            parts = grid_blocks(_params(config, 0.0), alpha_range, (config.k, config.k),
+                                config.steps, 1)
         else:
-            g = grid(_params(config, 0.0), alpha_range, (config.k_min, config.k_max),
-                     config.alpha_steps, config.k_steps)
-        if config.out_format == "csv":
-            _emit(_scan_csv(grid_csv_rows(g)), config.out_path)
-        else:
-            _emit(json_dumps(g.to_json_dict()) + "\n", config.out_path)
+            parts = grid_blocks(_params(config, 0.0), alpha_range, (config.k_min, config.k_max),
+                                config.alpha_steps, config.k_steps)
+        with _output(config.out_path) as out:
+            _write_grid(out, config.out_format, *parts)
         return 0
 
     if cmd == "resonances":

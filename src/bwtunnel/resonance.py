@@ -74,10 +74,11 @@ _POLE_TOL = 1e-12
 
 
 def _check_bsigma(b: float, sigma: float) -> None:
-    if not (b > 0):
-        raise ValueError(f"b must be > 0, got {b}")
-    if not (sigma >= 0):
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    # float bounds: an int operand would take the slower mixed comparison
+    if not (0.0 < b < math.inf):
+        raise ValueError(f"b must be finite and > 0, got {b}")
+    if not (0.0 <= sigma < math.inf):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
 
 
 def _phases(alpha: float, b: float, sp: float, sm: float) -> tuple[float, float]:
@@ -88,8 +89,11 @@ def _phases(alpha: float, b: float, sp: float, sm: float) -> tuple[float, float]
     the trigonometric and hyperbolic factors, so there y is the barrier
     slot's. Only y carries sigma, so sigma = 0 gives y = 0.
     """
-    barrier = math.sqrt(2.0 * abs(alpha) * sp / (1.0 + 1.0 / b))
-    well = math.sqrt(2.0 * abs(alpha) * sm / (1.0 + b))
+    a = abs(alpha)
+    if not (a < math.inf):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    barrier = math.sqrt(2.0 * a * sp / (1.0 + 1.0 / b))
+    well = math.sqrt(2.0 * a * sm / (1.0 + b))
     return (barrier, well) if alpha >= 0 else (well, barrier)
 
 
@@ -220,10 +224,10 @@ def db_resonance_residual(k: float, alpha: float, eps: float, c1: float, c2: flo
     """
     if not (0 < k < math.inf):
         raise ValueError(f"k must be finite and > 0, got {k}")
-    if alpha <= 0:
-        raise ValueError(f"double-barrier residual needs alpha > 0, got {alpha}")
-    if eps <= 0 or c1 <= 0 or c2 <= 0:
-        raise ValueError("eps, c1, c2 must all be > 0")
+    if not (0 < alpha < math.inf):
+        raise ValueError(f"double-barrier residual needs a finite alpha > 0, got {alpha}")
+    if not (0 < eps < math.inf and 0 < c1 < math.inf and 0 < c2 < math.inf):
+        raise ValueError("eps, c1, c2 must all be finite and > 0")
     h = 2.0 / (c1 * (c1 + c2)) / (eps * eps)
     l = c1 * eps
     r = c2 * eps

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 
@@ -53,13 +54,6 @@ class TransmissionGrid:
     def __post_init__(self):
         if self.values.shape != (len(self.alphas), len(self.ks)):
             raise ValueError("grid shape does not match axis lengths")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alphas": self.alphas.tolist(),
-            "ks": self.ks.tolist(),
-            "values": self.values.tolist(),
-        }
 
 
 def uv(L: TransferMatrix, k: float) -> tuple[float, float]:
@@ -177,17 +171,23 @@ def scan_alpha(
     return list(zip(g.alphas.tolist(), g.values[:, 0].tolist()))
 
 
-def grid(
+# points per block of grid_blocks; bounds the kernel's temporaries
+BLOCK_POINTS = 4096
+
+
+def grid_blocks(
     template: BWParams,
     alpha_range: tuple[float, float],
     k_range: tuple[float, float],
     alpha_steps: int,
     k_steps: int,
-) -> TransmissionGrid:
-    """Transmissivity over an (alpha, k) product grid, alpha-major.
+) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The axes of an (alpha, k) product grid and its values block by block.
 
-    A single-point axis (steps = 1) requires a degenerate range and
-    reduces to pointwise transmissivity.
+    Runs every range check at once, then returns (alphas, ks, blocks),
+    where blocks lazily yields (alphas_block, values_block) over
+    consecutive slices of the one alphas axis, max(1, BLOCK_POINTS //
+    k_steps) alpha rows at a time, so every point equals grid's.
     """
     for name, (lo, hi), n in (("alpha", alpha_range, alpha_steps), ("k", k_range, k_steps)):
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -202,9 +202,33 @@ def grid(
         raise ValueError("all k values must be > 0")
     alphas = np.linspace(alpha_range[0], alpha_range[1], alpha_steps)
     ks = np.linspace(k_range[0], k_range[1], k_steps)
-    values = _transmission_array(template.kind, alphas, ks, template.eps,
-                                 template.c1, template.c2, template.sigma)
+    rows = max(1, BLOCK_POINTS // k_steps)
+    blocks = ((a, _transmission_array(template.kind, a, ks, template.eps,
+                                      template.c1, template.c2, template.sigma))
+              for a in (alphas[i:i + rows] for i in range(0, alpha_steps, rows)))
+    return alphas, ks, blocks
+
+
+def grid(
+    template: BWParams,
+    alpha_range: tuple[float, float],
+    k_range: tuple[float, float],
+    alpha_steps: int,
+    k_steps: int,
+) -> TransmissionGrid:
+    """Transmissivity over an (alpha, k) product grid, alpha-major.
+
+    A single-point axis (steps = 1) requires a degenerate range and
+    reduces to pointwise transmissivity.
+    """
+    alphas, ks, blocks = grid_blocks(template, alpha_range, k_range, alpha_steps, k_steps)
+    values = np.concatenate([t for _, t in blocks])
     return TransmissionGrid(alphas=alphas, ks=ks, values=values)
+
+
+def log10_transmission(ts) -> list[float]:
+    """log10 of each transmission; a flagged zero gives the -inf sentinel."""
+    return [math.log10(t) if t > 0.0 else -math.inf for t in ts]
 
 
 def grid_csv_rows(g: TransmissionGrid):
@@ -213,8 +237,9 @@ def grid_csv_rows(g: TransmissionGrid):
     log10 of a flagged zero is the -inf sentinel (emitted as "-inf").
     """
     points = product(g.alphas.tolist(), g.ks.tolist())
-    for (a, k), t in zip(points, g.values.ravel().tolist()):
-        yield a, k, t, math.log10(t) if t > 0.0 else -math.inf
+    ts = g.values.ravel().tolist()
+    for (a, k), t, lt in zip(points, ts, log10_transmission(ts)):
+        yield a, k, t, lt
 
 
 def subbarrier_bound(alpha: float, c1: float, c2: float, eps: float) -> float:

@@ -7,21 +7,30 @@ round-trip any double exactly). Output is byte-stable across runs.
 from __future__ import annotations
 
 import json
-import math
+
+import numpy as np
+
+
+def format_column(values, sig: int, quote_nonfinite: bool = False) -> list[str]:
+    """Each value as a float to sig significant digits, in order.
+
+    The one place the float rules live: adding 0.0 turns -0 into 0, so
+    repeated runs cannot differ on signed zero, and %g spells the
+    non-finite values nan, inf and -inf. CSV writes them bare; JSON has
+    no such literals, so quote_nonfinite writes them as strings.
+    """
+    arr = np.asarray(values, dtype=float) + 0.0
+    texts = list(map(f"%.{sig}g".__mod__, arr.ravel().tolist()))
+    if quote_nonfinite:
+        for i in np.flatnonzero(~np.isfinite(arr)).tolist():
+            texts[i] = f'"{texts[i]}"'
+    return texts
 
 
 def fmt_float(x: float, sig: int) -> str:
     if isinstance(x, bool):  # bool is an int subclass; keep it out of float paths
         raise TypeError("bool is not a float")
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    s = format(float(x), f".{sig}g")
-    # normalize "-0" so repeated runs cannot differ on signed zero
-    if s == "-0":
-        s = "0"
-    return s
+    return format_column((x,), sig)[0]
 
 
 def json_dumps(obj, sig: int = 17) -> str:
@@ -42,11 +51,7 @@ def _emit(obj, sig: int, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            # JSON has no inf/nan literals; emit the sentinel as a string
-            out.append(f'"{fmt_float(obj, sig)}"')
-        else:
-            out.append(fmt_float(obj, sig))
+        out.append(format_column((obj,), sig, quote_nonfinite=True)[0])
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):

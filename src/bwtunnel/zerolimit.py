@@ -54,13 +54,9 @@ class ConvergenceRow:
     alpha_drift: float
 
 
-def theta(alpha_prime: float, b: float, sigma_plus: float, sigma_minus: float) -> float:
-    """Boundary discontinuity factor at a root of the shared equation.
-
-    Meaningful only on that root set; elsewhere it is just the cosh/cos
-    ratio with no physical role.
-    """
-    return theta_factor(alpha_prime, b, sigma_plus, sigma_minus)
+# Boundary discontinuity factor at a root of the shared equation. Meaningful
+# only on that root set; elsewhere it is just the cosh/cos ratio.
+theta = theta_factor
 
 
 def boundary_map(th: float) -> TransferMatrix:

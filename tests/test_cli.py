@@ -1,11 +1,18 @@
+import io
 import json
 import math
+from contextlib import redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bwtunnel.cli import parse_args
+from bwtunnel import scattering
+from bwtunnel.cli import main, parse_args, run
 from bwtunnel.potential import BWParams, Kind
-from bwtunnel.scattering import transmissivity
+from bwtunnel.scattering import grid, transmissivity
+from bwtunnel.serialize import csv_row, json_dumps
 
 from conftest import KNOWN_SIGMA_PLUS, KNOWN_SIGMA_PRIME
 
@@ -307,3 +314,89 @@ class TestConfigFile:
         cfg = parse_args([*CONVERGE_ARGV, "--eps-list", "0.05", "--format", "csv",
                           "--config", config({"eps_list": [0.2, 0.1], "format": "json"})])
         assert cfg.eps_list == [0.05] and cfg.out_format == "csv"
+
+
+def _per_point_oracle(template, alpha_range, k_range, alpha_steps, k_steps):
+    """CSV and JSON bytes of the whole grid, one point at a time."""
+    g = grid(template, alpha_range, k_range, alpha_steps, k_steps)
+    lines = ["alpha,k,T,log10T"]
+    for i, a in enumerate(g.alphas.tolist()):
+        for j, k in enumerate(g.ks.tolist()):
+            t = float(g.values[i, j])
+            lines.append(csv_row((a, k, t, math.log10(t) if t > 0 else -math.inf)))
+    payload = {"alphas": g.alphas.tolist(), "ks": g.ks.tolist(), "values": g.values.tolist()}
+    return "\n".join(lines) + "\n", json_dumps(payload) + "\n"
+
+
+class TestStreamedOutput:
+    ARGV = ["grid", "--alpha-min", "-5", "--alpha-max", "5", "--alpha-steps", "9",
+            "--k-min", "0.5", "--k-max", "2", "--k-steps", "3"]
+
+    @pytest.fixture
+    def fail_third_block(self, monkeypatch):
+        real = scattering._transmission_array
+        calls = []
+
+        def kernel(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("complex residue in u or v; branch inconsistency")
+            return real(*args)
+
+        monkeypatch.setattr(scattering, "BLOCK_POINTS", 6)  # two alpha rows per block
+        monkeypatch.setattr(scattering, "_transmission_array", kernel)
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_error_in_a_later_block_leaves_no_file(self, run_cli, tmp_path, fail_third_block, fmt):
+        path = tmp_path / "grid.out"
+        code, out, err = run_cli([*self.ARGV, "--format", fmt, "--out", str(path)])
+        assert code == 1 and out == ""
+        assert "complex residue" in err
+        assert len(fail_third_block) == 3  # two blocks were written before the failure
+        assert not path.exists()
+
+    def test_error_in_a_later_block_on_stdout_exits_one(self, run_cli, fail_third_block):
+        code, out, err = run_cli(self.ARGV)
+        assert code == 1 and "error:" in err
+        assert out.count("\n") == 1 + 2 * 2 * 3  # header and the two finished blocks
+
+    @pytest.mark.parametrize("out_flag", [True, False])
+    def test_validation_failure_writes_nothing(self, tmp_path, capsys, out_flag):
+        path = tmp_path / "grid.csv"
+        path.write_text("earlier output\n")
+        config = parse_args([*self.ARGV, *(["--out", str(path)] if out_flag else [])])
+        config.k_min = 0.0  # past the parser; the library's own check rejects it
+        with pytest.raises(ValueError, match="k values must be > 0"):
+            run(config)
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == "earlier output\n"
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(Kind), refill=st.booleans(),
+           window=st.sampled_from([(-3.0, 3.0), (0.0, 2.5), (-1.5, 0.0), (-7.0, 5.5)]),
+           alpha_steps=st.integers(2, 23), k_steps=st.integers(1, 5),
+           block_points=st.integers(1, 40), fmt=st.sampled_from(["csv", "json"]))
+    def test_blocks_stream_the_per_point_bytes(self, kind, refill, window, alpha_steps,
+                                               k_steps, block_points, fmt):
+        if refill:
+            # the p = 0 / q = 0 points of test_grid_refills_degenerate_points_from_slab_product
+            # (alpha = +-0.25 at k = 1, +-1 at k = 2), on either side of a block edge as
+            # block_points // 2 moves the edges
+            window, alpha_steps, k_range, k_steps, b, eps = (-2.0, 2.0), 17, (1.0, 2.0), 2, 1.0, 0.5
+        else:
+            k_range, b, eps = ((1.3, 1.3) if k_steps == 1 else (0.4, 2.5)), 3.0, 0.2
+        template = BWParams(kind, 0.0, eps, b, 1.0, 1.0)
+        want_csv, want_json = _per_point_oracle(template, window, k_range, alpha_steps, k_steps)
+
+        common = ["--model", kind.value, "--b", repr(b), "--eps", repr(eps),
+                  "--alpha-min", repr(window[0]), "--alpha-max", repr(window[1]), "--format", fmt]
+        if k_steps == 1:
+            argv = ["scan-alpha", *common, "--k", repr(k_range[0]), "--steps", str(alpha_steps)]
+        else:
+            argv = ["grid", *common, "--alpha-steps", str(alpha_steps), "--k-min", repr(k_range[0]),
+                    "--k-max", repr(k_range[1]), "--k-steps", str(k_steps)]
+        out = io.StringIO()
+        with mock.patch.object(scattering, "BLOCK_POINTS", block_points), redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue() == (want_csv if fmt == "csv" else want_json)

@@ -137,6 +137,22 @@ class TestResidualFunctions:
         with pytest.raises(ValueError):
             f_minus(1.0, 3.0, -1.0)
 
+    @pytest.mark.parametrize("f, args", [
+        (f_plus, (math.nan, 3.0, 1.0)),
+        (f_minus, (math.nan, 3.0, 1.0)),
+        (f_prime, (math.nan, 3.0, 1.0)),
+        (theta_factor, (math.nan, 3.0, 1.0, 1.0)),
+        (db_resonance_residual, (1.0, math.nan, 0.1, 3.0, 1.0)),
+        (db_resonance_residual, (1.0, 30.0, math.nan, 3.0, 1.0)),
+        (f_plus, (1.0, math.inf, 1.0)),
+        (f_plus, (1.0, 3.0, math.inf)),
+    ], ids=["f_plus-nan_alpha", "f_minus-nan_alpha", "f_prime-nan_alpha", "theta_factor-nan_alpha",
+            "db_residual-nan_alpha", "db_residual-nan_eps", "f_plus-inf_b", "f_plus-inf_sigma"])
+    def test_non_finite_input_rejected(self, f, args):
+        # each of these returned nan instead of raising
+        with pytest.raises(ValueError, match="finite"):
+            f(*args)
+
     def test_pole_signal_on_tan_singularity(self):
         # tan argument hits pi/2 when alpha = 2*(pi/2)^2 at b = 3, sigma = 1
         with pytest.raises(PoleError):

@@ -11,6 +11,7 @@ from bwtunnel.scattering import (
     TransmissionGrid,
     amplitudes,
     grid,
+    grid_blocks,
     grid_csv_rows,
     scan_alpha,
     subbarrier_bound,
@@ -212,6 +213,8 @@ class TestGrid:
                 grid(template, alpha_range, k_range, 3, k_steps)
         with pytest.raises(ValueError, match="finite"):
             scan_alpha(template, 1.0, 0.0, math.inf, 3)
+        with pytest.raises(ValueError, match="finite"):
+            grid_blocks(template, (0.0, math.inf), (1.0, 1.0), 3, 1)  # before any block is drawn
 
     def test_csv_rows_order_and_log_sentinel(self):
         g = TransmissionGrid(np.array([1.0, 2.0]), np.array([0.5]),

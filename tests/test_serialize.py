@@ -1,0 +1,34 @@
+import math
+
+import numpy as np
+import pytest
+
+from bwtunnel.serialize import csv_row, fmt_float, format_column, json_dumps
+
+SPECIAL = [-0.0, math.nan, math.inf, -math.inf, 0.1, -2.5e-300]
+
+
+def test_column_rules_for_csv():
+    assert format_column(SPECIAL, 12) == ["0", "nan", "inf", "-inf", "0.1", "-2.5e-300"]
+
+
+def test_column_rules_for_json():
+    assert format_column(np.array(SPECIAL), 17, quote_nonfinite=True) == [
+        "0", '"nan"', '"inf"', '"-inf"', "0.10000000000000001", "-2.5e-300"]
+
+
+def test_column_is_row_major_over_arrays():
+    values = np.array([[1.5, -0.0], [math.nan, 3.0]])
+    assert format_column(values, 12, quote_nonfinite=True) == ["1.5", "0", '"nan"', "3"]
+
+
+@pytest.mark.parametrize("x", SPECIAL)
+def test_scalar_paths_are_the_one_element_column(x):
+    assert fmt_float(x, 12) == format_column([x], 12)[0]
+    assert csv_row((x,)) == format_column([x], 12)[0]
+    assert json_dumps([x]) == "[" + format_column([x], 17, quote_nonfinite=True)[0] + "]"
+
+
+def test_bool_is_not_a_float():
+    with pytest.raises(TypeError):
+        fmt_float(True, 12)
