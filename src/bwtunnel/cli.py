@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -131,7 +132,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged, so calls share it."""
     parser = argparse.ArgumentParser(
         prog="bwtunnel",
         description="Resonant tunneling through squeezed barrier-well structures. "

@@ -6,9 +6,21 @@ real arithmetic, on two slab phases: one under tanh/cosh and one under
 tan/cos. Continuing a residual to negative strengths turns it purely
 real or purely imaginary and swaps its trigonometric and hyperbolic
 factors, so the real form there is that swap, with the tan phase moved
-from the well slot to the barrier slot. The finder itself is a
-bracketing bisection that knows the residuals alternate roots with tan
-poles and discards pole crossings by magnitude.
+from the well slot to the barrier slot.
+
+Each residual body works on a numpy array of strengths and returns its
+values with a boolean pole mask, set where the tan phase lies within
+1e-12 of a singularity; the scalar names f_plus, f_minus and f_prime
+are one point of those bodies and raise PoleError where the mask is
+set. numpy's tan and tanh can differ from the math module's by an ulp
+or two, so residual values can differ from a math-based evaluation in
+the last digits.
+
+The finder is a bracketing bisection that knows the residuals alternate
+roots with tan poles and discards pole crossings by magnitude. Its one
+implementation scans, refines and bisects all cells of the grid in
+lockstep over an array residual; find_roots lifts a scalar callable into
+it.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .potential import BWParams, Kind, bw_geometry, sigma_split
-from .scattering import grid, transmissivity
+from .scattering import BLOCK_POINTS, grid, transmissivity
 from .transfer import wave_numbers
 
 
@@ -81,50 +93,103 @@ def _check_bsigma(b: float, sigma: float) -> None:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
 
 
-def _phases(alpha: float, b: float, sp: float, sm: float) -> tuple[float, float]:
-    """The two limiting slab phases (x, y) of a strength, both real.
+def _phases(alpha, b: float, sp, sm) -> tuple[np.ndarray, np.ndarray]:
+    """The two limiting slab phases (x, y) of strengths, both real, elementwise.
 
     x goes under tanh/cosh and y under tan/cos. For positive strengths y
     is the well slot's phase; continuation to negative strengths swaps
     the trigonometric and hyperbolic factors, so there y is the barrier
     slot's. Only y carries sigma, so sigma = 0 gives y = 0.
     """
-    a = abs(alpha)
-    if not (a < math.inf):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    barrier = math.sqrt(2.0 * a * sp / (1.0 + 1.0 / b))
-    well = math.sqrt(2.0 * a * sm / (1.0 + b))
-    return (barrier, well) if alpha >= 0 else (well, barrier)
+    alpha = np.asarray(alpha, dtype=float)
+    a = np.abs(alpha)
+    finite = a < math.inf
+    if not finite.all():
+        raise ValueError(f"alpha must be finite, got {alpha[~finite][0]}")
+    barrier = np.sqrt(2.0 * a * sp / (1.0 + 1.0 / b))
+    well = np.sqrt(2.0 * a * sm / (1.0 + b))
+    finite = barrier + well < math.inf
+    if not finite.all():
+        raise ValueError(f"the slab phases of strength {alpha[~finite][0]} are not finite")
+    up = alpha >= 0
+    return np.where(up, barrier, well), np.where(up, well, barrier)
 
 
-def _checked_phases(alpha: float, b: float, sigma: float) -> tuple[float, float, float, float]:
-    """(sp, sm, x, y) of a limiting residual after its input checks.
+def _residual_phases(alpha, b: float, sigma: float):
+    """(alpha, x, y, r, pole) of a limiting residual after its input checks.
 
-    Rejects evaluation within 1e-12 of a tan singularity; the hyperbolic
-    factors are pole free.
+    Elementwise over strengths: the phases x, y of potential.sigma_split's
+    (sp, sm), r = sqrt(b*sm/sp), and pole marking the strengths whose tan
+    phase lies within 1e-12 of a singularity; the hyperbolic factors are
+    pole free.
     """
     _check_bsigma(b, sigma)
-    sp, sm = sigma_split(alpha, sigma)
-    x, y = _phases(alpha, b, sp, sm)
-    if abs(math.fmod(y, math.pi) - math.pi / 2) < _POLE_TOL:
-        raise PoleError(f"tan argument {y} is within {_POLE_TOL} of a pole")
-    return sp, sm, x, y
+    alpha = np.asarray(alpha, dtype=float)
+    pos, neg = alpha > 0, alpha < 0
+    x, y = _phases(alpha, b, np.where(neg, sigma, 1.0), np.where(pos, sigma, 1.0))
+    # r at negative strengths is unused when sigma = 0
+    r_neg = math.sqrt(b / sigma) if sigma else math.inf
+    r = np.where(pos, math.sqrt(b * sigma), np.where(neg, r_neg, math.sqrt(b)))
+    pole = np.abs(np.fmod(y, math.pi) - math.pi / 2) < _POLE_TOL
+    return alpha, x, y, r, pole
 
 
-def _tanc(z: float) -> float:
-    """tan(z)/z, continuous through z = 0."""
-    if abs(z) < 1e-6:
-        z2 = z * z
-        return 1.0 + z2 / 3.0 + 2.0 * z2 * z2 / 15.0
-    return math.tan(z) / z
+def _tanc(z, tan_z):
+    """tan(z)/z from tan_z = tan(z), continuous through z = 0."""
+    small = np.abs(z) < 1e-6
+    if not small.any():  # the common case: no series lane, no zero divisor
+        return tan_z / z
+    z2 = z * z
+    return np.where(small, 1.0 + z2 / 3.0 + 2.0 * z2 * z2 / 15.0, tan_z / np.where(small, 1.0, z))
 
 
-def _tanhc(z: float) -> float:
-    """tanh(z)/z, continuous through z = 0."""
-    if abs(z) < 1e-6:
-        z2 = z * z
-        return 1.0 - z2 / 3.0 + 2.0 * z2 * z2 / 15.0
-    return math.tanh(z) / z
+def _tanhc(z, tanh_z):
+    """tanh(z)/z from tanh_z = tanh(z), continuous through z = 0."""
+    small = np.abs(z) < 1e-6
+    if not small.any():  # the common case: no series lane, no zero divisor
+        return tanh_z / z
+    z2 = z * z
+    return np.where(small, 1.0 - z2 / 3.0 + 2.0 * z2 * z2 / 15.0, tanh_z / np.where(small, 1.0, z))
+
+
+def _f_plus(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """f_plus on an array of strengths: (values, pole mask)."""
+    alpha, x, y, _, pole = _residual_phases(alpha, b, sigma)
+    tx, ty = np.tanh(x), np.tan(y)
+    c = np.where(alpha >= 0, b, 1.0 / b)
+    return c * y * ty * _tanhc(x, tx) - x * tx * _tanc(y, ty) / c - 2.0, pole
+
+
+def _f_minus(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """f_minus on an array of strengths: (values, pole mask)."""
+    alpha, x, y, r, pole = _residual_phases(alpha, b, sigma)
+    tx = np.tanh(x)
+    t = tx * np.tan(y)
+    f = np.where(alpha >= 0, t, -t) + r
+    if sigma == 0.0:
+        # the rescaled residuals: sm = 0 at positive strengths, sp = 0 at negative ones
+        rescaled = tx * np.sqrt(2.0 * np.abs(alpha) / (1.0 + b)) + math.sqrt(b)
+        f = np.where(alpha > 0, rescaled, np.where(alpha < 0, 1.0, f))
+    return f, pole
+
+
+def _f_prime(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """f_prime on an array of strengths: (values, pole mask)."""
+    alpha, x, y, r, pole = _residual_phases(alpha, b, sigma)
+    tx, ty = np.tanh(x), np.tan(y)
+    up = alpha >= 0
+    f = np.where(up, tx, ty) - r * np.where(up, ty, tx)
+    if sigma == 0.0:
+        f = np.where(alpha < 0, -tx, f)  # the imaginary part over its diverging prefactor
+    return f, pole
+
+
+def _scalar(body, alpha: float, b: float, sigma: float) -> float:
+    """One point of a residual body as a float; PoleError where its mask is set."""
+    value, pole = body(alpha, b, sigma)
+    if pole:
+        raise PoleError(f"the tan phase of strength {alpha} is within {_POLE_TOL} of a pole")
+    return float(value)
 
 
 def f_plus(alpha: float, b: float, sigma: float) -> float:
@@ -135,11 +200,10 @@ def f_plus(alpha: float, b: float, sigma: float) -> float:
     sigma = 0, where the prefactor 1/sqrt(sigma) and the vanishing tan
     argument would otherwise meet in a 0*inf; in the degenerate case the
     residual stays strictly negative, matching the disappearance of
-    finite roots.
+    finite roots. One point of the array body; raises PoleError where
+    the body's pole mask is set.
     """
-    _, _, x, y = _checked_phases(alpha, b, sigma)
-    c = b if alpha >= 0 else 1.0 / b
-    return c * y * math.tan(y) * _tanhc(x) - x * math.tanh(x) * _tanc(y) / c - 2.0
+    return _scalar(_f_plus, alpha, b, sigma)
 
 
 def f_minus(alpha: float, b: float, sigma: float) -> float:
@@ -148,15 +212,11 @@ def f_minus(alpha: float, b: float, sigma: float) -> float:
     At sigma = 0 the literal residual degenerates (it collapses to zero
     identically for positive strengths and diverges for negative ones),
     so those branches return the direction-of-approach rescaled
-    residual, which is finite, strictly positive, and rootless.
+    residual, which is finite, strictly positive, and rootless. One
+    point of the array body; raises PoleError where the body's pole mask
+    is set.
     """
-    sp, sm, x, y = _checked_phases(alpha, b, sigma)
-    if sm == 0.0 and alpha > 0:
-        return math.tanh(x) * math.sqrt(2.0 * alpha / (1.0 + b)) + math.sqrt(b / sp)
-    if sp == 0.0 and alpha < 0:
-        return 1.0
-    t = math.tanh(x) * math.tan(y)
-    return (t if alpha >= 0 else -t) + math.sqrt(b * sm / sp)
+    return _scalar(_f_minus, alpha, b, sigma)
 
 
 def f_prime(alpha: float, b: float, sigma: float) -> float:
@@ -166,14 +226,10 @@ def f_prime(alpha: float, b: float, sigma: float) -> float:
     the set builder excludes). For negative strengths continuation makes
     the residual purely imaginary, and its imaginary part is returned;
     at sigma = 0 that part diverges, so it is returned divided by its
-    diverging prefactor.
+    diverging prefactor. One point of the array body; raises PoleError
+    where the body's pole mask is set.
     """
-    sp, sm, x, y = _checked_phases(alpha, b, sigma)
-    if alpha >= 0:
-        return math.tanh(x) - math.sqrt(b * sm / sp) * math.tan(y)
-    if sp == 0.0:
-        return -math.tanh(x)
-    return math.tan(y) - math.sqrt(b * sm / sp) * math.tanh(x)
+    return _scalar(_f_prime, alpha, b, sigma)
 
 
 def theta_factor(alpha_prime: float, b: float, sigma_plus: float, sigma_minus: float) -> float:
@@ -185,7 +241,7 @@ def theta_factor(alpha_prime: float, b: float, sigma_plus: float, sigma_minus: f
     """
     _check_bsigma(b, sigma_plus)
     _check_bsigma(b, sigma_minus)
-    x, y = _phases(alpha_prime, b, sigma_plus, sigma_minus)
+    x, y = map(float, _phases(alpha_prime, b, sigma_plus, sigma_minus))
     if alpha_prime < 0:
         return math.cos(y) / math.cosh(x)
     denom = math.cos(y)
@@ -241,8 +297,10 @@ def db_resonance_residual(k: float, alpha: float, eps: float, c1: float, c2: flo
         raise PoleError(f"cot argument {2 * k * r} is within {_POLE_TOL} of a pole")
     cot = math.cos(2.0 * k * r) / math.sin(2.0 * k * r)
     if p2 >= 0:
-        return p / k * math.tan(pl) + k * l * _tanc(pl) - 2.0 * cot
-    return k * l * _tanhc(pl) - p / k * math.tanh(pl) - 2.0 * cot
+        t = math.tan(pl)
+        return float(p / k * t + k * l * _tanc(pl, t) - 2.0 * cot)
+    t = math.tanh(pl)
+    return float(k * l * _tanhc(pl, t) - p / k * t - 2.0 * cot)
 
 
 def find_roots(
@@ -258,47 +316,80 @@ def find_roots(
     below 1 (a pole crossing, not a root). Surviving brackets are
     bisected to the requested width. Raises WindowTooCoarseError when
     two returned roots are closer than one grid cell, since siblings may
-    then have been missed.
+    then have been missed. grid_steps must be an integer >= 100 and tol
+    finite and > 0. f is called one point at a time, under the same cell
+    rules as the array residuals of resonance_sets.
+    """
+    def f_array(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values = np.full(xs.shape, np.nan)
+        pole = np.zeros(xs.shape, dtype=bool)
+        for i, x in enumerate(xs.tolist()):
+            try:
+                values[i] = f(x)
+            except PoleError:
+                pole[i] = True
+        return values, pole
+
+    return _bracket_roots(f_array, window, grid_steps, tol)
+
+
+def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float) -> list[float]:
+    """find_roots for an array residual f: strengths -> (values, pole mask).
+
+    Every cell follows the same rules, in lockstep across cells. The scan
+    hands f BLOCK_POINTS cells at a time, so the residual's temporaries
+    stay small whatever grid_steps is.
     """
     lo, hi = window
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"window must be finite, got {window}")
     if not lo < hi:
         raise ValueError(f"window must satisfy lo < hi, got {window}")
-    if grid_steps < 100:
-        raise ValueError(f"grid_steps must be >= 100, got {grid_steps}")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not isinstance(grid_steps, (int, np.integer)) or grid_steps < 100:
+        raise ValueError(f"grid_steps must be an integer >= 100, got {grid_steps!r}")
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
     xs = np.linspace(lo, hi, grid_steps + 1)
-    vals: list[float | None] = []
-    for x in xs:
-        try:
-            vals.append(f(float(x)))
-        except PoleError:
-            vals.append(None)
-
     roots: list[float] = []
-    for i in range(grid_steps):
-        fa, fb = vals[i], vals[i + 1]
-        a, bx = float(xs[i]), float(xs[i + 1])
-        if fa is not None and fa == 0.0:
-            roots.append(a)
-            continue
-        if fa is None or fb is None:
-            continue
-        if fb == 0.0:
-            continue  # recorded when the next cell starts there
-        if fa * fb > 0:
-            continue
-        if not _bracket_is_root(f, a, bx):
-            continue
-        root = _bisect(f, a, fa, bx, fb, tol)
-        if root is not None:
-            roots.append(root)
-    last = vals[-1]
-    if last is not None and last == 0.0:
+    cells = []
+    for start in range(0, grid_steps, BLOCK_POINTS):
+        x = xs[start:start + BLOCK_POINTS + 1]
+        fx, pole = f(x)
+        fa, fb = fx[:-1], fx[1:]
+        clear_a, clear_b = ~pole[:-1], ~pole[1:]
+        roots += x[:-1][clear_a & (fa == 0.0)].tolist()
+        # a zero at the right end is recorded by the next cell
+        change = clear_a & clear_b & (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0)
+        i = np.flatnonzero(change)
+        cells.append((x[i], x[i + 1], fa[i]))
+    if not pole[-1] and fx[-1] == 0.0:
         roots.append(float(xs[-1]))
+    a, b, fa = (np.concatenate(c) for c in zip(*cells))
+
+    # a pole crossing, not a root: a pole among the points of
+    # np.linspace(a, b, 10), or |f| never below 1 on them
+    ts = a[:, None] + np.arange(10.0) * ((b - a) / 9.0)[:, None]
+    ts[:, -1] = b
+    ft, pole = (v.reshape(ts.shape) for v in f(ts.ravel()))
+    keep = ~pole.any(axis=1) & (np.fmin.reduce(np.abs(ft), axis=1) <= 1.0)
+    a, b, fa = a[keep], b[keep], fa[keep]
+
+    while True:
+        m = 0.5 * (a + b)
+        # stop at the requested width or at double-precision resolution
+        go = (b - a >= tol) & (a < m) & (m < b)
+        roots += m[~go].tolist()
+        if not go.any():
+            break
+        a, b, fa, m = a[go], b[go], fa[go], m[go]
+        fm, pole = f(m)
+        zero = ~pole & (fm == 0.0)
+        roots += m[zero].tolist()
+        left = fa * fm < 0
+        live = ~pole & ~zero  # a bracket that meets a pole is dropped
+        a, b, fa = (np.where(left, a, m)[live], np.where(left, m, b)[live],
+                    np.where(left, fa, fm)[live])
 
     roots.sort()
     merged: list[float] = []
@@ -314,35 +405,6 @@ def find_roots(
                 "increase grid_steps"
             )
     return merged
-
-
-def _bracket_is_root(f, a: float, b: float) -> bool:
-    """Distinguish a root cell from a pole crossing by refinement."""
-    best = math.inf
-    for t in np.linspace(a, b, 10):
-        try:
-            best = min(best, abs(f(float(t))))
-        except PoleError:
-            return False
-    return best <= 1.0
-
-
-def _bisect(f, a, fa, b, fb, tol):
-    try:
-        while (b - a) >= tol:
-            m = 0.5 * (a + b)
-            if m <= a or m >= b:
-                break  # bracket at double-precision resolution
-            fm = f(m)
-            if fm == 0.0:
-                return m
-            if fa * fm < 0:
-                b, fb = m, fm
-            else:
-                a, fa = m, fm
-    except PoleError:
-        return None
-    return 0.5 * (a + b)
 
 
 def resonance_sets(
@@ -364,13 +426,13 @@ def resonance_sets(
     """
     _check_bsigma(b, sigma)
     if kind is Kind.PLUS:
-        f_model, label = f_plus, SetLabel.SIGMA_PLUS
+        body, f_model, label = _f_plus, f_plus, SetLabel.SIGMA_PLUS
     else:
-        f_model, label = f_minus, SetLabel.SIGMA_MINUS
+        body, f_model, label = _f_minus, f_minus, SetLabel.SIGMA_MINUS
 
-    model_alphas = [r for r in find_roots(lambda a: f_model(a, b, sigma), window, grid_steps, tol)
+    model_alphas = [r for r in _bracket_roots(lambda a: body(a, b, sigma), window, grid_steps, tol)
                     if abs(r) > 1e-6]
-    prime_alphas = [r for r in find_roots(lambda a: f_prime(a, b, sigma), window, grid_steps, tol)
+    prime_alphas = [r for r in _bracket_roots(lambda a: _f_prime(a, b, sigma), window, grid_steps, tol)
                     if abs(r) > 1e-6]
 
     model_roots = []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwtunnel import scattering
+from bwtunnel import cli, scattering
 from bwtunnel.cli import main, parse_args, run
 from bwtunnel.potential import BWParams, Kind
 from bwtunnel.scattering import grid, transmissivity
@@ -77,6 +77,32 @@ class TestParseArgs:
         assert cfg.model is Kind.MINUS  # from file
         assert cfg.b == 4.0             # flag wins
         assert cfg.alpha_min == -5.0    # dashed key accepted
+
+    def test_shared_parser_parses_like_a_fresh_one(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"model": "minus", "b": 2.0, "eps-list": [0.2, 0.1]}))
+        calls = [
+            ["converge", "--config", str(cfgfile), "--alpha", "1.5"],
+            ["scan-alpha", "--steps", "1"],
+            ["grid", "--sigma", "0", "--k-steps", "9"],
+        ]
+
+        def outcome(argv):
+            try:
+                return parse_args(argv)
+            except SystemExit as e:
+                return e.code, capsys.readouterr().err
+
+        assert cli._build_parser() is cli._build_parser()
+        shared = [outcome(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert shared == fresh
+        assert shared[0].model is Kind.MINUS and shared[0].eps_list == [0.2, 0.1]
+        assert shared[1][0] == 2 and "--steps" in shared[1][1]
+        assert shared[2].sigma == 0.0 and shared[2].k_steps == 9
 
 
 class TestRunCommands:

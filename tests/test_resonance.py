@@ -1,13 +1,19 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from bwtunnel import resonance
 from bwtunnel.potential import BWParams, Kind, bw_geometry, sigma_split
 from bwtunnel.resonance import (
+    _bracket_roots,
+    _f_minus,
+    _f_plus,
+    _f_prime,
     NoPeakError,
     PoleError,
     SetLabel,
@@ -146,10 +152,15 @@ class TestResidualFunctions:
         (db_resonance_residual, (1.0, 30.0, math.nan, 3.0, 1.0)),
         (f_plus, (1.0, math.inf, 1.0)),
         (f_plus, (1.0, 3.0, math.inf)),
+        (f_prime, (-1e308, 3.0, 1.0)),
+        (theta_factor, (1e10, 3.0, 1.0, 1e300)),
     ], ids=["f_plus-nan_alpha", "f_minus-nan_alpha", "f_prime-nan_alpha", "theta_factor-nan_alpha",
-            "db_residual-nan_alpha", "db_residual-nan_eps", "f_plus-inf_b", "f_plus-inf_sigma"])
+            "db_residual-nan_alpha", "db_residual-nan_eps", "f_plus-inf_b", "f_plus-inf_sigma",
+            "f_prime-phase_overflow", "theta_factor-phase_overflow"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_input_rejected(self, f, args):
-        # each of these returned nan instead of raising
+        # the first eight returned nan instead of raising; an overflowing
+        # slab phase raised only a bare math domain error
         with pytest.raises(ValueError, match="finite"):
             f(*args)
 
@@ -208,6 +219,65 @@ class TestResidualFunctions:
                 assert got == want
 
 
+RESIDUAL_BODIES = [(f_plus, _f_plus), (f_minus, _f_minus), (f_prime, _f_prime)]
+
+
+class TestArrayBodies:
+    """Each scalar residual is one point of its array body, bit for bit."""
+
+    # the reference, the well-free case and a case with b*sigma = 1, where
+    # the mirror ratio sqrt(b*sigma) is exactly 1 at positive strengths
+    CONFIGS = [(3.0, 1.0), (3.0, 0.0), (2.5, 0.4)]
+
+    @pytest.mark.parametrize("b, sigma", CONFIGS)
+    @pytest.mark.parametrize("scalar, body", RESIDUAL_BODIES)
+    def test_scalar_wrapper_equals_array_body(self, scalar, body, b, sigma):
+        assert b * sigma in (0.0, 1.0, 3.0)  # exactly 1 in the third case
+        # the 20001-point scan grid of resonance_sets, which holds 0.0, then
+        # -0.0 and the first tan pole on each side (none when sigma = 0)
+        poles = [(math.pi / 2) ** 2 * (1.0 + b) / (2.0 * sigma),
+                 -(math.pi / 2) ** 2 * (1.0 + 1.0 / b) / (2.0 * sigma)] if sigma else []
+        alphas = np.concatenate([np.linspace(-40.0, 40.0, 20001), [-0.0], poles])
+        values, pole = body(alphas, b, sigma)
+        assert values.dtype == np.float64 and pole.dtype == np.bool_
+        got = np.empty_like(values)
+        raised = np.zeros_like(pole)
+        for i, alpha in enumerate(alphas.tolist()):
+            try:
+                got[i] = scalar(alpha, b, sigma)
+            except PoleError:
+                raised[i] = True
+        assert np.array_equal(raised, pole)
+        assert np.array_equal(got[~pole].view(np.int64), values[~pole].view(np.int64))
+        assert pole.sum() == len(poles)
+
+    @pytest.mark.parametrize("scalar, body", RESIDUAL_BODIES)
+    @pytest.mark.parametrize("window", [(-40.0, 0.0), (0.0, 40.0), (-40.0, 40.0)])
+    def test_scalar_finder_equals_array_finder(self, scalar, body, window):
+        # find_roots lifts the scalar wrapper into the same core; edges at 0
+        # put f_prime's exact zero on the first or last grid point
+        want = _bracket_roots(lambda a: body(a, 3.0, 1.0), window, 2000, 1e-10)
+        assert find_roots(lambda a: scalar(a, 3.0, 1.0), window, 2000, 1e-10) == want
+        if body is _f_prime:
+            assert 0.0 in want
+
+    @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_roots_do_not_depend_on_the_scan_block(self, kind, block):
+        # every cell, and the last grid point, must be seen across block edges
+        want = resonance_sets(kind, 3.0, 1.0)
+        with mock.patch.object(resonance, "BLOCK_POINTS", block):
+            assert resonance_sets(kind, 3.0, 1.0) == want
+
+    def test_array_input_checks(self):
+        with pytest.raises(ValueError, match="finite"):
+            _f_plus(np.array([1.0, math.nan, 2.0]), 3.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            _f_minus(np.array([-math.inf]), 3.0, 1.0)
+        with pytest.raises(ValueError):
+            _f_prime(np.array([1.0]), 3.0, -1.0)
+
+
 class TestFindRoots:
     def test_linear_function(self):
         roots = find_roots(lambda a: a - 5.0, (0.0, 10.0), grid_steps=100, tol=1e-12)
@@ -244,6 +314,24 @@ class TestFindRoots:
                 find_roots(lambda a: a - 1.0, window, 100)
         with pytest.raises(ValueError, match="finite"):
             resonance_sets(Kind.PLUS, 3.0, 1.0, (-math.inf, 40.0))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        # nan and inf returned the unbisected cell midpoint 5.15 as a root
+        with pytest.raises(ValueError, match="tol"):
+            find_roots(lambda a: a - 5.123456789, (0.0, 10.0), grid_steps=100, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            resonance_sets(Kind.PLUS, 3.0, 1.0, tol=tol)
+
+    @pytest.mark.parametrize("grid_steps", [100.0, 20000.0, "100", True])
+    def test_non_integral_grid_steps_rejected(self, grid_steps):
+        with pytest.raises(ValueError, match="grid_steps"):
+            find_roots(lambda a: a - 5.0, (0.0, 10.0), grid_steps=grid_steps)
+        with pytest.raises(ValueError, match="grid_steps"):
+            resonance_sets(Kind.PLUS, 3.0, 1.0, grid_steps=grid_steps)
+
+    def test_numpy_integer_grid_steps_accepted(self):
+        assert find_roots(lambda a: a - 5.0, (0.0, 10.0), np.int64(100)) == [5.0]
 
     def test_f_plus_window(self):
         roots = find_roots(lambda a: f_plus(a, 3.0, 1.0), (-40.0, 40.0))
@@ -312,6 +400,75 @@ class TestResonanceSets:
         m40 = resonance_sets(Kind.MINUS, 3.0, 1.0, (-40.0, 40.0))
         m80 = resonance_sets(Kind.MINUS, 3.0, 1.0, (-80.0, 80.0))
         assert len(m80[0].roots) > len(m40[0].roots)
+
+
+# The (b, sigma) pairs of the limits benchmark at seed 0: the reference
+# configuration and its four seeded draws.
+LIMITS_SEED0 = [(3.0, 1.0), (5.467228770723645, 1.95044942885702),
+                (4.535018020282781, 1.010251047407532),
+                (1.7474706239246895, 0.42669670101004903),
+                (3.801744877455753, 1.8044357132060365)]
+ORACLE_DPS = 50         # digits of the continued forms in the oracle
+SCAN_ROOT_TOL = 1e-6    # |f| at a crossing bisected to float resolution: root below, pole above
+CONTINUED = {SetLabel.SIGMA_PLUS: f_plus_continued, SetLabel.SIGMA_MINUS: f_minus_continued,
+             SetLabel.SIGMA_PRIME: f_prime_continued}
+
+
+def _mp_continued(mp, label, alpha, b, sigma):
+    """A limiting residual's continued form at ORACLE_DPS digits, collapsed to its real or imaginary part."""
+    with mp.workdps(ORACLE_DPS):
+        a, b_, s = mp.mpf(alpha), mp.mpf(b), mp.mpf(sigma)
+        sp, sm = (1, s) if alpha > 0 else (s, 1)
+        A = mp.sqrt(2 * a * sp / (1 + 1 / b_))
+        B = mp.sqrt(2 * a * sm / (1 + b_))
+        if label is SetLabel.SIGMA_PLUS:
+            w = (mp.sqrt(2 * a * b_ * sm / (1 + 1 / b_)) * mp.tanh(A) / A * mp.tan(B)
+                 - mp.sqrt(2 * a * sp / (b_ * (1 + b_))) * mp.tan(B) / B * mp.tanh(A) - 2)
+        elif label is SetLabel.SIGMA_MINUS:
+            w = mp.tanh(A) * mp.tan(B) + mp.sqrt(b_ * sm / sp)
+        else:
+            w = mp.tanh(A) - mp.sqrt(b_ * sm / sp) * mp.tan(B)
+        return w.real + w.imag
+
+
+def _scan_count(label, b, sigma, window=(-40.0, 40.0), cells=20000):
+    """Nonzero roots of a continued form: sign changes bisected to float resolution."""
+    f = CONTINUED[label]
+    xs = np.linspace(window[0], window[1], cells + 1).tolist()
+    fs = [f(x, b, sigma) for x in xs]
+    count = 0
+    for a, c, fa, fc in zip(xs, xs[1:], fs, fs[1:]):
+        if not fa * fc < 0:
+            continue
+        while a < 0.5 * (a + c) < c:
+            m = 0.5 * (a + c)
+            fm = f(m, b, sigma)
+            if fa * fm <= 0:
+                c = m
+            else:
+                a, fa = m, fm
+        m = 0.5 * (a + c)
+        count += abs(f(m, b, sigma)) < SCAN_ROOT_TOL and abs(m) > 1e-6
+    return count
+
+
+class TestRootsOracle:
+    @pytest.mark.parametrize("b, sigma", LIMITS_SEED0)
+    def test_every_root_brackets_a_50_digit_sign_change(self, b, sigma):
+        mp = pytest.importorskip("mpmath").mp
+        tol = 1e-10
+        sets = {}
+        for kind in (Kind.PLUS, Kind.MINUS):
+            for rset in resonance_sets(kind, b, sigma, tol=tol):
+                for root in rset.roots:
+                    sets.setdefault(root.set_label, set()).add(root.alpha)
+        for label, alphas in sets.items():
+            nonzero = sorted(a for a in alphas if a != 0.0)
+            for alpha in nonzero:
+                lo = _mp_continued(mp, label, alpha - 2 * tol, b, sigma)
+                hi = _mp_continued(mp, label, alpha + 2 * tol, b, sigma)
+                assert lo * hi < 0, (label, alpha, lo, hi)
+            assert len(nonzero) == _scan_count(label, b, sigma), label
 
 
 class TestThetaFactor:
