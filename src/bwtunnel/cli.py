@@ -25,6 +25,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .potential import BWParams, Kind, Segment, SegmentChain, realize
 from .resonance import (
     NoPeakError,
@@ -33,7 +35,7 @@ from .resonance import (
     resonance_sets,
 )
 from .scattering import BLOCK_POINTS, grid_blocks, log10_transmission
-from .serialize import csv_row, format_column, json_dumps
+from .serialize import csv_row, format_column, format_rows, json_dumps
 from .transfer import chain_matrix, closed_form
 from .zerolimit import classify, converge_study
 
@@ -238,11 +240,9 @@ def _write_grid(out, out_format: str, alphas, ks, blocks) -> None:
         k_texts = format_column(ks, 12)
         for a, t in blocks:
             ts = t.ravel()
-            rows = zip([s for s in format_column(a, 12) for _ in k_texts],
-                       k_texts * len(a),
-                       format_column(ts, 12),
-                       format_column(log10_transmission(ts.tolist()), 12))
-            out.write("".join(map("%s,%s,%s,%s\n".__mod__, rows)))
+            alpha_texts = [s for s in format_column(a, 12) for _ in k_texts]
+            values = np.column_stack((ts, log10_transmission(ts.tolist())))
+            out.write(format_rows(values, 12, texts=(alpha_texts, k_texts * len(a))))
         return
     out.write('{"alphas": [')
     _write_json_floats(out, alphas)
@@ -250,9 +250,8 @@ def _write_grid(out, out_format: str, alphas, ks, blocks) -> None:
     _write_json_floats(out, ks)
     out.write('], "values": [')
     for i, (_, t) in enumerate(blocks):
-        texts = format_column(t, 17, quote_nonfinite=True)
-        rows = (", ".join(texts[j:j + len(ks)]) for j in range(0, len(texts), len(ks)))
-        out.write((", [" if i else "[") + "], [".join(rows) + "]")
+        rows = format_rows(t, 17, quote_nonfinite=True, start=", [", sep=", ", end="]")
+        out.write(rows if i else rows[2:])  # no separator before the first row
     out.write("]}\n")
 
 

@@ -190,6 +190,8 @@ def grid_blocks(
     k_steps) alpha rows at a time, so every point equals grid's.
     """
     for name, (lo, hi), n in (("alpha", alpha_range, alpha_steps), ("k", k_range, k_steps)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"{name}_steps must be an integer, got {n!r}")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"{name} range must be finite, got {(lo, hi)}")
         if n < 1:
@@ -227,8 +229,12 @@ def grid(
 
 
 def log10_transmission(ts) -> list[float]:
-    """log10 of each transmission; a flagged zero gives the -inf sentinel."""
-    return [math.log10(t) if t > 0.0 else -math.inf for t in ts]
+    """log10 of each transmission; a flagged zero gives the -inf sentinel.
+
+    NaN (or a negative value) gives NaN, so a T that is not a number is
+    not written as the zero sentinel.
+    """
+    return [math.log10(t) if t > 0.0 else -math.inf if t == 0.0 else math.nan for t in ts]
 
 
 def grid_csv_rows(g: TransmissionGrid):

@@ -11,20 +11,52 @@ import json
 import numpy as np
 
 
-def format_column(values, sig: int, quote_nonfinite: bool = False) -> list[str]:
-    """Each value as a float to sig significant digits, in order.
+def _float_rules(values, sig: int) -> tuple[np.ndarray, str]:
+    """The values as floats and the field that writes one of them.
 
     The one place the float rules live: adding 0.0 turns -0 into 0, so
     repeated runs cannot differ on signed zero, and %g spells the
-    non-finite values nan, inf and -inf. CSV writes them bare; JSON has
-    no such literals, so quote_nonfinite writes them as strings.
+    non-finite values nan, inf and -inf.
     """
-    arr = np.asarray(values, dtype=float) + 0.0
-    texts = list(map(f"%.{sig}g".__mod__, arr.ravel().tolist()))
+    return np.asarray(values, dtype=float) + 0.0, f"%.{sig}g"
+
+
+def format_column(values, sig: int, quote_nonfinite: bool = False) -> list[str]:
+    """Each value as a float to sig significant digits, in order.
+
+    CSV writes the non-finite values bare; JSON has no such literals, so
+    quote_nonfinite writes them as strings.
+    """
+    arr, field = _float_rules(values, sig)
+    texts = list(map(field.__mod__, arr.ravel().tolist()))
     if quote_nonfinite:
         for i in np.flatnonzero(~np.isfinite(arr)).tolist():
             texts[i] = f'"{texts[i]}"'
     return texts
+
+
+def format_rows(values, sig: int, quote_nonfinite: bool = False, texts=(),
+                start: str = "", sep: str = ",", end: str = "\n") -> str:
+    """Rows of cells as one text: start, the row's cells joined by sep, end.
+
+    values is a 2-D array of floats, one row per output row, written as
+    format_column writes them. Each column of texts (a list of str, one
+    per row) comes first in its row, as it is. The whole block is one %
+    over the row template repeated once per row, so every cell is
+    formatted inside one C call instead of one Python call per row.
+    """
+    rows, width = np.shape(values)
+    if quote_nonfinite:
+        field, cells = "%s", format_column(values, sig, quote_nonfinite=True)
+    else:
+        arr, field = _float_rules(values, sig)
+        cells = arr.ravel().tolist()
+    columns = [*texts, *(cells[j::width] for j in range(width))]
+    flat = [None] * (rows * len(columns))
+    for j, column in enumerate(columns):
+        flat[j::len(columns)] = column
+    template = start + sep.join(["%s"] * len(texts) + [field] * width) + end
+    return (template * rows) % tuple(flat)
 
 
 def fmt_float(x: float, sig: int) -> str:

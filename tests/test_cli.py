@@ -398,6 +398,28 @@ class TestStreamedOutput:
         assert capsys.readouterr().out == ""
         assert path.read_text() == "earlier output\n"
 
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["scan-alpha", "grid"])
+    def test_zeroed_points_across_block_edges(self, kind, fmt, command):
+        # at eps = 1e-3 every point with alpha >= 70 is zeroed (rows 27-40 of 41, 34%);
+        # 9-point blocks put a block edge between row 26 (finite) and row 27 (zeroed)
+        template = BWParams(kind, 0.0, 1e-3, 3.0, 1.0, 1.0)
+        if command == "scan-alpha":
+            k_range, k_steps, axes = (1.0, 1.0), 1, ["--k", "1", "--steps", "41"]
+        else:
+            k_range, k_steps = (0.5, 2.0), 3
+            axes = ["--alpha-steps", "41", "--k-min", "0.5", "--k-max", "2", "--k-steps", "3"]
+        want_csv, want_json = _per_point_oracle(template, (-200.0, 200.0), k_range, 41, k_steps)
+        argv = [command, "--model", kind.value, "--eps", "1e-3", "--alpha-min", "-200",
+                "--alpha-max", "200", "--format", fmt, *axes]
+        out = io.StringIO()
+        with mock.patch.object(scattering, "BLOCK_POINTS", 9), redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue() == (want_csv if fmt == "csv" else want_json)
+        if fmt == "csv":
+            assert out.getvalue().count(",0,-inf\n") == 14 * k_steps
+
     @settings(max_examples=80, deadline=None)
     @given(kind=st.sampled_from(Kind), refill=st.booleans(),
            window=st.sampled_from([(-3.0, 3.0), (0.0, 2.5), (-1.5, 0.0), (-7.0, 5.5)]),

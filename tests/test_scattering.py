@@ -13,6 +13,7 @@ from bwtunnel.scattering import (
     grid,
     grid_blocks,
     grid_csv_rows,
+    log10_transmission,
     scan_alpha,
     subbarrier_bound,
     transmissivity,
@@ -215,6 +216,30 @@ class TestGrid:
             scan_alpha(template, 1.0, 0.0, math.inf, 3)
         with pytest.raises(ValueError, match="finite"):
             grid_blocks(template, (0.0, math.inf), (1.0, 1.0), 3, 1)  # before any block is drawn
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, "3"])
+    def test_non_integer_steps_rejected(self, steps):
+        template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="alpha_steps must be an integer"):
+            grid(template, (-1.0, 1.0), (1.0, 2.0), steps, 3)
+        with pytest.raises(ValueError, match="k_steps must be an integer"):
+            grid(template, (-1.0, 1.0), (1.0, 2.0), 3, steps)
+
+    @pytest.mark.parametrize("steps", [2.5, 4.0])
+    def test_scan_inherits_the_integer_check(self, steps):
+        template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="alpha_steps must be an integer"):
+            scan_alpha(template, 1.0, -1.0, 1.0, steps)
+
+    def test_numpy_integer_steps_accepted(self):
+        template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)
+        g = grid(template, (-1.0, 1.0), (1.0, 2.0), np.int64(3), np.int32(2))
+        assert g.values.shape == (3, 2)
+
+    def test_log10_keeps_nan_apart_from_the_zero_sentinel(self):
+        got = log10_transmission([0.01, 0.0, -0.0, math.nan, -1.0])
+        assert got[:3] == [-2.0, -math.inf, -math.inf]
+        assert math.isnan(got[3]) and math.isnan(got[4])
 
     def test_csv_rows_order_and_log_sentinel(self):
         g = TransmissionGrid(np.array([1.0, 2.0]), np.array([0.5]),
