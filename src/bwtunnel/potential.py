@@ -155,13 +155,20 @@ def sigma_split(alpha: float, sigma: float) -> tuple[float, float]:
     return (1.0, 1.0)
 
 
-def bw_geometry(params: BWParams) -> tuple[float, float, float, float]:
-    """Barrier height/width and well depth/width (h, l, d, r) for params."""
-    sp, sm = sigma_split(params.alpha, params.sigma)
-    c1, c2, eps = params.c1, params.c2, params.eps
+def slab_geometry(sp, sm, eps: float, c1: float, c2: float):
+    """Barrier height/width and well depth/width (h, l, d, r).
+
+    sp, sm are the two slots of sigma_split; numpy arrays give arrays.
+    """
     h = 2.0 * sp / (c1 * (c1 + c2)) / (eps * eps)
     d = 2.0 * sm / (c2 * (c1 + c2)) / (eps * eps)
     return h, c1 * eps, d, c2 * eps
+
+
+def bw_geometry(params: BWParams) -> tuple[float, float, float, float]:
+    """Barrier height/width and well depth/width (h, l, d, r) for params."""
+    sp, sm = sigma_split(params.alpha, params.sigma)
+    return slab_geometry(sp, sm, params.eps, params.c1, params.c2)
 
 
 def realize(params: BWParams) -> SegmentChain:

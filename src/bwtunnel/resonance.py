@@ -25,7 +25,6 @@ it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -33,9 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .potential import BWParams, Kind, bw_geometry, sigma_split
+from .potential import BWParams, Kind, sigma_split, slab_geometry
 from .scattering import BLOCK_POINTS, grid, transmissivity
-from .transfer import wave_numbers
+from .transfer import finite_eps_residuals  # still importable from here, its former home
 
 
 class PoleError(ArithmeticError):
@@ -250,25 +249,6 @@ def theta_factor(alpha_prime: float, b: float, sigma_plus: float, sigma_minus: f
     return math.cosh(x) / denom
 
 
-def finite_eps_residuals(params: BWParams, E: float) -> tuple[complex, complex, complex]:
-    """The three divergence-cancellation residuals at finite squeezing.
-
-    Diagnostics for how close a configuration is to each branch along
-    which the lower-left matrix entry stays finite as eps -> 0. Returned
-    as complex numbers; they are generally not real in the tunneling
-    regime.
-    """
-    _, l, _, r = bw_geometry(params)
-    w = wave_numbers(params, E)
-    p, q = w.p, w.q
-    sp, cp = cmath.sin(p * l), cmath.cos(p * l)
-    sq, cq = cmath.sin(q * r), cmath.cos(q * r)
-    r8 = 2.0 * cp * cq - (p / q + q / p) * sp * sq
-    r9 = p * sp * cq + q * cp * sq
-    r10 = p * sp * sq - q * cp * cq
-    return r8, r9, r10
-
-
 def db_resonance_residual(k: float, alpha: float, eps: float, c1: float, c2: float) -> float:
     """Double-barrier resonance residual in the wave number.
 
@@ -284,9 +264,7 @@ def db_resonance_residual(k: float, alpha: float, eps: float, c1: float, c2: flo
         raise ValueError(f"double-barrier residual needs a finite alpha > 0, got {alpha}")
     if not (0 < eps < math.inf and 0 < c1 < math.inf and 0 < c2 < math.inf):
         raise ValueError("eps, c1, c2 must all be finite and > 0")
-    h = 2.0 / (c1 * (c1 + c2)) / (eps * eps)
-    l = c1 * eps
-    r = c2 * eps
+    h, l, _, r = slab_geometry(1.0, 1.0, eps, c1, c2)
     p2 = k * k - alpha * h
     p = math.sqrt(abs(p2))
     pl = p * l

@@ -2,9 +2,10 @@
 
 Probabilities come from the u, v combination of matrix entries rather
 than from |T|^2 of the amplitudes, which avoids phase-factor
-cancellation. Scans and grids evaluate the closed-form matrix elements
-vectorized over numpy arrays; single-point transmissivity goes through
-the slab product, and the two routes are cross-checked in the tests.
+cancellation. u, v, their realness check, the near-opaque rule and T
+are written once, elementwise, as the tail of every route: scans and
+grids feed it the closed-form kernel over numpy arrays, single-point
+transmissivity the slab product, and the tests cross-check the two.
 """
 
 from __future__ import annotations
@@ -17,14 +18,16 @@ from itertools import product
 
 import numpy as np
 
-from .potential import BWParams, Kind, realize
-from .transfer import (
-    NEAR_OPAQUE_THRESHOLD,
-    TransferMatrix,
-    chain_matrix,
-    closed_form_entries,
-    require_real,
-)
+from . import potential, transfer
+from .potential import BWParams, slab_geometry
+from .transfer import TransferMatrix, closed_form_arrays
+
+# Entries past this magnitude mean the structure is effectively a wall;
+# the tail reports zero transmission there instead of erroring out.
+NEAR_OPAQUE_THRESHOLD = 1e12
+
+# Imaginary parts per unit magnitude above this indicate a branch bug.
+REALNESS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,13 +59,42 @@ class TransmissionGrid:
             raise ValueError("grid shape does not match axis lengths")
 
 
+def _uv(m, k, checked=True):
+    """u = m11 - m22 and v = k*m12 + m21/k from the entries m, elementwise.
+
+    Plain arithmetic, so it runs on Python complex numbers (one point) and
+    on numpy arrays alike. Raises ValueError where, within the checked
+    mask, an imaginary part exceeds REALNESS_TOL per unit magnitude;
+    returns the real parts.
+    """
+    u = m[0] - m[3]
+    v = k * m[1] + m[2] / k
+    bad = (abs(u.imag) > REALNESS_TOL * (1.0 + abs(u))) \
+        | (abs(v.imag) > REALNESS_TOL * (1.0 + abs(v)))
+    if np.count_nonzero(bad & checked):
+        raise ValueError("complex residue in u or v; branch inconsistency")
+    return u.real, v.real
+
+
+def _transmission(m, k):
+    """T = 4/(4 + u^2 + v^2) from the entries m at wave numbers k, elementwise.
+
+    Near-opaque points, where an entry is past NEAR_OPAQUE_THRESHOLD or
+    not a number, report exactly 0, the perfectly-reflecting limit, and
+    skip the realness check. Array callers silence numpy's overflow and
+    invalid warnings, which only such points raise.
+    """
+    ok = (abs(m[0]) <= NEAR_OPAQUE_THRESHOLD) & (abs(m[1]) <= NEAR_OPAQUE_THRESHOLD) \
+        & (abs(m[2]) <= NEAR_OPAQUE_THRESHOLD) & (abs(m[3]) <= NEAR_OPAQUE_THRESHOLD)
+    u, v = _uv(m, k, ok)
+    return np.where(ok, 4.0 / (4.0 + u * u + v * v), 0.0)
+
+
 def uv(L: TransferMatrix, k: float) -> tuple[float, float]:
     """Asymmetry u = m11 - m22 and v = k*m12 + m21/k, as real numbers."""
-    if k <= 0:
-        raise ValueError(f"k must be > 0, got {k}")
-    u = require_real(L.m11 - L.m22)
-    v = require_real(k * L.m12 + L.m21 / k)
-    return u, v
+    if not (0.0 < k < math.inf):
+        raise ValueError(f"k must be finite and > 0, got {k}")
+    return _uv(L.entries(), k)
 
 
 def amplitudes(L: TransferMatrix, k: float, x1: float, x2: float) -> ScatteringResult:
@@ -72,8 +104,8 @@ def amplitudes(L: TransferMatrix, k: float, x1: float, x2: float) -> ScatteringR
     factors. Probabilities always satisfy refl + trans = 1 and the two
     transmission amplitudes are equal for any real potential.
     """
-    if k <= 0:
-        raise ValueError(f"k must be > 0, got {k}")
+    if not (0.0 < k < math.inf):
+        raise ValueError(f"k must be finite and > 0, got {k}")
     det = L.det()
     scale = 1.0 + abs(L.m11 * L.m22) + abs(L.m12 * L.m21)
     if abs(det - 1.0) > 1e-8 * scale:
@@ -89,67 +121,24 @@ def amplitudes(L: TransferMatrix, k: float, x1: float, x2: float) -> ScatteringR
 
 
 def transmissivity(params: BWParams, k: float) -> float:
-    """Transmission probability of the realized chain at wave number k.
+    """Transmission probability of the four-slab chain at wave number k.
 
-    Near-opaque matrices (entries beyond double-precision usefulness)
-    report exactly 0.0, consistent with the perfectly-reflecting limit.
+    The slab product, through the same tail as scans and grids: a
+    near-opaque matrix reports exactly 0.0, consistent with the
+    perfectly-reflecting limit.
     """
-    if k <= 0:
-        raise ValueError(f"k must be > 0, got {k}")
-    L = chain_matrix(realize(params), k * k)
-    if L.near_opaque:
-        return 0.0
-    u, v = uv(L, k)
-    return 4.0 / (4.0 + u * u + v * v)
-
-
-def _uv_arrays(kind: Kind, alphas, ks, eps: float, c1: float, c2: float, sigma: float):
-    """Vectorized closed-form u, v over broadcast (alpha, k) arrays.
-
-    Returns (u, v, opaque) where opaque marks points whose entries
-    overflowed the near-opaque threshold (or double precision).
-    """
-    a = np.asarray(alphas, dtype=float)[:, None]
-    k = np.asarray(ks, dtype=float)[None, :]
-    sp_ = np.where(a < 0, sigma, 1.0)
-    sm_ = np.where(a > 0, sigma, 1.0)
-    h = 2.0 * sp_ / (c1 * (c1 + c2)) / eps**2
-    d = 2.0 * sm_ / (c2 * (c1 + c2)) / eps**2
-    l = c1 * eps
-    r = c2 * eps
-    E = k * k
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        p = np.sqrt((E - a * h).astype(complex))
-        q = np.sqrt((E + a * d).astype(complex))
-        # alpha = 0 makes p = q = k exactly; no division hazards there
-        m11, m12, m21, m22 = closed_form_entries(kind, p, q, l, r, np.sin, np.cos)
-        # p = 0 or q = 0 exactly is 0/0 in the closed form: refill those
-        # points from the slab product (MINUS m22 is m11 itself)
-        for i, j in zip(*np.nonzero((p == 0) | (q == 0))):
-            params = BWParams(kind, float(a[i, 0]), eps, c1, c2, sigma)
-            L = chain_matrix(realize(params), float(E[0, j]))
-            m11[i, j], m12[i, j], m21[i, j] = L.m11, L.m12, L.m21
-            if m22 is not m11:
-                m22[i, j] = L.m22
-        u_c = m11 - m22
-        v_c = k * m12 + m21 / k
-        mag = np.maximum(np.maximum(np.abs(m11), np.abs(m12)),
-                         np.maximum(np.abs(m21), np.abs(m22)))
-    opaque = ~np.isfinite(mag) | (mag > NEAR_OPAQUE_THRESHOLD)
-    ok = ~opaque
-    bad_im = np.abs(u_c.imag[ok]) > 1e-9 * (1.0 + np.abs(u_c[ok]))
-    bad_im |= np.abs(v_c.imag[ok]) > 1e-9 * (1.0 + np.abs(v_c[ok]))
-    if np.any(bad_im):
-        raise ValueError("complex residue in u or v; branch inconsistency")
-    return u_c.real, v_c.real, opaque
+    if not (0.0 < k < math.inf):
+        raise ValueError(f"k must be finite and > 0, got {k}")
+    L = transfer.chain_matrix(potential.realize(params), k * k)
+    return float(_transmission(L.entries(), k))
 
 
 def _transmission_array(kind, alphas, ks, eps, c1, c2, sigma):
-    u, v, opaque = _uv_arrays(kind, alphas, ks, eps, c1, c2, sigma)
-    with np.errstate(over="ignore"):
-        t = 4.0 / (4.0 + u * u + v * v)
-    t[opaque] = 0.0
-    return t
+    k = np.asarray(ks, dtype=float)[None, :]
+    m = closed_form_arrays(kind, np.asarray(alphas, dtype=float)[:, None], k * k,
+                           eps, c1, c2, sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _transmission(m, k)
 
 
 def scan_alpha(
@@ -165,10 +154,10 @@ def scan_alpha(
     grid, so repeated runs are identical. This is the one-column grid at
     wave number k, returned as (alpha, T) pairs.
     """
+    alphas, _, blocks = grid_blocks(template, (alpha_min, alpha_max), (k, k), steps, 1)
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    g = grid(template, (alpha_min, alpha_max), (k, k), steps, 1)
-    return list(zip(g.alphas.tolist(), g.values[:, 0].tolist()))
+    return list(zip(alphas.tolist(), np.concatenate([t[:, 0] for _, t in blocks]).tolist()))
 
 
 # points per block of grid_blocks; bounds the kernel's temporaries
@@ -257,6 +246,6 @@ def subbarrier_bound(alpha: float, c1: float, c2: float, eps: float) -> float:
         raise ValueError(f"eps must be > 0, got {eps}")
     if alpha == 0:
         return math.inf
-    if alpha > 0:
-        return math.sqrt(2.0 * alpha / (c1 * (c1 + c2))) / eps
-    return math.sqrt(2.0 * abs(alpha) / (c2 * (c1 + c2))) / eps
+    # the barrier is the sigma-free slot: h for alpha > 0, d for alpha < 0
+    h, _, d, _ = slab_geometry(1.0, 1.0, eps, c1, c2)
+    return math.sqrt(alpha * h if alpha > 0 else -alpha * d)

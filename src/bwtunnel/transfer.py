@@ -2,9 +2,13 @@
 
 A transfer matrix maps the boundary data (psi, psi') at the left edge
 of a structure to the right edge. For a real potential and E > 0 it is
-real and unimodular; we keep complex entries throughout and extract
-real results with an imaginary-part assertion, so a wrong branch shows
-up as a hard failure instead of a silent sign error.
+real and unimodular; we keep complex entries throughout, and scattering
+extracts real results with an imaginary-part check, so a wrong branch
+shows up as a hard failure instead of a silent sign error.
+
+The closed form is one numpy kernel, closed_form_arrays, over arrays of
+strengths and energies; closed_form is one point of it, and the slab
+product (chain_matrix) stays the independent route.
 """
 
 from __future__ import annotations
@@ -14,14 +18,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .potential import BWParams, Kind, SegmentChain, bw_geometry, realize
+import numpy as np
 
-# Entries past this magnitude mean the structure is effectively a wall;
-# downstream code reports zero transmission instead of erroring out.
-NEAR_OPAQUE_THRESHOLD = 1e12
-
-# Imaginary parts per unit magnitude above this indicate a branch bug.
-REALNESS_TOL = 1e-9
+from .potential import BWParams, Kind, SegmentChain, bw_geometry, realize, slab_geometry
 
 
 class Branch(enum.Enum):
@@ -61,12 +60,6 @@ class TransferMatrix:
     def max_abs_entry(self) -> float:
         return max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22))
 
-    @property
-    def near_opaque(self) -> bool:
-        """True when entries are too large for meaningful double arithmetic."""
-        m = self.max_abs_entry()
-        return (not math.isfinite(m)) or m > NEAR_OPAQUE_THRESHOLD
-
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
         return TransferMatrix(
             self.m11 * other.m11 + self.m12 * other.m21,
@@ -92,20 +85,18 @@ class TransferMatrix:
         return TransferMatrix(1.0 + 0j, 0j, 0j, 1.0 + 0j)
 
 
-def require_real(z: complex, tol: float = REALNESS_TOL) -> float:
-    """Return Re(z) after checking the imaginary part is rounding noise."""
-    if abs(z.imag) > tol * (1.0 + abs(z)):
-        raise ValueError(f"expected a real value, got {z!r}")
-    return z.real
+def _slab_wave_numbers(alpha, E, h, d):
+    """Principal-branch p = sqrt(E - alpha*h), q = sqrt(E + alpha*d), elementwise."""
+    p = np.sqrt(np.asarray(E - alpha * h, dtype=complex))
+    q = np.sqrt(np.asarray(E + alpha * d, dtype=complex))
+    return p, q
 
 
 def wave_numbers(params: BWParams, E: float) -> WaveNumbers:
     """Principal-branch p = sqrt(E - alpha*h), q = sqrt(E + alpha*d)."""
     h, _, d, _ = bw_geometry(params)
-    p = cmath.sqrt(complex(E - params.alpha * h, 0.0))
-    q = cmath.sqrt(complex(E + params.alpha * d, 0.0))
-    k = math.sqrt(E) if E > 0 else 0.0
-    return WaveNumbers(p, q, k)
+    p, q = _slab_wave_numbers(params.alpha, E, h, d)
+    return WaveNumbers(complex(p), complex(q), math.sqrt(E) if E > 0 else 0.0)
 
 
 def segment_matrix(width: float, value: float, E: float) -> TransferMatrix:
@@ -138,22 +129,21 @@ def chain_matrix(chain: SegmentChain, E: float) -> TransferMatrix:
     return m
 
 
-def closed_form_entries(kind: Kind, p, q, l, r, sin, cos):
+def closed_form_entries(kind: Kind, p, q, l, r):
     """Closed-form entries (m11, m12, m21, m22) of the four-slab chain.
 
-    Pure arithmetic on the slab wave numbers p, q and widths l, r, so the
-    one formula serves Python complex numbers (with cmath.sin/cos) and
-    numpy arrays (with np.sin/np.cos) alike. The mirror arrangement's
-    diagonal entries are equal by spatial symmetry and are computed once:
-    its m22 is the very object returned as m11. p = 0 or q = 0 divides
-    by zero; callers route those points through chain_matrix.
+    Elementwise numpy arithmetic on the slab wave numbers p, q and widths
+    l, r. The mirror arrangement's diagonal entries are equal by spatial
+    symmetry and are computed once: its m22 is the very object returned
+    as m11. p = 0 or q = 0 divides by zero; closed_form_arrays refills
+    those points from chain_matrix.
     """
-    sp, cp = sin(p * l), cos(p * l)
-    s2p, c2p = sin(2 * p * l), cos(2 * p * l)
-    s2q = sin(2 * q * r)
+    sp, cp = np.sin(p * l), np.cos(p * l)
+    s2p, c2p = np.sin(2 * p * l), np.cos(2 * p * l)
+    s2q = np.sin(2 * q * r)
     por = p / q + q / p
     if kind is Kind.PLUS:
-        sq, cq = sin(q * r), cos(q * r)
+        sq, cq = np.sin(q * r), np.cos(q * r)
         m11 = c2p * cq**2 - 0.25 * (3 * p / q + q / p) * s2p * s2q \
             + ((p / q) ** 2 * sp**2 - cp**2) * sq**2
         m22 = c2p * cq**2 - 0.25 * (p / q + 3 * q / p) * s2p * s2q \
@@ -163,26 +153,48 @@ def closed_form_entries(kind: Kind, p, q, l, r, sin, cos):
         m21 = -p * s2p * cq**2 - q * cp**2 * s2q \
             + por * (p * sp * cq + q * cp * sq) * sp * sq
         return m11, m12, m21, m22
-    c2q = cos(2 * q * r)
+    c2q = np.cos(2 * q * r)
     diag = c2p * c2q - 0.5 * por * s2p * s2q
     m12 = s2p * c2q / p + ((p / q) * cp**2 - (q / p) * sp**2) * s2q / p
     m21 = -p * s2p * c2q + p * ((p / q) * sp**2 - (q / p) * cp**2) * s2q
     return diag, m12, m21, diag
 
 
+def closed_form_arrays(kind: Kind, alphas, E, eps: float, c1: float, c2: float, sigma: float):
+    """Closed-form entries (m11, m12, m21, m22) over broadcast strength and energy arrays.
+
+    Each strength gets bw_geometry's slabs, with sigma split by its sign as
+    sigma_split does. At the degenerate points p = 0 or q = 0 exactly
+    (E = alpha*h or E = -alpha*d) the closed form is 0/0; there the entries
+    are refilled from the slab product, whose series branch is regular
+    (MINUS m22 stays the very array returned as m11).
+    """
+    a = np.asarray(alphas, dtype=float)
+    E = np.asarray(E, dtype=float)
+    h, l, d, r = slab_geometry(np.where(a < 0, sigma, 1.0), np.where(a > 0, sigma, 1.0),
+                               eps, c1, c2)
+    p, q = _slab_wave_numbers(a, E, h, d)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # alpha = 0 makes p = q = k exactly; no division hazards there
+        m11, m12, m21, m22 = closed_form_entries(kind, p, q, l, r)
+    for at in zip(*np.nonzero((p == 0) | (q == 0))):
+        params = BWParams(kind, float(np.broadcast_to(a, p.shape)[at]), eps, c1, c2, sigma)
+        L = chain_matrix(realize(params), float(np.broadcast_to(E, p.shape)[at]))
+        m11[at], m12[at], m21[at] = L.m11, L.m12, L.m21
+        if m22 is not m11:
+            m22[at] = L.m22
+    return m11, m12, m21, m22
+
+
 def closed_form(params: BWParams, E: float) -> TransferMatrix:
     """Closed-form transfer matrix of the realized four-slab chain.
 
-    At the degenerate points p = 0 or q = 0 exactly (E = alpha*h or
-    E = -alpha*d) the closed form is 0/0; there the slab product is
-    returned, whose series branch is regular.
+    One point of closed_form_arrays, so it equals a scan or grid point
+    bit for bit; at p = 0 or q = 0 it is the slab product.
     """
-    _, l, _, r = bw_geometry(params)
-    w = wave_numbers(params, E)
-    if w.p == 0 or w.q == 0:
-        return chain_matrix(realize(params), E)
-    return TransferMatrix(*closed_form_entries(params.kind, w.p, w.q, l, r,
-                                               cmath.sin, cmath.cos))
+    m = closed_form_arrays(params.kind, [params.alpha], [E], params.eps,
+                           params.c1, params.c2, params.sigma)
+    return TransferMatrix(*(complex(z[0]) for z in m))
 
 
 def closed_form_plus(params: BWParams, E: float) -> TransferMatrix:
@@ -199,23 +211,36 @@ def closed_form_minus(params: BWParams, E: float) -> TransferMatrix:
     return closed_form(params, E)
 
 
-def lambda21_factored(kind: Kind, params: BWParams, E: float) -> complex:
-    """Two-factor form of the lower-left entry.
+def finite_eps_residuals(params: BWParams, E: float) -> tuple[complex, complex, complex]:
+    """The three divergence-cancellation residuals at finite squeezing.
 
-    Each factor is one of the divergence-cancellation residuals, so the
-    entry vanishes exactly when either cancellation condition holds.
+    Diagnostics for how close a configuration is to each branch along
+    which the lower-left matrix entry stays finite as eps -> 0. Returned
+    as complex numbers; they are generally not real in the tunneling
+    regime.
     """
     _, l, _, r = bw_geometry(params)
     w = wave_numbers(params, E)
     p, q = w.p, w.q
     sp, cp = cmath.sin(p * l), cmath.cos(p * l)
     sq, cq = cmath.sin(q * r), cmath.cos(q * r)
-    shared = p * sp * cq + q * cp * sq
+    r8 = 2.0 * cp * cq - (p / q + q / p) * sp * sq
+    r9 = p * sp * cq + q * cp * sq
+    r10 = p * sp * sq - q * cp * cq
+    return r8, r9, r10
+
+
+def lambda21_factored(kind: Kind, params: BWParams, E: float) -> complex:
+    """Two-factor form of the lower-left entry.
+
+    Each factor is one of the divergence-cancellation residuals, so the
+    entry vanishes exactly when either cancellation condition holds:
+    -r8*r9 for PLUS and 2*(r10/q)*r9 for MINUS.
+    """
+    r8, r9, r10 = finite_eps_residuals(params, E)
     if kind is Kind.PLUS:
-        first = (p / q + q / p) * sp * sq - 2.0 * cp * cq
-    else:
-        first = 2.0 * ((p / q) * sp * sq - cp * cq)
-    return first * shared
+        return -r8 * r9
+    return 2.0 * (r10 / wave_numbers(params, E).q) * r9
 
 
 def limit_matrix(kind: Kind, branch: Branch, theta: float | None = None) -> TransferMatrix:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bwtunnel import scattering
 from bwtunnel.potential import BWParams, Kind, Segment, SegmentChain, realize
 from bwtunnel.resonance import peak_refine
 from bwtunnel.scattering import (
@@ -17,6 +18,7 @@ from bwtunnel.scattering import (
     scan_alpha,
     subbarrier_bound,
     transmissivity,
+    uv,
 )
 from bwtunnel.transfer import TransferMatrix, chain_matrix, limit_matrix, Branch
 
@@ -110,6 +112,17 @@ class TestTransmissivity:
         chain = realize(params)
         res = amplitudes(chain_matrix(chain, 1.69), 1.3, chain.x_left, chain.x_right)
         assert transmissivity(params, 1.3) == pytest.approx(res.trans, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_k_rejected(self, k):
+        params = BWParams(Kind.MINUS, -4.2, 0.2, 2.0, 1.0, 1.0)
+        L = chain_matrix(realize(params), 1.0)
+        with pytest.raises(ValueError, match="k must be finite and > 0"):
+            transmissivity(params, k)
+        with pytest.raises(ValueError, match="k must be finite and > 0"):
+            uv(L, k)
+        with pytest.raises(ValueError, match="k must be finite and > 0"):
+            amplitudes(L, k, -1.0, 1.0)
 
     def test_near_opaque_reports_zero(self):
         # far outside the documented eps range the entries overflow the
@@ -225,7 +238,7 @@ class TestGrid:
         with pytest.raises(ValueError, match="k_steps must be an integer"):
             grid(template, (-1.0, 1.0), (1.0, 2.0), 3, steps)
 
-    @pytest.mark.parametrize("steps", [2.5, 4.0])
+    @pytest.mark.parametrize("steps", [2.5, 4.0, "3", None, True])
     def test_scan_inherits_the_integer_check(self, steps):
         template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="alpha_steps must be an integer"):
@@ -259,6 +272,21 @@ def test_grid_refills_degenerate_points_from_slab_product():
             for j, k in enumerate(g.ks):
                 direct = transmissivity(BWParams(kind, float(alpha), 0.5, 1.0, 1.0, 1.0), k)
                 assert abs(g.values[i, j] - direct) < 1e-9
+
+
+def test_near_opaque_rule_of_the_tail():
+    # the one tail behind transmissivity (Python complex entries) and the
+    # scans and grids (numpy arrays of entries): past the threshold, the
+    # identity, an infinite entry
+    for entries, t in (((1e13 + 0j, 0j, 0j, 1e-13 + 0j), 0.0),
+                       ((1.0 + 0j, 0j, 0j, 1.0 + 0j), 1.0),
+                       ((complex(math.inf), 0j, 0j, 0j), 0.0)):
+        assert scattering._transmission(entries, 0.8) == t
+        arrays = tuple(np.full((2, 3), z) for z in entries)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t_arrays = scattering._transmission(arrays, np.full((1, 3), 0.8))
+        assert np.array_equal(t_arrays, np.full((2, 3), t))
+
 
 class TestSubbarrierBound:
     def test_positive_branch(self):

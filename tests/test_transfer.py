@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwtunnel.potential import BWParams, Kind, Segment, SegmentChain, concat, realize
+from bwtunnel.potential import BWParams, Kind, Segment, SegmentChain, bw_geometry, concat, realize
+from bwtunnel.scattering import REALNESS_TOL
 from bwtunnel.transfer import (
     BoundaryState,
     Branch,
     TransferMatrix,
     chain_matrix,
     closed_form,
-    closed_form_entries,
+    closed_form_arrays,
     closed_form_minus,
     closed_form_plus,
     lambda21_factored,
@@ -199,10 +200,17 @@ def test_apply_boundary_state():
     assert out.dpsi.real == pytest.approx(-math.pi / 2.0, rel=1e-12)
 
 
-def test_near_opaque_flag():
-    assert TransferMatrix(1e13 + 0j, 0j, 0j, 1e-13 + 0j).near_opaque
-    assert not TransferMatrix.identity().near_opaque
-    assert TransferMatrix(complex(math.inf), 0j, 0j, 0j).near_opaque
+def slab_growth(params, E):
+    """Product of the slab matrices' row-sum norms at energy E.
+
+    Every term that the closed form or the slab product adds up is at most
+    this large, so it scales the rounding of both. It can exceed the
+    entries by far: at a tunneling transmission peak the entries are O(1)
+    while the terms are ~1e8 (alpha = 35.0919, eps = 1e-3, k = 1, b = 3).
+    """
+    return math.prod(max(abs(m.m11) + abs(m.m12), abs(m.m21) + abs(m.m22))
+                     for m in (segment_matrix(s.width, s.value, E)
+                               for s in realize(params).segments))
 
 
 class TestClosedFormEntries:
@@ -213,19 +221,52 @@ class TestClosedFormEntries:
         params = BWParams(kind, alpha, 0.5, 1.0, 1.0, 1.0)
         w = wave_numbers(params, 4.0)
         assert w.p == 0 or w.q == 0
-        assert closed_form(params, 4.0) == chain_matrix(realize(params), 4.0)
+        closed = closed_form(params, 4.0)
+        product = chain_matrix(realize(params), 4.0)
+        assert closed.entries()[:3] == product.entries()[:3]
+        if kind is Kind.PLUS:
+            assert closed.m22 == product.m22
+        else:
+            # the mirror diagonal stays exact; the product's own m22 is its
+            # m11 up to rounding
+            assert closed.m22 == closed.m11
+            assert abs(product.m22 - product.m11) <= 4e-16 * abs(product.m11)
 
     @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
-    def test_array_route_matches_scalar_route(self, kind):
-        rng = np.random.default_rng(5150)
-        p = np.sqrt(rng.uniform(-30.0, 30.0, 64).astype(complex))
-        q = np.sqrt(rng.uniform(-30.0, 30.0, 64).astype(complex))
-        arrays = closed_form_entries(kind, p, q, 0.3, 0.1, np.sin, np.cos)
+    def test_closed_form_is_one_point_of_the_kernel(self, kind):
+        # b = 1, eps = 0.5: the axes hit p = 0 (alpha = 1, E = 4) and
+        # q = 0 (alpha = -1, E = 4), which the kernel refills
+        alphas = np.linspace(-2.0, 2.0, 17)
+        Es = np.array([0.3, 1.0, 4.0, 9.5])
+        m = closed_form_arrays(kind, alphas[:, None], Es[None, :], 0.5, 1.0, 1.0, 0.7)
         if kind is Kind.MINUS:
-            assert arrays[3] is arrays[0]
-        for i in range(len(p)):
-            scalars = closed_form_entries(kind, complex(p[i]), complex(q[i]), 0.3, 0.1,
-                                          cmath.sin, cmath.cos)
-            scale = 1.0 + max(abs(z) for z in scalars)
-            for z_arr, z in zip(arrays, scalars):
-                assert abs(z_arr[i] - z) <= 1e-13 * scale
+            assert m[3] is m[0]
+        for i, alpha in enumerate(alphas.tolist()):
+            for j, E in enumerate(Es.tolist()):
+                one = closed_form(BWParams(kind, alpha, 0.5, 1.0, 1.0, 0.7), E)
+                assert one.entries() == tuple(complex(z[i, j]) for z in m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(Kind), alpha=st.floats(-60.0, 60.0),
+           eps=st.floats(1e-3, 1.0), sigma=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+           k=st.floats(0.01, 10.0), degenerate=st.sampled_from(["", "p", "q"]))
+    def test_real_unimodular_and_equal_to_the_slab_product(self, kind, alpha, eps, sigma,
+                                                            k, degenerate):
+        params = BWParams(kind, alpha, eps, 3.0, 1.0, sigma)
+        h, _, d, _ = bw_geometry(params)
+        # the exact p = 0 / q = 0 points, where the kernel refills from the product
+        E = {"": k * k, "p": alpha * h, "q": -alpha * d}[degenerate]
+        w = wave_numbers(params, E)
+        assert (degenerate != "p" or w.p == 0) and (degenerate != "q" or w.q == 0)
+        closed = closed_form(params, E)
+        for z in closed.entries():
+            assert abs(z.imag) <= REALNESS_TOL * (1.0 + abs(z))
+        growth = slab_growth(params, E)
+        # README: rounding moves det by about entries^2 * 1e-16; here the
+        # terms, which slab_growth bounds, take the place of the entries
+        assert abs(closed.det() - 1.0) <= 1e-12 * (1.0 + growth) ** 2
+        if kind is Kind.MINUS:
+            assert closed.m11 == closed.m22
+        product = chain_matrix(realize(params), E)
+        if product.max_abs_entry() <= 1e8:
+            assert closed.max_abs_diff(product) <= 1e-9 * (1.0 + growth)
