@@ -41,8 +41,6 @@ from .transfer import (
     WaveNumbers,
     chain_matrix,
     closed_form,
-    closed_form_minus,
-    closed_form_plus,
     lambda21_factored,
     limit_matrix,
     segment_matrix,
@@ -66,8 +64,8 @@ __all__ = [
     "BWParams", "Kind", "Segment", "SegmentChain", "bw_geometry", "concat",
     "realize", "sigma_split",
     "TransferMatrix", "BoundaryState", "WaveNumbers", "Branch",
-    "segment_matrix", "chain_matrix", "closed_form", "closed_form_plus",
-    "closed_form_minus", "lambda21_factored", "limit_matrix", "wave_numbers",
+    "segment_matrix", "chain_matrix", "closed_form", "lambda21_factored",
+    "limit_matrix", "wave_numbers",
     "ScatteringResult", "TransmissionGrid", "amplitudes", "transmissivity",
     "scan_alpha", "grid", "grid_blocks", "subbarrier_bound",
     "PoleError", "WindowTooCoarseError", "NoPeakError", "SetLabel",

@@ -6,11 +6,12 @@ range (numbers must be finite); ``_COMMANDS`` lists the flags of each
 subcommand. A JSON config file (``--config``) is turned into
 ``--flag=value`` tokens that are parsed before the command line's own
 flags, so its keys are flag names, its values pass the same checks and
-an explicit flag wins. Only checks that span several flags run after
-parsing. Scans and grids are written block by block as they are
-computed; a failure after the range checks removes the partial --out
-file. Exit codes: 0 success, 1 computation error, 2 usage error.
-Identical invocations produce byte-identical output: fixed float
+an explicit flag wins. Only the required flags (checked once the
+config is merged, so a config may supply them) and checks that span
+several flags run after parsing. Scans and grids are written block by
+block as they are computed; a failure after the range checks removes the
+partial --out file. Exit codes: 0 success, 1 computation error, 2 usage
+error. Identical invocations produce byte-identical output: fixed float
 formatting, fixed ordering, no environment dependence.
 """
 
@@ -95,7 +96,7 @@ _FLAGS = {
     "format": dict(dest="out_format", choices=("csv", "json"), default="csv",
                    help="output format (default %(default)s)"),
     "alpha": dict(type=_finite, default=0.0,
-                  help="strength (required by converge and classify; matrix default %(default)s)"),
+                  help="strength (required by converge and classify; matrix default 0.0)"),
     "k": dict(type=_positive, default=1.0, help="wave number > 0 (default %(default)s)"),
     "eps": dict(type=_positive, default=0.1, help="squeezing parameter > 0 (default %(default)s)"),
     "alpha-min": dict(type=_finite, default=-40.0, help="strength window lower edge (default %(default)s)"),
@@ -112,7 +113,6 @@ _FLAGS = {
     "eps-list": dict(type=_eps_list, help="comma-separated strictly decreasing eps values > 0 (required)"),
     "raw": dict(type=_raw_chain, help="explicit chain 'value:width,value:width,...' instead of the "
                                       "eps parametrization (no closed form available)"),
-    "x-left": dict(type=_finite, default=0.0, help="left edge position for --raw chains (default %(default)s)"),
 }
 
 _COMMON = ("model", "b", "c1", "c2", "sigma", "config", "out")
@@ -126,11 +126,11 @@ _COMMANDS = {
     "resonances": ("quantized transparency strengths in a window (JSON)",
                    ("alpha-min", "alpha-max", "grid-steps", "tol"), ()),
     "converge": ("finite-squeezing peak drift toward a limiting strength",
-                 ("format", "k", "eps-list", "radius"), ("alpha",)),
+                 ("format", "k", "radius"), ("alpha", "eps-list")),
     "classify": ("limiting transparency of one strength (JSON)",
                  ("alpha-min", "alpha-max", "grid-steps", "tol", "match-tol"), ("alpha",)),
     "matrix": ("transfer matrix diagnostics at one point (JSON)",
-               ("alpha", "k", "eps", "raw", "x-left"), ()),
+               ("alpha", "k", "eps", "raw"), ()),
 }
 
 
@@ -145,8 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, flags, required) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        for flag in (*_COMMON, *flags, *required):
-            p.add_argument(f"--{flag}", required=flag in required, **_FLAGS[flag])
+        for flag in (*_COMMON, *flags):
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        for flag in required:  # no default: parse_args checks it after the --config merge
+            p.add_argument(f"--{flag}", **{**_FLAGS[flag], "default": None})
         if "format" not in flags:
             p.set_defaults(out_format="json")
     return parser
@@ -195,8 +197,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         parser.error("--alpha-min must be strictly less than --alpha-max")
     if "k_min" in ns and ns.k_min >= ns.k_max:
         parser.error("--k-min must be strictly less than --k-max")
-    if ns.command == "converge" and ns.eps_list is None:
-        parser.error("--eps-list is required for converge")
+    for flag in _COMMANDS[ns.command][2]:
+        if getattr(ns, flag.replace("-", "_")) is None:
+            parser.error(f"--{flag} is required for {ns.command}")
     return ns
 
 
@@ -317,7 +320,7 @@ def run(config: argparse.Namespace) -> int:
     if cmd == "matrix":
         E = config.k * config.k
         if config.raw:
-            product = chain_matrix(SegmentChain(config.raw, config.x_left), E)
+            product = chain_matrix(SegmentChain(config.raw), E)
             closed = None
         else:
             params = _params(config, config.alpha)

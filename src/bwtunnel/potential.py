@@ -4,13 +4,13 @@ Everything works in units where hbar^2/2m = 1, so segment values are
 energies and widths are lengths in the same dimensionless system. The
 two model families are built from a thin rectangular barrier with an
 adjacent rectangular well whose heights grow like eps^-2 while the
-widths shrink like eps.
+widths shrink like eps. BWParams rejects a parameter set whose numbers
+or slab geometry (for either sign of the strength) are not finite.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -69,35 +69,8 @@ class SegmentChain:
         """Same slabs rigidly shifted by dx."""
         return SegmentChain(self.segments, self.x_left + dx)
 
-    def is_palindromic(self, rel: float = 0.0) -> bool:
-        rev = tuple(reversed(self.segments))
-        if rel == 0.0:
-            return rev == self.segments
-        return all(
-            math.isclose(a.width, b.width, rel_tol=rel)
-            and math.isclose(a.value, b.value, rel_tol=rel, abs_tol=rel)
-            for a, b in zip(rev, self.segments)
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x_left": self.x_left,
-            "segments": [{"width": s.width, "value": s.value} for s in self.segments],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SegmentChain":
-        segs = tuple(Segment(width=s["width"], value=s["value"]) for s in data["segments"])
-        return cls(segs, float(data["x_left"]))
-
-    def to_json(self) -> str:
-        from .serialize import json_dumps
-
-        return json_dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "SegmentChain":
-        return cls.from_json_dict(json.loads(text))
+    def is_palindromic(self) -> bool:
+        return tuple(reversed(self.segments)) == self.segments
 
 
 def concat(first: SegmentChain, second: SegmentChain) -> SegmentChain:
@@ -122,16 +95,27 @@ class BWParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (self.eps > 0.0):
-            raise ValueError(f"eps must be > 0, got {self.eps}")
-        if not (self.c1 > 0.0):
-            raise ValueError(f"c1 must be > 0, got {self.c1}")
-        if not (self.c2 > 0.0):
-            raise ValueError(f"c2 must be > 0, got {self.c2}")
-        if not (self.sigma >= 0.0):
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        eps, c1, c2, sigma = self.eps, self.c1, self.c2, self.sigma
+        if not (0.0 < eps < math.inf):
+            raise ValueError(f"eps must be finite and > 0, got {eps}")
+        if not (0.0 < c1 < math.inf):
+            raise ValueError(f"c1 must be finite and > 0, got {c1}")
+        if not (0.0 < c2 < math.inf):
+            raise ValueError(f"c2 must be finite and > 0, got {c2}")
+        if not (0.0 <= sigma < math.inf):
+            raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
+        # scans and grids vary the sign of alpha, which moves sigma between
+        # the slots (sigma_split), so the larger of sigma and 1 fills both
+        s = sigma if sigma > 1.0 else 1.0
+        try:
+            h, l, d, r = slab_geometry(s, s, eps, c1, c2)
+        except ZeroDivisionError:  # eps^2 or c*(c1 + c2) underflows to 0
+            h = l = d = r = math.inf
+        if not (h < math.inf and l < math.inf and d < math.inf and r < math.inf):
+            raise ValueError(f"the slab geometry of eps = {eps}, c1 = {c1}, c2 = {c2}, "
+                             f"sigma = {sigma} is not finite")
 
     @property
     def b(self) -> float:

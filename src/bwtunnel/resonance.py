@@ -262,8 +262,7 @@ def db_resonance_residual(k: float, alpha: float, eps: float, c1: float, c2: flo
         raise ValueError(f"k must be finite and > 0, got {k}")
     if not (0 < alpha < math.inf):
         raise ValueError(f"double-barrier residual needs a finite alpha > 0, got {alpha}")
-    if not (0 < eps < math.inf and 0 < c1 < math.inf and 0 < c2 < math.inf):
-        raise ValueError("eps, c1, c2 must all be finite and > 0")
+    BWParams(Kind.MINUS, alpha, eps, c1, c2, 0.0)  # the checks of the well-free mirror pair
     h, l, _, r = slab_geometry(1.0, 1.0, eps, c1, c2)
     p2 = k * k - alpha * h
     p = math.sqrt(abs(p2))
@@ -444,29 +443,32 @@ def _outward_indices(alphas: Sequence[float], include_zero: bool) -> list[tuple[
     return out
 
 
+# peak_refine's pre-scan points and the strength resolution of its search
+PEAK_PRESCAN_STEPS = 2001
+PEAK_RESOLUTION = 1e-8
+
+
 def peak_refine(
     template: BWParams,
     k: float,
     alpha_guess: float,
     radius: float,
-    resolution: float = 1e-8,
-    prescan_steps: int = 2001,
 ) -> tuple[float, float]:
     """Locate the transmission crest near a guessed strength.
 
     The peaks are far narrower than any reasonable bracket, so a dense
-    pre-scan first finds the attraction basin and golden-section then
-    maximizes inside it down to the requested strength resolution. Crests
-    narrow as eps shrinks; one narrower than the resolution keeps the
-    search going while the two interior values still disagree, down to
-    float resolution, so the reported transmission is the crest's and
-    not a point on its flank.
+    pre-scan of PEAK_PRESCAN_STEPS points first finds the attraction
+    basin and golden-section then maximizes inside it down to the
+    strength resolution PEAK_RESOLUTION. Crests narrow as eps shrinks;
+    one narrower than the resolution keeps the search going while the
+    two interior values still disagree, down to float resolution, so the
+    reported transmission is the crest's and not a point on its flank.
     Raises NoPeakError when transmission is monotone across the bracket.
     """
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
     lo, hi = alpha_guess - radius, alpha_guess + radius
-    prescan = grid(template, (lo, hi), (k, k), prescan_steps, 1)
+    prescan = grid(template, (lo, hi), (k, k), PEAK_PRESCAN_STEPS, 1)
     ts = prescan.values[:, 0]
     diffs = np.diff(ts)
     if np.all(diffs >= 0) or np.all(diffs <= 0):
@@ -475,7 +477,7 @@ def peak_refine(
     if imax == 0 or imax == len(ts) - 1:
         raise NoPeakError(f"no interior crest on [{lo}, {hi}]")
 
-    cell = (hi - lo) / (prescan_steps - 1)
+    cell = (hi - lo) / (PEAK_PRESCAN_STEPS - 1)
     a_max = float(prescan.alphas[imax])
     a = max(lo, a_max - 2 * cell)
     b = min(hi, a_max + 2 * cell)
@@ -487,7 +489,7 @@ def peak_refine(
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = tval(c), tval(d)
-    while (b - a) > resolution or abs(fc - fd) > 1e-9 * max(fc, fd):
+    while (b - a) > PEAK_RESOLUTION or abs(fc - fd) > 1e-9 * max(fc, fd):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

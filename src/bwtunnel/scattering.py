@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from . import potential, transfer
-from .potential import BWParams, slab_geometry
+from .potential import BWParams, Kind, slab_geometry
 from .transfer import TransferMatrix, closed_form_arrays
 
 # Entries past this magnitude mean the structure is effectively a wall;
@@ -242,8 +242,8 @@ def subbarrier_bound(alpha: float, c1: float, c2: float, eps: float) -> float:
 
     Returns +inf at alpha = 0 (no barrier at all).
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    # BWParams checks the inputs; neither the kind nor sigma enters the barrier
+    BWParams(Kind.PLUS, alpha, eps, c1, c2)
     if alpha == 0:
         return math.inf
     # the barrier is the sigma-free slot: h for alpha > 0, d for alpha < 0

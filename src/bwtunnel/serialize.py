@@ -1,7 +1,9 @@
 """Deterministic text output: fixed-precision floats for CSV and JSON.
 
 CSV rows carry 12 significant digits; JSON carries 17 (enough to
-round-trip any double exactly). Output is byte-stable across runs.
+round-trip any double exactly). json_dumps and csv_row write those
+fixed widths; the column formatters take the digits, since the streamed
+scan and grid writer uses both. Output is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -59,23 +61,17 @@ def format_rows(values, sig: int, quote_nonfinite: bool = False, texts=(),
     return (template * rows) % tuple(flat)
 
 
-def fmt_float(x: float, sig: int) -> str:
-    if isinstance(x, bool):  # bool is an int subclass; keep it out of float paths
-        raise TypeError("bool is not a float")
-    return format_column((x,), sig)[0]
-
-
-def json_dumps(obj, sig: int = 17) -> str:
-    """Serialize dicts/lists/str/int/float/bool/None with fixed float precision.
+def json_dumps(obj) -> str:
+    """Serialize dicts/lists/str/int/float/bool/None, floats to 17 digits.
 
     Key order is preserved (callers build dicts in deterministic order).
     """
     out: list[str] = []
-    _emit(obj, sig, out)
+    _emit(obj, out)
     return "".join(out)
 
 
-def _emit(obj, sig: int, out: list[str]) -> None:
+def _emit(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -83,7 +79,7 @@ def _emit(obj, sig: int, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(format_column((obj,), sig, quote_nonfinite=True)[0])
+        out.append(format_column((obj,), 17, quote_nonfinite=True)[0])
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -95,27 +91,27 @@ def _emit(obj, sig: int, out: list[str]) -> None:
                 raise TypeError(f"JSON keys must be str, got {type(k)}")
             out.append(json.dumps(k))
             out.append(": ")
-            _emit(v, sig, out)
+            _emit(v, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
             if i:
                 out.append(", ")
-            _emit(v, sig, out)
+            _emit(v, out)
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def csv_row(values, sig: int = 12) -> str:
-    """One CSV line; floats formatted to sig digits, strings passed through."""
+def csv_row(values) -> str:
+    """One CSV line; floats formatted to 12 digits, strings passed through."""
     cells = []
     for v in values:
         if isinstance(v, str):
             cells.append(v)
         elif isinstance(v, float):
-            cells.append(fmt_float(v, sig))
+            cells.append(format_column((v,), 12)[0])
         else:
             cells.append(str(v))
     return ",".join(cells)

@@ -7,8 +7,9 @@ extracts real results with an imaginary-part check, so a wrong branch
 shows up as a hard failure instead of a silent sign error.
 
 The closed form is one numpy kernel, closed_form_arrays, over arrays of
-strengths and energies; closed_form is one point of it, and the slab
-product (chain_matrix) stays the independent route.
+strengths and energies, for both arrangements; closed_form is one point
+of it for the arrangement its parameters name, and the slab product
+(chain_matrix) stays the independent route.
 """
 
 from __future__ import annotations
@@ -195,20 +196,6 @@ def closed_form(params: BWParams, E: float) -> TransferMatrix:
     m = closed_form_arrays(params.kind, [params.alpha], [E], params.eps,
                            params.c1, params.c2, params.sigma)
     return TransferMatrix(*(complex(z[0]) for z in m))
-
-
-def closed_form_plus(params: BWParams, E: float) -> TransferMatrix:
-    """Closed-form transfer matrix of the repeated barrier-well pair."""
-    if params.kind is not Kind.PLUS:
-        raise ValueError("closed_form_plus requires the PLUS arrangement")
-    return closed_form(params, E)
-
-
-def closed_form_minus(params: BWParams, E: float) -> TransferMatrix:
-    """Closed-form transfer matrix of the mirror arrangement."""
-    if params.kind is not Kind.MINUS:
-        raise ValueError("closed_form_minus requires the MINUS arrangement")
-    return closed_form(params, E)
 
 
 def finite_eps_residuals(params: BWParams, E: float) -> tuple[complex, complex, complex]:

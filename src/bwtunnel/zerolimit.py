@@ -77,15 +77,15 @@ def boundary_values(th: float, psi_minus: complex, dpsi_plus: complex) -> tuple[
     return th * psi_minus, th * dpsi_plus
 
 
-def partial_transmission_limit(th: float, k: float = 1.0) -> float:
+def partial_transmission_limit(th: float) -> float:
     """Limiting transmission through the squared discontinuity matrix.
 
     Computed through the scattering amplitudes of diag(theta^2,
     theta^-2) so there is a single source of truth for probabilities;
-    the value is k independent.
+    the value is k independent, so it is taken at k = 1.
     """
     L = limit_matrix(Kind.PLUS, Branch.TWO, th)
-    return amplitudes(L, k, 0.0, 0.0).trans
+    return amplitudes(L, 1.0, 0.0, 0.0).trans
 
 
 def classify(

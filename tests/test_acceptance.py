@@ -24,7 +24,6 @@ from bwtunnel.scattering import amplitudes, scan_alpha, transmissivity, uv
 from bwtunnel.transfer import (
     chain_matrix,
     closed_form,
-    closed_form_minus,
     lambda21_factored,
 )
 from bwtunnel.zerolimit import partial_transmission_limit
@@ -132,7 +131,7 @@ def test_minus_paired_roots_restore_at_small_k():
     params = BWParams(Kind.MINUS, 0.0, 0.1, 3.0, 1.0, SIGMA)
 
     def v_of(alpha, k):
-        return uv(closed_form_minus(replace(params, alpha=alpha), k * k), k)[1]
+        return uv(closed_form(replace(params, alpha=alpha), k * k), k)[1]
 
     cases = [
         ((-11.76, -11.63), 0.02, (-11.7353, -11.6585)),
@@ -342,7 +341,7 @@ def test_criterion_09_double_barrier_cross_check():
     params = BWParams(Kind.MINUS, alpha, eps, c1, c2, 0.0)
 
     def v_of(k):
-        return uv(closed_form_minus(params, k * k), k)[1]
+        return uv(closed_form(params, k * k), k)[1]
 
     ok = len(roots) >= 1
     details = []

@@ -267,6 +267,25 @@ class TestRejectedInput:
         assert code == 2 and out == ""
         assert "'abc' is not 'value:width'" in err
 
+    def test_x_left_is_no_flag(self, run_cli):
+        code, out, err = run_cli(["matrix", "--raw", "1:1", "--x-left", "1"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --x-left" in err
+
+    # eps^2 underflows to 0, so the barrier height would divide by zero
+    @pytest.mark.parametrize("argv", [
+        ["scan-alpha", "--eps", "1e-200", "--steps", "3"],
+        ["matrix", "--alpha", "1", "--eps", "1e-200"],
+    ])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_non_finite_geometry_is_computation_error(self, run_cli, tmp_path, argv, to_file):
+        path = tmp_path / "out.txt"
+        code, out, err = run_cli([*argv, *(["--out", str(path)] if to_file else [])])
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: the slab geometry of eps = 1e-200, c1 = 3.0, c2 = 1.0, sigma = 1.0 is not finite"]
+        assert not path.exists()
+
 
 SCAN_ARGV = ["scan-alpha", "--alpha-min", "0", "--alpha-max", "1"]
 CONVERGE_ARGV = ["converge", "--alpha", "2.2826475"]
@@ -335,6 +354,26 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             parse_args(["scan-alpha", *flags, "--config", config(data)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, data, flags", [
+        ("converge", {"alpha": 2.28, "eps-list": [0.2, 0.1]}, ["--alpha", "2.28", "--eps-list", "0.2,0.1"]),
+        ("classify", {"alpha": 2.282647521704435}, ["--alpha", "2.282647521704435"]),
+    ])
+    def test_config_supplies_the_required_flags(self, run_cli, config, command, data, flags):
+        from_file = run_cli([command, "--config", config(data)])
+        assert from_file[0] == 0 and from_file == run_cli([command, *flags])
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["converge", "--eps-list", "0.1"], "--alpha"),
+        (["classify"], "--alpha"),
+        (["converge", "--alpha", "2.28"], "--eps-list"),
+    ])
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_missing_required_flag_is_usage_error(self, run_cli, config, argv, flag, with_config):
+        code, out, err = run_cli([*argv, *(["--config", config({"b": 3})] if with_config else [])])
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert code == 2 and out == ""
+        assert len(errors) == 1 and f"{flag} is required for {argv[0]}" in errors[0]
 
     def test_flag_wins_for_list_and_choice(self, config):
         cfg = parse_args([*CONVERGE_ARGV, "--eps-list", "0.05", "--format", "csv",

@@ -66,12 +66,32 @@ class TestRealize:
 
     @pytest.mark.parametrize("bad", [
         dict(eps=0.0), dict(eps=-1.0), dict(c1=0.0), dict(c2=-2.0), dict(sigma=-0.5),
+        dict(eps=math.inf), dict(eps=math.nan), dict(c1=math.inf), dict(c2=math.nan),
+        dict(sigma=math.inf), dict(sigma=math.nan),
     ])
     def test_invalid_params_rejected(self, bad):
         kwargs = dict(kind=Kind.PLUS, alpha=1.0, eps=0.5, c1=1.0, c2=1.0, sigma=1.0)
         kwargs.update(bad)
         with pytest.raises(ValueError):
             BWParams(**kwargs)
+
+    @pytest.mark.parametrize("bad", [
+        dict(eps=1e-200),               # eps^2 underflows: h would divide by zero
+        dict(eps=1e-160),               # h and d overflow
+        dict(c1=1e-200, c2=1e-200),     # c1*(c1 + c2) underflows
+        dict(eps=1e300, c1=1e10),       # the barrier width overflows
+        dict(sigma=1e308),              # 2*sigma overflows, on either slot by alpha's sign
+    ])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0])
+    def test_non_finite_geometry_rejected(self, bad, alpha):
+        kwargs = dict(kind=Kind.MINUS, alpha=alpha, eps=0.5, c1=1.0, c2=1.0, sigma=1.0)
+        kwargs.update(bad)
+        with pytest.raises(ValueError, match="slab geometry"):
+            BWParams(**kwargs)
+
+    def test_extreme_but_finite_geometry_accepted(self):
+        params = BWParams(Kind.PLUS, 1.0, 1e-150, 1.0, 1.0, 1e8)
+        assert all(math.isfinite(x) for x in bw_geometry(params))
 
     def test_segment_validation(self):
         with pytest.raises(ValueError):
@@ -126,18 +146,6 @@ def test_sigma_zero_positive_alpha_wells_exactly_zero():
     chain = realize(BWParams(Kind.PLUS, 7.5, 0.2, 2.0, 3.0, 0.0))
     assert chain.segments[1].value == 0.0
     assert chain.segments[3].value == 0.0
-
-
-class TestSerialization:
-    def test_json_round_trip_exact(self):
-        chain = realize(BWParams(Kind.MINUS, 2.28, 0.1, 3.0, 1.0, 1.0))
-        again = SegmentChain.from_json(chain.to_json())
-        assert again == chain  # 17 significant digits round-trip doubles
-
-    def test_json_shape(self):
-        chain = SegmentChain((Segment(0.5, 1.25),), x_left=-0.25)
-        text = chain.to_json()
-        assert text == '{"x_left": -0.25, "segments": [{"width": 0.5, "value": 1.25}]}'
 
 
 def test_translation_and_concat():

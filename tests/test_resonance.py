@@ -29,7 +29,7 @@ from bwtunnel.resonance import (
     theta_factor,
 )
 from bwtunnel.scattering import transmissivity, uv
-from bwtunnel.transfer import closed_form_minus, wave_numbers
+from bwtunnel.transfer import closed_form, wave_numbers
 
 from conftest import (
     EXTRA_SIGMA_MINUS_ROOT,
@@ -545,7 +545,7 @@ class TestDoubleBarrierResonance:
         assert len(roots) >= 1
         params = BWParams(Kind.MINUS, alpha, eps, c1, c2, 0.0)
         for k in roots:
-            L = closed_form_minus(params, k * k)
+            L = closed_form(params, k * k)
             _, v = uv(L, k)
             assert abs(v) < 1e-4  # bisection-limited; the polish happens below
             assert transmissivity(params, k) > 0.999999

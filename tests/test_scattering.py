@@ -301,6 +301,16 @@ class TestSubbarrierBound:
     def test_alpha_zero_sentinel(self):
         assert subbarrier_bound(0.0, 1.0, 2.0, 0.3) == math.inf
 
+    @pytest.mark.parametrize("alpha, c1, c2, eps", [
+        (math.nan, 3.0, 1.0, 0.1),
+        (math.inf, 3.0, 1.0, 0.1),
+        (2.0, -3.0, 1.0, 0.1),
+        (2.0, 3.0, 1.0, math.inf),
+    ])
+    def test_out_of_range_inputs_rejected(self, alpha, c1, c2, eps):
+        with pytest.raises(ValueError):
+            subbarrier_bound(alpha, c1, c2, eps)
+
     def test_overbarrier_means_real_barrier_momentum(self):
         from bwtunnel.potential import bw_geometry
 

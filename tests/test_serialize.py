@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bwtunnel.serialize import csv_row, fmt_float, format_column, format_rows, json_dumps
+from bwtunnel.serialize import csv_row, format_column, format_rows, json_dumps
 
 SPECIAL = [-0.0, math.nan, math.inf, -math.inf, 0.1, -2.5e-300]
 
@@ -40,11 +40,5 @@ def test_rows_put_the_text_columns_first_as_they_are():
 
 @pytest.mark.parametrize("x", SPECIAL)
 def test_scalar_paths_are_the_one_element_column(x):
-    assert fmt_float(x, 12) == format_column([x], 12)[0]
     assert csv_row((x,)) == format_column([x], 12)[0]
     assert json_dumps([x]) == "[" + format_column([x], 17, quote_nonfinite=True)[0] + "]"
-
-
-def test_bool_is_not_a_float():
-    with pytest.raises(TypeError):
-        fmt_float(True, 12)

@@ -15,8 +15,6 @@ from bwtunnel.transfer import (
     chain_matrix,
     closed_form,
     closed_form_arrays,
-    closed_form_minus,
-    closed_form_plus,
     lambda21_factored,
     limit_matrix,
     segment_matrix,
@@ -114,17 +112,12 @@ class TestClosedForms:
     def test_plus_alpha_zero_is_free(self):
         params = BWParams(Kind.PLUS, 0.0, 0.3, 1.0, 2.0, 1.0)
         free = segment_matrix(2.0 * 3.0 * 0.3, 0.0, 1.7)
-        assert closed_form_plus(params, 1.7).max_abs_diff(free) < 1e-12
+        assert closed_form(params, 1.7).max_abs_diff(free) < 1e-12
 
     def test_minus_diagonal_equal_exactly(self):
         params = BWParams(Kind.MINUS, -7.3, 0.12, 3.0, 1.0, 0.8)
-        m = closed_form_minus(params, 1.0)
+        m = closed_form(params, 1.0)
         assert m.m11 == m.m22
-
-    def test_kind_mismatch_rejected(self):
-        params = BWParams(Kind.MINUS, 1.0, 0.1, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            closed_form_plus(params, 1.0)
 
     def test_matches_chain_product_on_random_samples(self):
         rng = np.random.default_rng(20240917)
