@@ -20,7 +20,6 @@ from .resonance import (
     f_plus,
     f_prime,
     find_roots,
-    finite_eps_residuals,
     peak_refine,
     resonance_sets,
 )
@@ -41,6 +40,7 @@ from .transfer import (
     WaveNumbers,
     chain_matrix,
     closed_form,
+    finite_eps_residuals,
     lambda21_factored,
     limit_matrix,
     segment_matrix,

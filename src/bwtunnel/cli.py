@@ -31,7 +31,6 @@ import numpy as np
 from .potential import BWParams, Kind, Segment, SegmentChain, realize
 from .resonance import (
     NoPeakError,
-    PoleError,
     WindowTooCoarseError,
     resonance_sets,
 )
@@ -329,7 +328,7 @@ def run(config: argparse.Namespace) -> int:
         det = product.det()
         payload = {
             "model": None if config.raw else config.model.value,
-            "alpha": config.alpha,
+            "alpha": None if config.raw else config.alpha,
             "k": config.k,
             "product": {name: _complex_dict(z)
                         for name, z in zip(("m11", "m12", "m21", "m22"), product.entries())},
@@ -354,7 +353,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code) if e.code is not None else 0
     try:
         return run(config)
-    except (ValueError, PoleError, NoPeakError, WindowTooCoarseError, OSError) as e:
+    # ArithmeticError covers PoleError and math range errors such as cmath's overflow
+    except (ValueError, ArithmeticError, NoPeakError, WindowTooCoarseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

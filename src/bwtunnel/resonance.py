@@ -34,7 +34,6 @@ import numpy as np
 
 from .potential import BWParams, Kind, sigma_split, slab_geometry
 from .scattering import BLOCK_POINTS, grid, transmissivity
-from .transfer import finite_eps_residuals  # still importable from here, its former home
 
 
 class PoleError(ArithmeticError):
@@ -463,13 +462,16 @@ def peak_refine(
     one narrower than the resolution keeps the search going while the
     two interior values still disagree, down to float resolution, so the
     reported transmission is the crest's and not a point on its flank.
-    Raises NoPeakError when transmission is monotone across the bracket.
+    Raises NoPeakError when transmission is monotone across the bracket,
+    and ValueError where the pre-scan holds a T that is not finite.
     """
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
     lo, hi = alpha_guess - radius, alpha_guess + radius
     prescan = grid(template, (lo, hi), (k, k), PEAK_PRESCAN_STEPS, 1)
     ts = prescan.values[:, 0]
+    if not np.all(np.isfinite(ts)):
+        raise ValueError(f"transmission is not finite on [{lo}, {hi}]")
     diffs = np.diff(ts)
     if np.all(diffs >= 0) or np.all(diffs <= 0):
         raise NoPeakError(f"transmission is monotone on [{lo}, {hi}]")

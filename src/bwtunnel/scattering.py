@@ -2,10 +2,12 @@
 
 Probabilities come from the u, v combination of matrix entries rather
 than from |T|^2 of the amplitudes, which avoids phase-factor
-cancellation. u, v, their realness check, the near-opaque rule and T
-are written once, elementwise, as the tail of every route: scans and
-grids feed it the closed-form kernel over numpy arrays, single-point
-transmissivity the slab product, and the tests cross-check the two.
+cancellation. u, v, their realness check and T are written once,
+elementwise, as the tail of every route: scans and grids feed it the
+closed-form kernel over numpy arrays, single-point transmissivity the
+slab product, and the tests cross-check the two. T is plain f64
+arithmetic with no threshold: it underflows to 0 only where u^2 + v^2
+overflows, and it is NaN where u or v is not finite (entries overflowed).
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ import numpy as np
 from . import potential, transfer
 from .potential import BWParams, Kind, slab_geometry
 from .transfer import TransferMatrix, closed_form_arrays
-
-# Entries past this magnitude mean the structure is effectively a wall;
-# the tail reports zero transmission there instead of erroring out.
-NEAR_OPAQUE_THRESHOLD = 1e12
 
 # Imaginary parts per unit magnitude above this indicate a branch bug.
 REALNESS_TOL = 1e-9
@@ -59,19 +57,18 @@ class TransmissionGrid:
             raise ValueError("grid shape does not match axis lengths")
 
 
-def _uv(m, k, checked=True):
+def _uv(m, k):
     """u = m11 - m22 and v = k*m12 + m21/k from the entries m, elementwise.
 
     Plain arithmetic, so it runs on Python complex numbers (one point) and
-    on numpy arrays alike. Raises ValueError where, within the checked
-    mask, an imaginary part exceeds REALNESS_TOL per unit magnitude;
-    returns the real parts.
+    on numpy arrays alike. Raises ValueError where an imaginary part
+    exceeds REALNESS_TOL per unit magnitude; returns the real parts.
     """
     u = m[0] - m[3]
     v = k * m[1] + m[2] / k
     bad = (abs(u.imag) > REALNESS_TOL * (1.0 + abs(u))) \
         | (abs(v.imag) > REALNESS_TOL * (1.0 + abs(v)))
-    if np.count_nonzero(bad & checked):
+    if np.count_nonzero(bad):
         raise ValueError("complex residue in u or v; branch inconsistency")
     return u.real, v.real
 
@@ -79,15 +76,12 @@ def _uv(m, k, checked=True):
 def _transmission(m, k):
     """T = 4/(4 + u^2 + v^2) from the entries m at wave numbers k, elementwise.
 
-    Near-opaque points, where an entry is past NEAR_OPAQUE_THRESHOLD or
-    not a number, report exactly 0, the perfectly-reflecting limit, and
-    skip the realness check. Array callers silence numpy's overflow and
-    invalid warnings, which only such points raise.
+    T underflows to exactly 0 where u^2 + v^2 overflows, and it is NaN
+    where u or v is not finite, never 0. Array callers silence numpy's
+    overflow and invalid warnings, which only such points raise.
     """
-    ok = (abs(m[0]) <= NEAR_OPAQUE_THRESHOLD) & (abs(m[1]) <= NEAR_OPAQUE_THRESHOLD) \
-        & (abs(m[2]) <= NEAR_OPAQUE_THRESHOLD) & (abs(m[3]) <= NEAR_OPAQUE_THRESHOLD)
-    u, v = _uv(m, k, ok)
-    return np.where(ok, 4.0 / (4.0 + u * u + v * v), 0.0)
+    u, v = _uv(m, k)
+    return np.where(np.isfinite(u) & np.isfinite(v), 4.0 / (4.0 + u * u + v * v), np.nan)
 
 
 def uv(L: TransferMatrix, k: float) -> tuple[float, float]:
@@ -104,8 +98,7 @@ def amplitudes(L: TransferMatrix, k: float, x1: float, x2: float) -> ScatteringR
     factors. Probabilities always satisfy refl + trans = 1 and the two
     transmission amplitudes are equal for any real potential.
     """
-    if not (0.0 < k < math.inf):
-        raise ValueError(f"k must be finite and > 0, got {k}")
+    u, v = uv(L, k)
     det = L.det()
     scale = 1.0 + abs(L.m11 * L.m22) + abs(L.m12 * L.m21)
     if abs(det - 1.0) > 1e-8 * scale:
@@ -115,7 +108,6 @@ def amplitudes(L: TransferMatrix, k: float, x1: float, x2: float) -> ScatteringR
     rl = (l22 - l11 - 1j * (k * l12 + l21 / k)) / D * cmath.exp(2j * k * x1)
     rr = (l11 - l22 - 1j * (k * l12 + l21 / k)) / D * cmath.exp(-2j * k * x2)
     t = 2.0 / D * cmath.exp(1j * k * (x1 - x2))
-    u, v = uv(L, k)
     s = u * u + v * v
     return ScatteringResult(rl, rr, t, t, refl=s / (4.0 + s), trans=4.0 / (4.0 + s))
 
@@ -123,9 +115,10 @@ def amplitudes(L: TransferMatrix, k: float, x1: float, x2: float) -> ScatteringR
 def transmissivity(params: BWParams, k: float) -> float:
     """Transmission probability of the four-slab chain at wave number k.
 
-    The slab product, through the same tail as scans and grids: a
-    near-opaque matrix reports exactly 0.0, consistent with the
-    perfectly-reflecting limit.
+    The slab product, through the same tail as scans and grids. Far
+    from the resonances T falls like eps^2, the perfectly-reflecting
+    wall of the zero-range limit, and underflows to 0.0 only where
+    u^2 + v^2 overflows.
     """
     if not (0.0 < k < math.inf):
         raise ValueError(f"k must be finite and > 0, got {k}")
@@ -218,10 +211,10 @@ def grid(
 
 
 def log10_transmission(ts) -> list[float]:
-    """log10 of each transmission; a flagged zero gives the -inf sentinel.
+    """log10 of each transmission; a T that underflowed to 0 gives -inf.
 
     NaN (or a negative value) gives NaN, so a T that is not a number is
-    not written as the zero sentinel.
+    not written as an underflowed one.
     """
     return [math.log10(t) if t > 0.0 else -math.inf if t == 0.0 else math.nan for t in ts]
 
@@ -229,7 +222,7 @@ def log10_transmission(ts) -> list[float]:
 def grid_csv_rows(g: TransmissionGrid):
     """Yield (alpha, k, T, log10T) rows in alpha-major order.
 
-    log10 of a flagged zero is the -inf sentinel (emitted as "-inf").
+    log10 of a T that underflowed to 0 is -inf (emitted as "-inf").
     """
     points = product(g.alphas.tolist(), g.ks.tolist())
     ts = g.values.ravel().tolist()

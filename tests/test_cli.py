@@ -159,6 +159,14 @@ class TestRunCommands:
         assert payload["closed_form"] is None and payload["max_rel_diff"] is None
         assert payload["det_error"] < 1e-12
 
+    def test_matrix_raw_chain_ignores_the_strength(self, run_cli):
+        # the slab product of an explicit chain has no strength, as it has no model
+        code, out, _ = run_cli(["matrix", "--raw", "5:0.1,-3:0.2", "--alpha", "7"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["model"] is None and payload["alpha"] is None
+        assert out == run_cli(["matrix", "--raw", "5:0.1,-3:0.2"])[1]
+
     def test_converge_csv(self, run_cli):
         code, out, _ = run_cli([
             "converge", "--model", "plus", "--alpha", "2.2826475",
@@ -285,6 +293,16 @@ class TestRejectedInput:
         assert err.splitlines() == [
             "error: the slab geometry of eps = 1e-200, c1 = 3.0, c2 = 1.0, sigma = 1.0 is not finite"]
         assert not path.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["matrix", "--alpha", "1e6"], "math range error"),  # cmath overflows in a slab
+        (["converge", "--alpha", "1e5", "--eps-list", "0.1"],  # the pre-scan's T is NaN
+         "transmission is not finite on [99999.5, 100000.5]"),
+    ], ids=["matrix", "converge"])
+    def test_math_range_is_computation_error(self, run_cli, argv, message):
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
 
 
 SCAN_ARGV = ["scan-alpha", "--alpha-min", "0", "--alpha-max", "1"]
@@ -441,8 +459,9 @@ class TestStreamedOutput:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", ["scan-alpha", "grid"])
     def test_zeroed_points_across_block_edges(self, kind, fmt, command):
-        # at eps = 1e-3 every point with alpha >= 70 is zeroed (rows 27-40 of 41, 34%);
-        # 9-point blocks put a block edge between row 26 (finite) and row 27 (zeroed)
+        # at eps = 1e-3 every point with alpha >= 70 (rows 27-40 of 41) has an entry
+        # past 1e12 and T below 1e-20; 9-point blocks put a block edge between
+        # row 26 and row 27, and every row holds its finite, nonzero T
         template = BWParams(kind, 0.0, 1e-3, 3.0, 1.0, 1.0)
         if command == "scan-alpha":
             k_range, k_steps, axes = (1.0, 1.0), 1, ["--k", "1", "--steps", "41"]
@@ -455,9 +474,14 @@ class TestStreamedOutput:
         out = io.StringIO()
         with mock.patch.object(scattering, "BLOCK_POINTS", 9), redirect_stdout(out):
             assert main(argv) == 0
-        assert out.getvalue() == (want_csv if fmt == "csv" else want_json)
+        text = out.getvalue()
+        assert text == (want_csv if fmt == "csv" else want_json)
+        assert "-inf" not in text and "nan" not in text
         if fmt == "csv":
-            assert out.getvalue().count(",0,-inf\n") == 14 * k_steps
+            ts = [float(row.split(",")[2]) for row in text.splitlines()[1:]]
+        else:
+            ts = [t for row in json.loads(text)["values"] for t in row]
+        assert len(ts) == 41 * k_steps and all(0.0 < t <= 1.0 for t in ts)
 
     @settings(max_examples=80, deadline=None)
     @given(kind=st.sampled_from(Kind), refill=st.booleans(),

@@ -23,13 +23,12 @@ from bwtunnel.resonance import (
     f_plus,
     f_prime,
     find_roots,
-    finite_eps_residuals,
     peak_refine,
     resonance_sets,
     theta_factor,
 )
 from bwtunnel.scattering import transmissivity, uv
-from bwtunnel.transfer import closed_form, wave_numbers
+from bwtunnel.transfer import closed_form, finite_eps_residuals, wave_numbers
 
 from conftest import (
     EXTRA_SIGMA_MINUS_ROOT,
@@ -617,3 +616,10 @@ class TestPeakRefine:
         template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)
         with pytest.raises(NoPeakError):
             peak_refine(template, 1.0, 15.0, 0.05)
+
+    def test_non_finite_prescan_is_rejected(self):
+        # the entries overflow at alpha = 1e5, so T is NaN on the whole bracket;
+        # argmax would land on the NaN at its left end and report no interior crest
+        template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="transmission is not finite"):
+            peak_refine(template, 1.0, 1e5, 0.5)

@@ -94,6 +94,24 @@ def test_minus_model_reflection_symmetry():
         assert abs(res.rl) == pytest.approx(abs(res.rr), abs=1e-10)
 
 
+def _mp_slab_transmission(mp, chain, k):
+    """T of the chain's own f64 slabs, by a 60-digit slab product."""
+    with mp.workdps(60):
+        kk = mp.mpf(k)
+        m = mp.eye(2)
+        for seg in chain.segments:
+            kap2 = kk * kk - mp.mpf(seg.value)
+            kap, w = mp.sqrt(abs(kap2)), mp.mpf(seg.width)
+            if kap2 > 0:
+                c, s = mp.cos(kap * w), mp.sin(kap * w)
+                m = mp.matrix([[c, s / kap], [-kap * s, c]]) * m
+            else:
+                c, s = mp.cosh(kap * w), mp.sinh(kap * w)
+                m = mp.matrix([[c, s / kap], [kap * s, c]]) * m
+        u, v = m[0, 0] - m[1, 1], kk * m[0, 1] + m[1, 0] / kk
+        return float(4 / (4 + u * u + v * v))
+
+
 class TestTransmissivity:
     def test_free_particle(self):
         assert transmissivity(BWParams(Kind.PLUS, 0.0, 0.3, 1.0, 1.0, 1.0), 1.0) == 1.0
@@ -124,11 +142,22 @@ class TestTransmissivity:
         with pytest.raises(ValueError, match="k must be finite and > 0"):
             amplitudes(L, k, -1.0, 1.0)
 
-    def test_near_opaque_reports_zero(self):
-        # far outside the documented eps range the entries overflow the
-        # usefulness threshold and the flagged value is exactly 0
-        t = transmissivity(BWParams(Kind.PLUS, 40.0, 1e-6, 3.0, 1.0, 1.0), 1.0)
-        assert t == 0.0
+    def test_both_routes_match_a_60_digit_slab_product(self):
+        # 300 seeded points deep into the wall: 134 of them have an entry past
+        # 1e12, yet plain f64 T stays within 1e-11 of the product of the same slabs
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for i in range(300):
+            kind = (Kind.PLUS, Kind.MINUS)[i % 2]
+            alpha = rng.uniform(-200.0, 200.0)
+            eps, k = 10.0 ** rng.uniform(-7.0, 0.0), 10.0 ** rng.uniform(-2.0, 1.0)
+            params = BWParams(kind, alpha, eps, 3.0, 1.0, 1.0)
+            want = _mp_slab_transmission(mp, realize(params), k)
+            kernel = grid(params, (alpha, alpha), (k, k), 1, 1).values[0, 0]
+            for got in (kernel, transmissivity(params, k)):
+                worst = max(worst, abs(got - want) / want)
+        assert worst <= 1e-11
 
 
 class TestScanAlpha:
@@ -274,18 +303,32 @@ def test_grid_refills_degenerate_points_from_slab_product():
                 assert abs(g.values[i, j] - direct) < 1e-9
 
 
-def test_near_opaque_rule_of_the_tail():
+def test_one_tail_on_scalars_and_arrays():
     # the one tail behind transmissivity (Python complex entries) and the
-    # scans and grids (numpy arrays of entries): past the threshold, the
-    # identity, an infinite entry
-    for entries, t in (((1e13 + 0j, 0j, 0j, 1e-13 + 0j), 0.0),
+    # scans and grids (numpy arrays of entries): large entries give their
+    # true T, the identity 1, an infinite entry NaN and never 0
+    u = 1e13 - 1e-13
+    for entries, t in (((1e13 + 0j, 0j, 0j, 1e-13 + 0j), 4.0 / (4.0 + u * u)),
                        ((1.0 + 0j, 0j, 0j, 1.0 + 0j), 1.0),
-                       ((complex(math.inf), 0j, 0j, 0j), 0.0)):
-        assert scattering._transmission(entries, 0.8) == t
+                       ((complex(math.inf), 0j, 0j, 0j), math.nan)):
+        assert np.array_equal(scattering._transmission(entries, 0.8), t, equal_nan=True)
         arrays = tuple(np.full((2, 3), z) for z in entries)
         with np.errstate(over="ignore", invalid="ignore"):
             t_arrays = scattering._transmission(arrays, np.full((1, 3), 0.8))
-        assert np.array_equal(t_arrays, np.full((2, 3), t))
+        assert np.array_equal(t_arrays, np.full((2, 3), t), equal_nan=True)
+    assert 4.0 / (4.0 + u * u) == pytest.approx(4e-26, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("alpha", [-20.0, 5.0, 15.0, 120.0])
+def test_wall_law_t_falls_like_eps_squared(kind, alpha):
+    # off the resonance sets the squeezed structure becomes a perfectly
+    # reflecting wall: log10 T drops by 2 per decade of eps on both routes
+    for route in (lambda p: transmissivity(p, 1.0),
+                  lambda p: grid(p, (alpha, alpha), (1.0, 1.0), 1, 1).values[0, 0]):
+        logs = [math.log10(route(BWParams(kind, alpha, eps, 3.0, 1.0, 1.0)))
+                for eps in (1e-3, 1e-4, 1e-5, 1e-6)]
+        assert np.diff(logs) == pytest.approx([-2.0] * 3, abs=1e-3)
 
 
 class TestSubbarrierBound:
