@@ -95,21 +95,26 @@ def amplitudes(L: TransferMatrix, k: float, x1: float, x2: float) -> ScatteringR
     """Left/right reflection and transmission amplitudes for the matrix L.
 
     x1 and x2 are the edge positions entering the plane-wave phase
-    factors. Probabilities always satisfy refl + trans = 1 and the two
-    transmission amplitudes are equal for any real potential.
+    factors. Probabilities always satisfy refl + trans = 1, also where
+    u^2 + v^2 overflows (refl 1, trans 0), and the two transmission
+    amplitudes are equal for any real potential. The det = 1 test runs on
+    the entries divided by the largest one (when it exceeds 1), so no
+    product in it overflows and lets a matrix through.
     """
     u, v = uv(L, k)
-    det = L.det()
-    scale = 1.0 + abs(L.m11 * L.m22) + abs(L.m12 * L.m21)
-    if abs(det - 1.0) > 1e-8 * scale:
-        raise ValueError(f"transfer matrix is not unimodular: det = {det!r}")
+    g = max(1.0, L.max_abs_entry())
+    n11, n12, n21, n22 = (z / g for z in L.entries())
+    one = 1.0 / g / g
+    if not abs(n11 * n22 - n12 * n21 - one) <= 1e-8 * (one + abs(n11 * n22) + abs(n12 * n21)):
+        raise ValueError(f"transfer matrix is not unimodular: det = {L.det()!r}")
     l11, l12, l21, l22 = L.entries()
     D = l11 + l22 - 1j * (k * l12 - l21 / k)
     rl = (l22 - l11 - 1j * (k * l12 + l21 / k)) / D * cmath.exp(2j * k * x1)
     rr = (l11 - l22 - 1j * (k * l12 + l21 / k)) / D * cmath.exp(-2j * k * x2)
     t = 2.0 / D * cmath.exp(1j * k * (x1 - x2))
     s = u * u + v * v
-    return ScatteringResult(rl, rr, t, t, refl=s / (4.0 + s), trans=4.0 / (4.0 + s))
+    refl = 1.0 if s == math.inf else s / (4.0 + s)
+    return ScatteringResult(rl, rr, t, t, refl=refl, trans=4.0 / (4.0 + s))
 
 
 def transmissivity(params: BWParams, k: float) -> float:

@@ -2,14 +2,18 @@
 
 A transfer matrix maps the boundary data (psi, psi') at the left edge
 of a structure to the right edge. For a real potential and E > 0 it is
-real and unimodular; we keep complex entries throughout, and scattering
-extracts real results with an imaginary-part check, so a wrong branch
-shows up as a hard failure instead of a silent sign error.
+real and unimodular. The slab product (chain_matrix) keeps complex
+entries on the principal branch, and scattering extracts real results
+with an imaginary-part check, so a wrong branch there shows up as a hard
+failure instead of a silent sign error.
 
 The closed form is one numpy kernel, closed_form_arrays, over arrays of
-strengths and energies, for both arrangements; closed_form is one point
-of it for the arrangement its parameters name, and the slab product
-(chain_matrix) stays the independent route.
+strengths and energies, for both arrangements. It is real arithmetic on
+the squared wave numbers p^2 and q^2, which are always real: cos/sin of
+an oscillating slab and cosh/sinh of an evanescent one, with no complex
+trig and no branch to choose. closed_form is one point of it for the
+arrangement its parameters name, and the slab product stays the
+independent route.
 """
 
 from __future__ import annotations
@@ -86,18 +90,11 @@ class TransferMatrix:
         return TransferMatrix(1.0 + 0j, 0j, 0j, 1.0 + 0j)
 
 
-def _slab_wave_numbers(alpha, E, h, d):
-    """Principal-branch p = sqrt(E - alpha*h), q = sqrt(E + alpha*d), elementwise."""
-    p = np.sqrt(np.asarray(E - alpha * h, dtype=complex))
-    q = np.sqrt(np.asarray(E + alpha * d, dtype=complex))
-    return p, q
-
-
 def wave_numbers(params: BWParams, E: float) -> WaveNumbers:
     """Principal-branch p = sqrt(E - alpha*h), q = sqrt(E + alpha*d)."""
     h, _, d, _ = bw_geometry(params)
-    p, q = _slab_wave_numbers(params.alpha, E, h, d)
-    return WaveNumbers(complex(p), complex(q), math.sqrt(E) if E > 0 else 0.0)
+    return WaveNumbers(cmath.sqrt(E - params.alpha * h), cmath.sqrt(E + params.alpha * d),
+                       math.sqrt(E) if E > 0 else 0.0)
 
 
 def segment_matrix(width: float, value: float, E: float) -> TransferMatrix:
@@ -130,60 +127,79 @@ def chain_matrix(chain: SegmentChain, E: float) -> TransferMatrix:
     return m
 
 
-def closed_form_entries(kind: Kind, p, q, l, r):
+def _slab_terms(w, width):
+    """(c, S, T) = (cos(pL), sin(pL)/p, p*sin(pL)) of one slab, p = sqrt(w), L = width.
+
+    Real arithmetic: cos/sin of kappa*width where w >= 0, cosh/sinh where
+    w < 0 (p = i*kappa, so T = -kappa*sinh), and S = width at kappa = 0.
+    """
+    kap = np.sqrt(np.abs(w))
+    x = kap * width
+    osc = w >= 0
+    c = np.where(osc, np.cos(x), np.cosh(x))
+    s = np.where(osc, np.sin(x), np.sinh(x))
+    return c, np.where(kap == 0, width, s / kap), np.copysign(kap, w) * s
+
+
+def closed_form_entries(kind: Kind, wp, wq, l, r):
     """Closed-form entries (m11, m12, m21, m22) of the four-slab chain.
 
-    Elementwise numpy arithmetic on the slab wave numbers p, q and widths
-    l, r. The mirror arrangement's diagonal entries are equal by spatial
+    Real elementwise numpy arithmetic on the squared slab wave numbers
+    wp = p^2, wq = q^2 and the widths l, r. Each entry is a polynomial in
+    each slab's (c, S, T) of _slab_terms and their double angles (2c^2 - 1,
+    2Sc, 2Tc), so the ratios p/q and q/p never appear:
+    (p/q) sin(2pl) sin(2qr) = T2p*S2q, for one. Products are paired so
+    that none overflows before the entry does: (Tp*Sq)^2 and not Tp^2*Sq^2.
+    The mirror arrangement's diagonal entries are equal by spatial
     symmetry and are computed once: its m22 is the very object returned
-    as m11. p = 0 or q = 0 divides by zero; closed_form_arrays refills
-    those points from chain_matrix.
+    as m11. Callers silence numpy's floating-point warnings: each
+    np.where evaluates both branches, so cosh overflows on oscillating
+    points it then discards.
     """
-    sp, cp = np.sin(p * l), np.cos(p * l)
-    s2p, c2p = np.sin(2 * p * l), np.cos(2 * p * l)
-    s2q = np.sin(2 * q * r)
-    por = p / q + q / p
+    cp, Sp, Tp = _slab_terms(wp, l)
+    cq, Sq, Tq = _slab_terms(wq, r)
+    c2p, S2p, T2p = 2 * cp * cp - 1, 2 * Sp * cp, 2 * Tp * cp
+    S2q, T2q = 2 * Sq * cq, 2 * Tq * cq
+    cp2 = cp * cp
     if kind is Kind.PLUS:
-        sq, cq = np.sin(q * r), np.cos(q * r)
-        m11 = c2p * cq**2 - 0.25 * (3 * p / q + q / p) * s2p * s2q \
-            + ((p / q) ** 2 * sp**2 - cp**2) * sq**2
-        m22 = c2p * cq**2 - 0.25 * (p / q + 3 * q / p) * s2p * s2q \
-            + ((q / p) ** 2 * sp**2 - cp**2) * sq**2
-        m12 = s2p * cq**2 / p + cp**2 * s2q / q \
-            - por * (sp * cq / p + cp * sq / q) * sp * sq
-        m21 = -p * s2p * cq**2 - q * cp**2 * s2q \
-            + por * (p * sp * cq + q * cp * sq) * sp * sq
+        cq2 = cq * cq
+        common = c2p * cq2 - (cp * Sq) ** 2 * wq
+        m11 = common - 0.25 * (3 * T2p * S2q + S2p * T2q) + (Tp * Sq) ** 2
+        m22 = common - 0.25 * (T2p * S2q + 3 * S2p * T2q) + (Sp * Tq) ** 2
+        mix = Tp * Sq + Sp * Tq
+        m12 = S2p * cq2 + cp2 * S2q - mix * (Sp * cq + cp * Sq)
+        m21 = -T2p * cq2 - cp2 * T2q + mix * (Tp * cq + cp * Tq)
         return m11, m12, m21, m22
-    c2q = np.cos(2 * q * r)
-    diag = c2p * c2q - 0.5 * por * s2p * s2q
-    m12 = s2p * c2q / p + ((p / q) * cp**2 - (q / p) * sp**2) * s2q / p
-    m21 = -p * s2p * c2q + p * ((p / q) * sp**2 - (q / p) * cp**2) * s2q
+    c2q = 2 * cq * cq - 1
+    diag = c2p * c2q - 0.5 * (T2p * S2q + S2p * T2q)
+    m12 = S2p * c2q + cp2 * S2q - Sp * (Sp * T2q)
+    m21 = -T2p * c2q + Tp * (Tp * S2q) - cp2 * T2q
     return diag, m12, m21, diag
 
 
 def closed_form_arrays(kind: Kind, alphas, E, eps: float, c1: float, c2: float, sigma: float):
     """Closed-form entries (m11, m12, m21, m22) over broadcast strength and energy arrays.
 
-    Each strength gets bw_geometry's slabs, with sigma split by its sign as
-    sigma_split does. At the degenerate points p = 0 or q = 0 exactly
-    (E = alpha*h or E = -alpha*d) the closed form is 0/0; there the entries
-    are refilled from the slab product, whose series branch is regular
-    (MINUS m22 stays the very array returned as m11).
+    Real float64 arrays. Each strength gets bw_geometry's slabs, with sigma
+    split by its sign as sigma_split does. At the degenerate points p = 0
+    or q = 0 exactly (E = alpha*h or E = -alpha*d) the entries are
+    refilled from the slab product, whose series branch is regular, so
+    closed_form equals it there bit for bit (MINUS m22 stays the very
+    array returned as m11).
     """
     a = np.asarray(alphas, dtype=float)
     E = np.asarray(E, dtype=float)
     h, l, d, r = slab_geometry(np.where(a < 0, sigma, 1.0), np.where(a > 0, sigma, 1.0),
                                eps, c1, c2)
-    p, q = _slab_wave_numbers(a, E, h, d)
+    wp, wq = E - a * h, E + a * d
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # alpha = 0 makes p = q = k exactly; no division hazards there
-        m11, m12, m21, m22 = closed_form_entries(kind, p, q, l, r)
-    for at in zip(*np.nonzero((p == 0) | (q == 0))):
-        params = BWParams(kind, float(np.broadcast_to(a, p.shape)[at]), eps, c1, c2, sigma)
-        L = chain_matrix(realize(params), float(np.broadcast_to(E, p.shape)[at]))
-        m11[at], m12[at], m21[at] = L.m11, L.m12, L.m21
+        m11, m12, m21, m22 = closed_form_entries(kind, wp, wq, l, r)
+    for at in zip(*np.nonzero((wp == 0) | (wq == 0))):
+        params = BWParams(kind, float(np.broadcast_to(a, wp.shape)[at]), eps, c1, c2, sigma)
+        L = chain_matrix(realize(params), float(np.broadcast_to(E, wp.shape)[at]))
+        m11[at], m12[at], m21[at] = L.m11.real, L.m12.real, L.m21.real
         if m22 is not m11:
-            m22[at] = L.m22
+            m22[at] = L.m22.real
     return m11, m12, m21, m22
 
 

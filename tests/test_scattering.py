@@ -59,6 +59,17 @@ class TestAmplitudes:
         with pytest.raises(ValueError):
             amplitudes(TransferMatrix(2.0 + 0j, 0j, 0j, 2.0 + 0j), 1.0, 0.0, 0.0)
 
+    def test_non_unimodular_rejected_where_the_det_would_overflow(self):
+        # m11*m22 overflows to inf, so an unscaled det test would pass it
+        with pytest.raises(ValueError, match="not unimodular"):
+            amplitudes(TransferMatrix(1e200 + 0j, 0j, 0j, 1e200 + 0j), 1.0, 0.0, 0.0)
+
+    def test_overflowed_u2_plus_v2_reflects_totally(self):
+        # entries ~7.6e156: u^2 + v^2 overflows, and refl takes its limit 1
+        chain = realize(BWParams(Kind.PLUS, 2.1e4, 0.1, 3.0, 1.0, 1.0))
+        res = amplitudes(chain_matrix(chain, 1.0), 1.0, chain.x_left, chain.x_right)
+        assert res.refl == 1.0 and res.trans == 0.0
+
     @settings(max_examples=100, deadline=None)
     @given(chain=moderate_segments, k=st.floats(0.3, 4.0))
     def test_flux_conservation_and_lr_symmetry(self, chain, k):
@@ -241,6 +252,17 @@ class TestGrid:
         assert len(ridge_feet) == len(scan_peaks) > 0
         for rf, sp_ in zip(ridge_feet, scan_peaks):
             assert abs(rf - sp_) <= cell
+
+    @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
+    @pytest.mark.parametrize("alpha", [7.6e4, -2.2e5])
+    def test_no_nan_before_an_entry_overflows(self, kind, alpha):
+        # just inside the NaN onset bands of the README: the kernel's paired
+        # products ((Tp*Sq)^2, Tp*(Tp*S2q), ...) must not overflow before the
+        # entries do
+        for eps in (1e-7, 1e-3, 0.2):
+            g = grid(BWParams(kind, 0.0, eps, 3.0, 1.0, 1.0), (alpha, alpha),
+                     (0.01, 10.0), 1, 1000)
+            assert np.all(np.isfinite(g.values))
 
     def test_validation(self):
         template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)

@@ -31,6 +31,10 @@ moderate_segments = st.lists(
 moderate_E = st.floats(0.5, 10.0)
 
 
+# a tunneling transmission peak (b = 3, sigma = 1, k = 1): entries O(1), terms ~1e8
+PEAK = BWParams(Kind.PLUS, 35.0919303480499, 1e-3, 3.0, 1.0, 1.0)
+
+
 def rand_params(rng):
     return BWParams(
         kind=Kind.PLUS if rng.random() < 0.5 else Kind.MINUS,
@@ -133,6 +137,11 @@ class TestClosedForms:
             assert product.max_abs_diff(closed) <= 1e-9 * scale
             checked += 1
         assert checked >= 200
+        # the tunneling peak, where the terms dwarf the entries: bounded by
+        # slab_growth, as the property test is
+        params, E = PEAK, 1.0
+        closed, product = closed_form(params, E), chain_matrix(realize(params), E)
+        assert product.max_abs_diff(closed) <= 1e-9 * (1.0 + slab_growth(params, E))
 
     def test_lambda21_factorization_identity(self):
         rng = np.random.default_rng(7771)
@@ -148,6 +157,9 @@ class TestClosedForms:
             assert abs(closed.m21 - factored) <= 1e-10 * scale
             checked += 1
         assert checked >= 200
+        params, E = PEAK, 1.0
+        factored = lambda21_factored(params.kind, params, E)
+        assert abs(closed_form(params, E).m21 - factored) <= 1e-10 * (1.0 + slab_growth(params, E))
 
 
 class TestWaveNumbers:
@@ -232,6 +244,7 @@ class TestClosedFormEntries:
         alphas = np.linspace(-2.0, 2.0, 17)
         Es = np.array([0.3, 1.0, 4.0, 9.5])
         m = closed_form_arrays(kind, alphas[:, None], Es[None, :], 0.5, 1.0, 1.0, 0.7)
+        assert all(z.dtype == np.float64 and z.shape == (17, 4) for z in m)
         if kind is Kind.MINUS:
             assert m[3] is m[0]
         for i, alpha in enumerate(alphas.tolist()):
