@@ -26,8 +26,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .potential import BWParams, Kind, Segment, SegmentChain, realize
 from .resonance import (
     NoPeakError,
@@ -35,7 +33,7 @@ from .resonance import (
     resonance_sets,
 )
 from .scattering import BLOCK_POINTS, grid_blocks, log10_transmission
-from .serialize import csv_row, format_column, format_rows, json_dumps
+from .serialize import csv_row, float_field, format_column, format_rows, json_dumps, literal
 from .transfer import chain_matrix, closed_form
 from .zerolimit import classify, converge_study
 
@@ -230,29 +228,41 @@ def _emit(text: str, out_path: str | None) -> None:
 def _write_json_floats(out, values) -> None:
     """A JSON list's floats, BLOCK_POINTS at a time, so a long axis costs no more than a block."""
     for i in range(0, len(values), BLOCK_POINTS):
-        if i:
-            out.write(", ")
-        out.write(", ".join(format_column(values[i:i + BLOCK_POINTS], 17, quote_nonfinite=True)))
+        chunk = values[i:i + BLOCK_POINTS]
+        text = format_rows((", " + float_field(17)) * len(chunk), (chunk,), 17, quote_nonfinite=True)
+        out.write(text if i else text[2:])  # no separator before the first value
 
 
 def _write_grid(out, out_format: str, alphas, ks, blocks) -> None:
-    """Write a grid's rows (CSV) or its axes and value rows (JSON) block by block."""
+    """Write a grid's rows (CSV) or its axes and value rows (JSON) block by block.
+
+    Each block is one % over its template; a text that repeats across
+    cells (k, and alpha on a grid) is formatted once and written into
+    the template, so % fills only the cells that differ.
+    """
     if out_format == "csv":
         out.write("alpha,k,T,log10T\n")
-        k_texts = format_column(ks, 12)
+        field = float_field(12)
+        k_texts = [literal(k) for k in format_column(ks, 12)]
+        if len(k_texts) == 1:  # a scan: alpha is a field, the one k a constant
+            row = f"{field},{k_texts[0]},{field},{field}\n"
+            for a, t in blocks:
+                out.write(format_rows(row * len(a), (a, t), 12, derive=log10_transmission))
+            return
+        tails = [f"{k},{field},{field}\n" for k in k_texts]
         for a, t in blocks:
-            ts = t.ravel()
-            alpha_texts = [s for s in format_column(a, 12) for _ in k_texts]
-            values = np.column_stack((ts, log10_transmission(ts.tolist())))
-            out.write(format_rows(values, 12, texts=(alpha_texts, k_texts * len(a))))
+            heads = [literal(text) + "," for text in format_column(a, 12)]
+            template = "".join(head + head.join(tails) for head in heads)
+            out.write(format_rows(template, (t,), 12, derive=log10_transmission))
         return
     out.write('{"alphas": [')
     _write_json_floats(out, alphas)
     out.write('], "ks": [')
     _write_json_floats(out, ks)
     out.write('], "values": [')
-    for i, (_, t) in enumerate(blocks):
-        rows = format_rows(t, 17, quote_nonfinite=True, start=", [", sep=", ", end="]")
+    row = ", [" + ", ".join([float_field(17)] * len(ks)) + "]"
+    for i, (a, t) in enumerate(blocks):
+        rows = format_rows(row * len(a), (t,), 17, quote_nonfinite=True)
         out.write(rows if i else rows[2:])  # no separator before the first row
     out.write("]}\n")
 

@@ -139,6 +139,13 @@ def _transmission_array(kind, alphas, ks, eps, c1, c2, sigma):
         return _transmission(m, k)
 
 
+def _check_steps(name: str, n, least: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name}_steps must be an integer, got {n!r}")
+    if n < least:
+        raise ValueError(f"{name}_steps must be >= {least}, got {n}")
+
+
 def scan_alpha(
     template: BWParams,
     k: float,
@@ -152,9 +159,8 @@ def scan_alpha(
     grid, so repeated runs are identical. This is the one-column grid at
     wave number k, returned as (alpha, T) pairs.
     """
+    _check_steps("alpha", steps, 2)
     alphas, _, blocks = grid_blocks(template, (alpha_min, alpha_max), (k, k), steps, 1)
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
     return list(zip(alphas.tolist(), np.concatenate([t[:, 0] for _, t in blocks]).tolist()))
 
 
@@ -177,12 +183,9 @@ def grid_blocks(
     k_steps) alpha rows at a time, so every point equals grid's.
     """
     for name, (lo, hi), n in (("alpha", alpha_range, alpha_steps), ("k", k_range, k_steps)):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"{name}_steps must be an integer, got {n!r}")
+        _check_steps(name, n, 1)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"{name} range must be finite, got {(lo, hi)}")
-        if n < 1:
-            raise ValueError(f"{name}_steps must be >= 1, got {n}")
         if n == 1 and lo != hi:
             raise ValueError(f"{name} range must be degenerate when steps = 1")
         if lo > hi:
@@ -221,7 +224,11 @@ def log10_transmission(ts) -> list[float]:
     NaN (or a negative value) gives NaN, so a T that is not a number is
     not written as an underflowed one.
     """
-    return [math.log10(t) if t > 0.0 else -math.inf if t == 0.0 else math.nan for t in ts]
+    try:
+        # every T > 0, or NaN, which log10 keeps
+        return list(map(math.log10, ts))
+    except ValueError:  # a T of 0 or below
+        return [math.log10(t) if t > 0.0 else -math.inf if t == 0.0 else math.nan for t in ts]
 
 
 def grid_csv_rows(g: TransmissionGrid):

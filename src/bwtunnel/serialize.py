@@ -9,18 +9,32 @@ scan and grid writer uses both. Output is byte-stable across runs.
 from __future__ import annotations
 
 import json
+import math
+import re
 
 import numpy as np
 
 
-def _float_rules(values, sig: int) -> tuple[np.ndarray, str]:
-    """The values as floats and the field that writes one of them.
+def float_field(sig: int) -> str:
+    """The % field that writes one float to sig significant digits.
 
-    The one place the float rules live: adding 0.0 turns -0 into 0, so
-    repeated runs cannot differ on signed zero, and %g spells the
-    non-finite values nan, inf and -inf.
+    %g spells the non-finite values nan, inf and -inf.
     """
-    return np.asarray(values, dtype=float) + 0.0, f"%.{sig}g"
+    return f"%.{sig}g"
+
+
+def _float_rules(values) -> list[float]:
+    """The values as Python floats, row-major, by one tolist().
+
+    The one place the float rules live besides float_field: adding 0.0
+    turns -0 into 0, so repeated runs cannot differ on signed zero.
+    """
+    return (np.asarray(values, dtype=float) + 0.0).ravel().tolist()
+
+
+def literal(text: str) -> str:
+    """text as it stands in a % template, which writes it as it is."""
+    return text.replace("%", "%%")
 
 
 def format_column(values, sig: int, quote_nonfinite: bool = False) -> list[str]:
@@ -29,36 +43,45 @@ def format_column(values, sig: int, quote_nonfinite: bool = False) -> list[str]:
     CSV writes the non-finite values bare; JSON has no such literals, so
     quote_nonfinite writes them as strings.
     """
-    arr, field = _float_rules(values, sig)
-    texts = list(map(field.__mod__, arr.ravel().tolist()))
+    cells = _float_rules(values)
+    texts = list(map(float_field(sig).__mod__, cells))
     if quote_nonfinite:
-        for i in np.flatnonzero(~np.isfinite(arr)).tolist():
-            texts[i] = f'"{texts[i]}"'
+        return [t if math.isfinite(x) else f'"{t}"' for x, t in zip(cells, texts)]
     return texts
 
 
-def format_rows(values, sig: int, quote_nonfinite: bool = False, texts=(),
-                start: str = "", sep: str = ",", end: str = "\n") -> str:
-    """Rows of cells as one text: start, the row's cells joined by sep, end.
+# a % template holds escaped percent signs and float fields, nothing else
+_TEMPLATE_TOKEN = re.compile(r"%%|%\.\d+g")
 
-    values is a 2-D array of floats, one row per output row, written as
-    format_column writes them. Each column of texts (a list of str, one
-    per row) comes first in its row, as it is. The whole block is one %
-    over the row template repeated once per row, so every cell is
-    formatted inside one C call instead of one Python call per row.
+
+def format_rows(template: str, columns, sig: int, quote_nonfinite: bool = False,
+                derive=None) -> str:
+    """A block of rows as one text: template filled by one %.
+
+    template holds one float_field(sig) per cell, in output order, and
+    other text only as literal() writes it. Cell n of the block is item
+    n // w of column n % w, for w columns each raveled, so a block's
+    row-major 2-D array is one column and separate columns meet row by
+    row. Every cell is written as format_column writes it: each column
+    passes the float rules by one tolist(), and derive, if given, maps the
+    last column's floats to one more column, used as it returns them (log10
+    T beside T), so a derived column costs no second conversion. With
+    quote_nonfinite, a block that holds a non-finite cell takes
+    format_column's quoted texts in every field; a finite block pays
+    nothing for it.
     """
-    rows, width = np.shape(values)
-    if quote_nonfinite:
-        field, cells = "%s", format_column(values, sig, quote_nonfinite=True)
-    else:
-        arr, field = _float_rules(values, sig)
-        cells = arr.ravel().tolist()
-    columns = [*texts, *(cells[j::width] for j in range(width))]
-    flat = [None] * (rows * len(columns))
-    for j, column in enumerate(columns):
-        flat[j::len(columns)] = column
-    template = start + sep.join(["%s"] * len(texts) + [field] * width) + end
-    return (template * rows) % tuple(flat)
+    arrays = [np.asarray(c, dtype=float) for c in columns]
+    cells = [_float_rules(a) for a in arrays]
+    if derive is not None:
+        cells.append(derive(cells[-1]))
+        arrays.append(cells[-1])
+    if quote_nonfinite and not all(np.isfinite(a).all() for a in arrays):
+        cells = [format_column(c, sig, quote_nonfinite=True) for c in cells]
+        template = _TEMPLATE_TOKEN.sub(lambda m: "%%" if m.group() == "%%" else "%s", template)
+    flat = [None] * sum(map(len, cells))
+    for j, column in enumerate(cells):
+        flat[j::len(cells)] = column
+    return template % tuple(flat)
 
 
 def json_dumps(obj) -> str:

@@ -4,6 +4,7 @@ import math
 from contextlib import redirect_stdout
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -511,3 +512,69 @@ class TestStreamedOutput:
         with mock.patch.object(scattering, "BLOCK_POINTS", block_points), redirect_stdout(out):
             assert main(argv) == 0
         assert out.getvalue() == (want_csv if fmt == "csv" else want_json)
+
+
+def _per_cell_reference(argv):
+    """CSV and JSON bytes of argv's scan or grid, each cell formatted on its own."""
+    config = parse_args(argv)
+    if config.command == "scan-alpha":
+        k_range, k_steps, alpha_steps = (config.k, config.k), 1, config.steps
+    else:
+        k_range, k_steps, alpha_steps = (config.k_min, config.k_max), config.k_steps, config.alpha_steps
+    template = BWParams(config.model, 0.0, config.eps, config.c1, config.c2, config.sigma)
+    g = grid(template, (config.alpha_min, config.alpha_max), k_range, alpha_steps, k_steps)
+
+    def csv_cell(v):
+        return "%.12g" % (v + 0.0)
+
+    def json_cell(v):
+        text = "%.17g" % (v + 0.0)
+        return text if math.isfinite(v) else f'"{text}"'
+
+    lines = ["alpha,k,T,log10T"]
+    for a, row in zip(g.alphas.tolist(), g.values.tolist()):
+        for k, t in zip(g.ks.tolist(), row):
+            log_t = math.log10(t) if t > 0 else -math.inf if t == 0 else math.nan
+            lines.append(",".join(map(csv_cell, (a, k, t, log_t))))
+    rows = ", ".join("[" + ", ".join(map(json_cell, row)) + "]" for row in g.values.tolist())
+    payload = (f'{{"alphas": [{", ".join(map(json_cell, g.alphas.tolist()))}], '
+               f'"ks": [{", ".join(map(json_cell, g.ks.tolist()))}], "values": [{rows}]}}\n')
+    return "\n".join(lines) + "\n", payload, g
+
+
+class TestBlockBytes:
+    """The block writer's bytes against a per-cell rendering of grid's values."""
+
+    CASES = {
+        "finite-scan": ["scan-alpha", "--model", "minus", "--steps", "2001"],
+        "finite-grid": ["grid", "--alpha-steps", "33", "--k-steps", "9"],
+        "nan-scan": ["scan-alpha", "--alpha-min", "1e4", "--alpha-max", "1e6", "--steps", "9"],
+        "nan-grid": ["grid", "--alpha-min", "1e4", "--alpha-max", "1e6", "--alpha-steps", "3",
+                     "--k-steps", "2"],
+        # 5001 points: more than BLOCK_POINTS, and 1391 rows where T underflowed to 0
+        "zero-scan": ["scan-alpha", "--alpha-min", "1.7e4", "--alpha-max", "2.2e4", "--steps", "5001"],
+        "zero-grid": ["grid", "--alpha-min", "1.7e4", "--alpha-max", "2.2e4", "--alpha-steps", "11",
+                      "--k-steps", "3"],
+        # a k axis longer than BLOCK_POINTS: one alpha row per block, two JSON chunks of ks
+        "long-k-grid": ["grid", "--alpha-min", "-0", "--alpha-max", "1", "--alpha-steps", "3",
+                        "--k-steps", "5000"],
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_cli_bytes_equal_the_per_cell_rendering(self, run_cli, case, fmt):
+        argv = self.CASES[case]
+        want_csv, want_json, g = _per_cell_reference(argv)
+        code, out, err = run_cli([*argv, "--format", fmt])
+        assert code == 0 and err == ""
+        assert out == (want_csv if fmt == "csv" else want_json)
+        # each case holds what its name says
+        kind = case.split("-")[0]
+        assert np.isnan(g.values).any() == (kind == "nan")
+        assert (g.values == 0).any() == (kind == "zero")
+        assert (g.values.shape[1] == 1) == case.endswith("scan")
+        if case == "zero-scan":
+            assert g.values.size > scattering.BLOCK_POINTS
+            assert want_csv.count(",-inf\n") == 1391
+        if case == "long-k-grid":
+            assert g.values.shape[1] > scattering.BLOCK_POINTS

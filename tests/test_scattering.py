@@ -182,6 +182,13 @@ class TestScanAlpha:
         with pytest.raises(ValueError):
             scan_alpha(template, 1.0, 0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("alpha_min, alpha_max", [(-1.0, 1.0), (0.0, 0.0)])
+    def test_one_step_is_a_steps_error_whatever_the_range(self, alpha_min, alpha_max):
+        # steps is checked before the range, so a degenerate range gets the same error
+        template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="steps must be >= 2, got 1"):
+            scan_alpha(template, 1.0, alpha_min, alpha_max, 1)
+
     def test_agrees_with_pointwise_chain_route(self):
         template = BWParams(Kind.MINUS, 0.0, 0.15, 3.0, 1.0, 0.7)
         rows = scan_alpha(template, 1.2, -9.0, 9.0, 41)
