@@ -18,9 +18,12 @@ the last digits.
 
 The finder is a bracketing bisection that knows the residuals alternate
 roots with tan poles and discards pole crossings by magnitude. Its one
-implementation scans, refines and bisects all cells of the grid in
-lockstep over an array residual; find_roots lifts a scalar callable into
-it.
+implementation scans and refines all cells of the grid in lockstep over
+an array residual, then bisects the surviving brackets in a tree walk:
+one residual call evaluates the next four levels of midpoints of every
+bracket, and each bracket walks down its tree by the rules of one step at
+a time, so it returns the roots of one step per call, bit for bit.
+find_roots lifts a scalar callable into it.
 """
 
 from __future__ import annotations
@@ -176,7 +179,10 @@ def _f_prime(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     alpha, x, y, r, pole = _residual_phases(alpha, b, sigma)
     tx, ty = np.tanh(x), np.tan(y)
     up = alpha >= 0
-    f = np.where(up, tx, ty) - r * np.where(up, ty, tx)
+    # r is inf at negative strengths when sqrt(b/sigma) overflows; where
+    # tanh(x) underflows to 0 there too, inf * 0 is a nan without a warning
+    with np.errstate(invalid="ignore"):
+        f = np.where(up, tx, ty) - r * np.where(up, ty, tx)
     if sigma == 0.0:
         f = np.where(alpha < 0, -tx, f)  # the imaginary part over its diverging prefactor
     return f, pole
@@ -294,7 +300,8 @@ def find_roots(
     two returned roots are closer than one grid cell, since siblings may
     then have been missed. grid_steps must be an integer >= 100 and tol
     finite and > 0. f is called one point at a time, under the same cell
-    rules as the array residuals of resonance_sets.
+    rules as the array residuals of resonance_sets; each bisection round
+    calls it at up to 15 points per bracket, all strictly inside it.
     """
     def f_array(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values = np.full(xs.shape, np.nan)
@@ -351,21 +358,7 @@ def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float) 
     keep = ~pole.any(axis=1) & (np.fmin.reduce(np.abs(ft), axis=1) <= 1.0)
     a, b, fa = a[keep], b[keep], fa[keep]
 
-    while True:
-        m = 0.5 * (a + b)
-        # stop at the requested width or at double-precision resolution
-        go = (b - a >= tol) & (a < m) & (m < b)
-        roots += m[~go].tolist()
-        if not go.any():
-            break
-        a, b, fa, m = a[go], b[go], fa[go], m[go]
-        fm, pole = f(m)
-        zero = ~pole & (fm == 0.0)
-        roots += m[zero].tolist()
-        left = fa * fm < 0
-        live = ~pole & ~zero  # a bracket that meets a pole is dropped
-        a, b, fa = (np.where(left, a, m)[live], np.where(left, m, b)[live],
-                    np.where(left, fa, fm)[live])
+    _bisect(f, list(zip(a.tolist(), b.tolist(), fa.tolist())), tol, roots)
 
     roots.sort()
     merged: list[float] = []
@@ -381,6 +374,76 @@ def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float) 
                 "increase grid_steps"
             )
     return merged
+
+
+# bisection steps that one residual call advances every live bracket by
+_TREE_LEVELS = 4
+_TREE_NODES = 2 ** _TREE_LEVELS - 1
+
+
+def _midpoint_tree(a: float, b: float, tol: float, points: list[float]) -> list[int]:
+    """Append the next _TREE_LEVELS midpoints of bracket (a, b) to points.
+
+    Returns each tree node's index in points, in heap order: node i
+    bisects its interval at 0.5 * (lo + hi), and its children 2i+1 and
+    2i+2 bisect the left and the right half. A node where bisection stops
+    (an interval narrower than tol, or no float strictly inside it) gets
+    -1 and no children, so every point lies strictly inside (a, b).
+    """
+    slots = [-1] * _TREE_NODES
+    spans = [(a, b)] + [None] * (_TREE_NODES - 1)
+    for i in range(_TREE_NODES):
+        if spans[i] is None:
+            continue
+        lo, hi = spans[i]
+        m = 0.5 * (lo + hi)
+        if hi - lo >= tol and lo < m < hi:
+            slots[i] = len(points)
+            points.append(m)
+            if 2 * i + 2 < _TREE_NODES:
+                spans[2 * i + 1], spans[2 * i + 2] = (lo, m), (m, hi)
+    return slots
+
+
+def _bisect(f, brackets: list[tuple[float, float, float]], tol: float, roots: list[float]) -> None:
+    """Bisect each (a, b, f(a)) bracket to its root, appended to roots.
+
+    One call of f evaluates the midpoint trees of all live brackets, and
+    each bracket then walks _TREE_LEVELS steps down its tree by the rules
+    of one step at a time: it stops at the requested width or at
+    double-precision resolution and records the midpoint, is dropped at a
+    pole, records an exact zero, and otherwise keeps the half whose ends
+    change sign. So every bracket visits the midpoints, and returns the
+    root, of one bisection step per call; the nodes it does not visit
+    are never read.
+    """
+    while brackets:
+        points: list[float] = []
+        trees = [_midpoint_tree(a, b, tol, points) for a, b, _ in brackets]
+        if points:  # else every bracket stops at its first midpoint
+            fm, pole = f(np.array(points))
+            values, poles = fm.tolist(), pole.tolist()
+        live = []
+        for (a, b, fa), slots in zip(brackets, trees):
+            i = 0
+            while i < _TREE_NODES:
+                j = slots[i]
+                if j < 0:  # the requested width or double-precision resolution
+                    roots.append(0.5 * (a + b))
+                    break
+                if poles[j]:  # a bracket that meets a pole is dropped
+                    break
+                m, fm = points[j], values[j]
+                if fm == 0.0:
+                    roots.append(m)
+                    break
+                if fa * fm < 0:
+                    b, i = m, 2 * i + 1
+                else:
+                    a, fa, i = m, fm, 2 * i + 2
+            else:
+                live.append((a, b, fa))
+        brackets = live
 
 
 def resonance_sets(
@@ -402,33 +465,42 @@ def resonance_sets(
     """
     _check_bsigma(b, sigma)
     if kind is Kind.PLUS:
-        body, f_model, label = _f_plus, f_plus, SetLabel.SIGMA_PLUS
+        body, label = _f_plus, SetLabel.SIGMA_PLUS
     else:
-        body, f_model, label = _f_minus, f_minus, SetLabel.SIGMA_MINUS
+        body, label = _f_minus, SetLabel.SIGMA_MINUS
 
     model_alphas = [r for r in _bracket_roots(lambda a: body(a, b, sigma), window, grid_steps, tol)
                     if abs(r) > 1e-6]
     prime_alphas = [r for r in _bracket_roots(lambda a: _f_prime(a, b, sigma), window, grid_steps, tol)
                     if abs(r) > 1e-6]
 
-    model_roots = []
-    for alpha, idx in _outward_indices(model_alphas, include_zero=window[0] <= 0.0 <= window[1]):
-        if alpha == 0.0:
-            model_roots.append(ResonanceRoot(0.0, label, 0, None, 0.0))
-        else:
-            model_roots.append(ResonanceRoot(alpha, label, idx, None, abs(f_model(alpha, b, sigma))))
-
-    prime_roots = []
-    for alpha, idx in _outward_indices(prime_alphas, include_zero=False):
-        sp, sm = sigma_split(alpha, sigma)
-        th = theta_factor(alpha, b, sp, sm)
-        prime_roots.append(ResonanceRoot(alpha, SetLabel.SIGMA_PRIME, idx, th,
-                                         abs(f_prime(alpha, b, sigma))))
+    model = _outward_indices(model_alphas, include_zero=window[0] <= 0.0 <= window[1])
+    model_res = _abs_residuals(body, [alpha for alpha, _ in model], b, sigma)
+    model_roots = [ResonanceRoot(alpha, label, idx, None, res if alpha else 0.0)
+                   for (alpha, idx), res in zip(model, model_res)]
+    prime = _outward_indices(prime_alphas, include_zero=False)
+    prime_res = _abs_residuals(_f_prime, [alpha for alpha, _ in prime], b, sigma)
+    prime_roots = [ResonanceRoot(alpha, SetLabel.SIGMA_PRIME, idx,
+                                 theta_factor(alpha, b, *sigma_split(alpha, sigma)), res)
+                   for (alpha, idx), res in zip(prime, prime_res)]
 
     return (
         ResonanceSet(tuple(model_roots), window, b, sigma),
         ResonanceSet(tuple(prime_roots), window, b, sigma),
     )
+
+
+def _abs_residuals(body, alphas: Sequence[float], b: float, sigma: float) -> list[float]:
+    """|f| at strengths from one call of the array body.
+
+    Equal, bit for bit, to the scalar wrapper's |f| at each strength, and
+    PoleError where the wrapper would raise it.
+    """
+    values, pole = body(np.array(alphas, dtype=float), b, sigma)
+    if pole.any():
+        alpha = alphas[int(np.argmax(pole))]
+        raise PoleError(f"the tan phase of strength {alpha} is within {_POLE_TOL} of a pole")
+    return np.abs(values).tolist()
 
 
 def _outward_indices(alphas: Sequence[float], include_zero: bool) -> list[tuple[float, int]]:

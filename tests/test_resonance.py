@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -268,6 +270,20 @@ class TestArrayBodies:
         with mock.patch.object(resonance, "BLOCK_POINTS", block):
             assert resonance_sets(kind, 3.0, 1.0) == want
 
+    @pytest.mark.parametrize("sigma", [0.0, 5e-324, 1e-310, 1.0])
+    @pytest.mark.parametrize("scalar, body", RESIDUAL_BODIES)
+    def test_subnormal_strengths_raise_no_warning(self, scalar, body, sigma):
+        # at alpha < 0 sqrt(b/sigma) overflows to inf while tanh of the
+        # well phase underflows to 0; their product was computed (and, at
+        # sigma = 0, discarded) with an "invalid value" RuntimeWarning
+        alphas = [5e-324, -5e-324, 1e-310, -1e-310, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, pole = body(np.array(alphas), 3.0, sigma)
+            got = [scalar(alpha, 3.0, sigma) for alpha in alphas]
+        assert not pole.any()
+        assert [v.hex() for v in got] == [v.hex() for v in values.tolist()]
+
     def test_array_input_checks(self):
         with pytest.raises(ValueError, match="finite"):
             _f_plus(np.array([1.0, math.nan, 2.0]), 3.0, 1.0)
@@ -348,6 +364,89 @@ class TestFindRoots:
             assert got == pytest.approx(want, abs=6e-3)
 
 
+def _bisect_one_step(f, brackets, tol, roots):
+    """The bisection stage at one step per call of f: the oracle of resonance._bisect."""
+    if not brackets:
+        return
+    a, b, fa = (np.array(v) for v in zip(*brackets))
+    while True:
+        m = 0.5 * (a + b)
+        # stop at the requested width or at double-precision resolution
+        go = (b - a >= tol) & (a < m) & (m < b)
+        roots += m[~go].tolist()
+        if not go.any():
+            break
+        a, b, fa, m = a[go], b[go], fa[go], m[go]
+        fm, pole = f(m)
+        zero = ~pole & (fm == 0.0)
+        roots += m[zero].tolist()
+        left = fa * fm < 0
+        live = ~pole & ~zero  # a bracket that meets a pole is dropped
+        a, b, fa = (np.where(left, a, m)[live], np.where(left, m, b)[live],
+                    np.where(left, fa, fm)[live])
+
+
+def _one_step_roots(finder, *args):
+    """What finder returns with the bisection stage of one step per call."""
+    with mock.patch.object(resonance, "_bisect", _bisect_one_step):
+        return finder(*args)
+
+
+def _pole_at_five(a):
+    if a == 5.0:
+        raise PoleError("a pole at 5")
+    return a - 5.0
+
+
+_RNG = random.Random(20130318)
+# seeded (b, sigma) draws, plus well-free (sigma = 0) ones
+SEEDED_BSIGMA = ([(_RNG.uniform(0.5, 8.0), _RNG.uniform(0.0, 3.0)) for _ in range(12)]
+                 + [(_RNG.uniform(0.5, 8.0), 0.0) for _ in range(3)])
+
+
+class TestTreeBisection:
+    """Four bisection steps per residual call return the roots of one step per call."""
+
+    @pytest.mark.parametrize("b, sigma", SEEDED_BSIGMA)
+    @pytest.mark.parametrize("body", [_f_plus, _f_minus, _f_prime])
+    def test_array_roots_equal_one_step_bisection(self, body, b, sigma):
+        args = (lambda a: body(a, b, sigma), (-40.0, 40.0), 20000, 1e-10)
+        roots = _bracket_roots(*args)
+        assert [r.hex() for r in roots] == [r.hex() for r in _one_step_roots(_bracket_roots, *args)]
+
+    @pytest.mark.parametrize("f, window, grid_steps, tol", [
+        # tan's poles are dropped, its roots kept
+        (math.tan, (1.0, 2.0), 100, 1e-10),
+        (math.tan, (-10.0, 10.0), 100, 1e-12),
+        # cells of 1/8 that put 5.0 on the third-level midpoint of its cell
+        (lambda a: a - 5.0, (-1.2890625, 11.2109375), 100, 1e-12),
+        # the same bracket meets a pole there instead, and is dropped
+        (_pole_at_five, (-1.2890625, 11.2109375), 100, 1e-12),
+        # a tol below float resolution: bisection stops at adjacent floats
+        (lambda a: a - 5.123456789, (0.0, 10.0), 100, 1e-300),
+    ])
+    def test_scalar_roots_equal_one_step_bisection(self, f, window, grid_steps, tol):
+        roots = find_roots(f, window, grid_steps, tol)
+        assert [r.hex() for r in roots] == [
+            r.hex() for r in _one_step_roots(find_roots, f, window, grid_steps, tol)]
+
+    def test_root_or_pole_on_a_tree_midpoint(self):
+        assert find_roots(lambda a: a - 5.0, (-1.2890625, 11.2109375), 100, 1e-12) == [5.0]
+        assert find_roots(_pole_at_five, (-1.2890625, 11.2109375), 100, 1e-12) == []
+
+    def test_one_residual_call_per_four_steps(self):
+        # each bracket takes 26 steps to 1e-10 and stops at the 27th; one
+        # step per call took 32 calls: 5 scan blocks + 1 refinement + 26
+        calls = []
+
+        def body(a):
+            calls.append(a.size)
+            return _f_plus(a, 3.0, 1.0)
+
+        _bracket_roots(body, (-40.0, 40.0), 20000, 1e-10)
+        assert len(calls) <= 5 + 1 + math.ceil(27 / 4)
+
+
 class TestResonanceSets:
     def test_plus_sets(self):
         model, prime = resonance_sets(Kind.PLUS, 3.0, 1.0, (-40.0, 40.0))
@@ -371,6 +470,15 @@ class TestResonanceSets:
         # shared set identical to the one the repeated arrangement sees
         _, prime_plus = resonance_sets(Kind.PLUS, 3.0, 1.0, (-40.0, 40.0))
         assert prime.alphas() == pytest.approx(prime_plus.alphas(), abs=1e-12)
+
+    @pytest.mark.parametrize("b, sigma", SEEDED_BSIGMA)
+    @pytest.mark.parametrize("kind, f_model", [(Kind.PLUS, f_plus), (Kind.MINUS, f_minus)])
+    def test_residual_fields_equal_the_scalar_residuals(self, kind, f_model, b, sigma):
+        for rset in resonance_sets(kind, b, sigma):
+            for root in rset.roots:
+                f = f_prime if root.set_label is SetLabel.SIGMA_PRIME else f_model
+                want = abs(f(root.alpha, b, sigma)) if root.alpha else 0.0
+                assert root.residual.hex() == want.hex(), (root, want)
 
     def test_trivial_root_has_zero_residual_and_index(self):
         model, _ = resonance_sets(Kind.MINUS, 3.0, 1.0, (-2.0, 2.0))
