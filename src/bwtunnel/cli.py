@@ -33,7 +33,7 @@ from .resonance import (
     resonance_sets,
 )
 from .scattering import BLOCK_POINTS, grid_blocks, log10_transmission
-from .serialize import csv_row, float_field, format_column, format_rows, json_dumps, literal
+from .serialize import csv_row, floats, format_column, format_rows, json_dumps, quote_nonfinite
 from .transfer import chain_matrix, closed_form
 from .zerolimit import classify, converge_study
 
@@ -228,8 +228,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def _write_json_floats(out, values) -> None:
     """A JSON list's floats, BLOCK_POINTS at a time, so a long axis costs no more than a block."""
     for i in range(0, len(values), BLOCK_POINTS):
-        chunk = values[i:i + BLOCK_POINTS]
-        text = format_rows((", " + float_field(17)) * len(chunk), (chunk,), 17, quote_nonfinite=True)
+        chunk = floats(values[i:i + BLOCK_POINTS])
+        text = quote_nonfinite(format_rows(", %.17g" * len(chunk), (chunk,)))
         out.write(text if i else text[2:])  # no separator before the first value
 
 
@@ -242,27 +242,28 @@ def _write_grid(out, out_format: str, alphas, ks, blocks) -> None:
     """
     if out_format == "csv":
         out.write("alpha,k,T,log10T\n")
-        field = float_field(12)
-        k_texts = [literal(k) for k in format_column(ks, 12)]
+        k_texts = format_column(ks, 12)
         if len(k_texts) == 1:  # a scan: alpha is a field, the one k a constant
-            row = f"{field},{k_texts[0]},{field},{field}\n"
+            row = f"%.12g,{k_texts[0]},%.12g,%.12g\n"
             for a, t in blocks:
-                out.write(format_rows(row * len(a), (a, t), 12, derive=log10_transmission))
+                ts = floats(t)
+                out.write(format_rows(row * len(a), (floats(a), ts, log10_transmission(ts))))
             return
-        tails = [f"{k},{field},{field}\n" for k in k_texts]
+        tails = [f"{k},%.12g,%.12g\n" for k in k_texts]
         for a, t in blocks:
-            heads = [literal(text) + "," for text in format_column(a, 12)]
+            heads = [text + "," for text in format_column(a, 12)]
             template = "".join(head + head.join(tails) for head in heads)
-            out.write(format_rows(template, (t,), 12, derive=log10_transmission))
+            ts = floats(t)
+            out.write(format_rows(template, (ts, log10_transmission(ts))))
         return
     out.write('{"alphas": [')
     _write_json_floats(out, alphas)
     out.write('], "ks": [')
     _write_json_floats(out, ks)
     out.write('], "values": [')
-    row = ", [" + ", ".join([float_field(17)] * len(ks)) + "]"
+    row = ", [" + ", ".join(["%.17g"] * len(ks)) + "]"
     for i, (a, t) in enumerate(blocks):
-        rows = format_rows(row * len(a), (t,), 17, quote_nonfinite=True)
+        rows = quote_nonfinite(format_rows(row * len(a), (floats(t),)))
         out.write(rows if i else rows[2:])  # no separator before the first row
     out.write("]}\n")
 

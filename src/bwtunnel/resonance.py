@@ -128,8 +128,11 @@ def _residual_phases(alpha, b: float, sigma: float):
     alpha = np.asarray(alpha, dtype=float)
     pos, neg = alpha > 0, alpha < 0
     x, y = _phases(alpha, b, np.where(neg, sigma, 1.0), np.where(pos, sigma, 1.0))
-    # r at negative strengths is unused when sigma = 0
+    # r at negative strengths is unused when sigma = 0; b / sigma
+    # overflows at a subnormal sigma, where sqrt(b) / sqrt(sigma) does not
     r_neg = math.sqrt(b / sigma) if sigma else math.inf
+    if sigma and r_neg == math.inf:
+        r_neg = math.sqrt(b) / math.sqrt(sigma)
     r = np.where(pos, math.sqrt(b * sigma), np.where(neg, r_neg, math.sqrt(b)))
     pole = np.abs(np.fmod(y, math.pi) - math.pi / 2) < _POLE_TOL
     return alpha, x, y, r, pole
@@ -179,8 +182,9 @@ def _f_prime(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     alpha, x, y, r, pole = _residual_phases(alpha, b, sigma)
     tx, ty = np.tanh(x), np.tan(y)
     up = alpha >= 0
-    # r is inf at negative strengths when sqrt(b/sigma) overflows; where
-    # tanh(x) underflows to 0 there too, inf * 0 is a nan without a warning
+    # r is inf at negative strengths when sigma = 0 or sqrt(b/sigma)
+    # overflows; where tanh(x) underflows to 0 there too, inf * 0 is a nan
+    # without a warning
     with np.errstate(invalid="ignore"):
         f = np.where(up, tx, ty) - r * np.where(up, ty, tx)
     if sigma == 0.0:
@@ -343,7 +347,8 @@ def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float) 
         clear_a, clear_b = ~pole[:-1], ~pole[1:]
         roots += x[:-1][clear_a & (fa == 0.0)].tolist()
         # a zero at the right end is recorded by the next cell
-        change = clear_a & clear_b & (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0)
+        with np.errstate(over="ignore"):  # an overflowing product keeps its sign
+            change = clear_a & clear_b & (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0)
         i = np.flatnonzero(change)
         cells.append((x[i], x[i + 1], fa[i]))
     if not pole[-1] and fx[-1] == 0.0:

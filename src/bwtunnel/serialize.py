@@ -1,86 +1,60 @@
 """Deterministic text output: fixed-precision floats for CSV and JSON.
 
 CSV rows carry 12 significant digits; JSON carries 17 (enough to
-round-trip any double exactly). json_dumps and csv_row write those
-fixed widths; the column formatters take the digits, since the streamed
-scan and grid writer uses both. Output is byte-stable across runs.
+round-trip any double exactly). The writers compose one function per
+rule: floats() holds the float rules, format_rows() fills a % template
+from ready-made cell lists, and quote_nonfinite() writes the bare nan and
+inf of a %g text as JSON strings. json_dumps and csv_row are the
+one-value case. Output is byte-stable across runs.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 
 import numpy as np
 
 
-def float_field(sig: int) -> str:
-    """The % field that writes one float to sig significant digits.
-
-    %g spells the non-finite values nan, inf and -inf.
-    """
-    return f"%.{sig}g"
-
-
-def _float_rules(values) -> list[float]:
+def floats(values) -> list[float]:
     """The values as Python floats, row-major, by one tolist().
 
-    The one place the float rules live besides float_field: adding 0.0
-    turns -0 into 0, so repeated runs cannot differ on signed zero.
+    Adding 0.0 turns -0 into 0, so runs cannot differ on signed zero.
     """
     return (np.asarray(values, dtype=float) + 0.0).ravel().tolist()
 
 
-def literal(text: str) -> str:
-    """text as it stands in a % template, which writes it as it is."""
-    return text.replace("%", "%%")
+def format_column(values, sig: int) -> list[str]:
+    """Each value to sig significant digits, in order; %g spells nan, inf and -inf."""
+    return list(map(f"%.{sig}g".__mod__, floats(values)))
 
 
-def format_column(values, sig: int, quote_nonfinite: bool = False) -> list[str]:
-    """Each value as a float to sig significant digits, in order.
+# the non-finite fields of a %g text
+_NONFINITE = re.compile(r"-?inf|nan")
 
-    CSV writes the non-finite values bare; JSON has no such literals, so
-    quote_nonfinite writes them as strings.
+
+def quote_nonfinite(text: str) -> str:
+    """A %g text with each bare nan, inf and -inf written as a JSON string.
+
+    A finite %g field never holds the letter n, so a text without one is
+    returned as it is.
     """
-    cells = _float_rules(values)
-    texts = list(map(float_field(sig).__mod__, cells))
-    if quote_nonfinite:
-        return [t if math.isfinite(x) else f'"{t}"' for x, t in zip(cells, texts)]
-    return texts
+    if "n" not in text:
+        return text
+    # a function replacement: a template one is much slower on many matches
+    return _NONFINITE.sub(lambda m: f'"{m.group()}"', text)
 
 
-# a % template holds escaped percent signs and float fields, nothing else
-_TEMPLATE_TOKEN = re.compile(r"%%|%\.\d+g")
-
-
-def format_rows(template: str, columns, sig: int, quote_nonfinite: bool = False,
-                derive=None) -> str:
+def format_rows(template: str, columns) -> str:
     """A block of rows as one text: template filled by one %.
 
-    template holds one float_field(sig) per cell, in output order, and
-    other text only as literal() writes it. Cell n of the block is item
-    n // w of column n % w, for w columns each raveled, so a block's
-    row-major 2-D array is one column and separate columns meet row by
-    row. Every cell is written as format_column writes it: each column
-    passes the float rules by one tolist(), and derive, if given, maps the
-    last column's floats to one more column, used as it returns them (log10
-    T beside T), so a derived column costs no second conversion. With
-    quote_nonfinite, a block that holds a non-finite cell takes
-    format_column's quoted texts in every field; a finite block pays
-    nothing for it.
+    template holds one % field per cell, in output order. Cell n is item
+    n // w of column n % w of the w equal-length cell lists, so one
+    row-major list is one column and separate columns meet row by row.
     """
-    arrays = [np.asarray(c, dtype=float) for c in columns]
-    cells = [_float_rules(a) for a in arrays]
-    if derive is not None:
-        cells.append(derive(cells[-1]))
-        arrays.append(cells[-1])
-    if quote_nonfinite and not all(np.isfinite(a).all() for a in arrays):
-        cells = [format_column(c, sig, quote_nonfinite=True) for c in cells]
-        template = _TEMPLATE_TOKEN.sub(lambda m: "%%" if m.group() == "%%" else "%s", template)
-    flat = [None] * sum(map(len, cells))
-    for j, column in enumerate(cells):
-        flat[j::len(cells)] = column
+    flat = [None] * sum(map(len, columns))
+    for j, column in enumerate(columns):
+        flat[j::len(columns)] = column
     return template % tuple(flat)
 
 
@@ -102,7 +76,7 @@ def _emit(obj, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(format_column((obj,), 17, quote_nonfinite=True)[0])
+        out.append(quote_nonfinite(format_column((obj,), 17)[0]))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):

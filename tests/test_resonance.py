@@ -199,23 +199,23 @@ class TestResidualFunctions:
     def test_real_bodies_match_continued_forms(self, alpha, b, sigma):
         sp, sm = sigma_split(alpha, sigma)
         try:
-            pairs = [(f(alpha, b, sigma), f_c(alpha, b, sigma)) for f, f_c in (
-                (f_plus, f_plus_continued), (f_minus, f_minus_continued),
-                (f_prime, f_prime_continued))]
-            pairs.append((theta_factor(alpha, b, sp, sm), theta_continued(alpha, b, sp, sm)))
+            pairs = [(f(alpha, b, sigma), CONTINUED[label](alpha, b, sigma), label)
+                     for f, label in ((f_plus, SetLabel.SIGMA_PLUS), (f_minus, SetLabel.SIGMA_MINUS),
+                                      (f_prime, SetLabel.SIGMA_PRIME))]
+            pairs.append((theta_factor(alpha, b, sp, sm), theta_continued(alpha, b, sp, sm), None))
         except PoleError:
             reject()
         # Both forms take tan of the same phase; their terms grow like it
         # and are rounded in a different order, so the tolerance does too.
         A, B = _sqrt_args(alpha, b, sp, sm)
         scale = 1.0 + max(abs(cmath.tanh(A)), abs(cmath.tan(B)))
-        for got, want in pairs:
+        for got, want, label in pairs:
+            if not math.isfinite(want) and sigma and label:
+                # sqrt(b/sigma) overflows at subnormal-scale sigma in the
+                # oracle's complex product (inf, or nan from inf * 0)
+                want = float(_mp_continued(pytest.importorskip("mpmath").mp, label, alpha, b, sigma))
             if math.isfinite(want):
                 assert abs(got - want) <= 1e-11 * (1.0 + abs(want)) * scale, (got, want)
-            elif math.isnan(want):
-                # sqrt(b/sigma) overflows at subnormal-scale sigma, and the
-                # oracle's complex product turns inf * 0 into nan
-                assert math.isinf(got), (got, want)
             else:
                 assert got == want
 
@@ -283,6 +283,14 @@ class TestArrayBodies:
             got = [scalar(alpha, 3.0, sigma) for alpha in alphas]
         assert not pole.any()
         assert [v.hex() for v in got] == [v.hex() for v in values.tolist()]
+
+    def test_subnormal_sigma_residual_is_finite(self):
+        # sqrt(b/sigma) overflows here; the residual ty - r*tx does not. Its
+        # phase's argument 2|alpha|/(1+b) is subnormal and keeps about 13 digits.
+        mp = pytest.importorskip("mpmath").mp
+        want = float(_mp_continued(mp, SetLabel.SIGMA_PRIME, -1e-310, 3.0, 1e-310))
+        assert f_prime(-1e-310, 3.0, 1e-310) == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert want == pytest.approx(-math.sqrt(1.5), rel=1e-15, abs=0.0)
 
     def test_array_input_checks(self):
         with pytest.raises(ValueError, match="finite"):
@@ -498,6 +506,17 @@ class TestResonanceSets:
         model_m, prime_m = resonance_sets(Kind.MINUS, 3.0, 0.0, (-40.0, 40.0))
         assert model_m.alphas() == [0.0]
         assert prime_m.alphas() == []
+
+    @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-310, 5e-324])
+    def test_subnormal_sigma_sets_as_tiny_sigma(self, kind, sigma):
+        # the residuals reach about 1e162 at negative strengths, so the
+        # scan's sign test multiplies two of them past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, prime = resonance_sets(kind, 3.0, sigma)
+        assert model.alphas() == [0.0]
+        assert prime.alphas() == []
 
     def test_window_doubling_strictly_grows_sets(self):
         p40 = resonance_sets(Kind.PLUS, 3.0, 1.0, (-40.0, 40.0))
