@@ -117,25 +117,37 @@ def _phases(alpha, b: float, sp, sm) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _residual_phases(alpha, b: float, sigma: float):
-    """(alpha, x, y, r, pole) of a limiting residual after its input checks.
+    """(alpha, x, y, pole) of a limiting residual after its input checks.
 
     Elementwise over strengths: the phases x, y of potential.sigma_split's
-    (sp, sm), r = sqrt(b*sm/sp), and pole marking the strengths whose tan
-    phase lies within 1e-12 of a singularity; the hyperbolic factors are
-    pole free.
+    (sp, sm), and pole marking the strengths whose tan phase lies within
+    1e-12 of a singularity; the hyperbolic factors are pole free.
     """
     _check_bsigma(b, sigma)
     alpha = np.asarray(alpha, dtype=float)
+    x, y = _phases(alpha, b, np.where(alpha < 0, sigma, 1.0), np.where(alpha > 0, sigma, 1.0))
+    pole = np.abs(np.fmod(y, math.pi) - math.pi / 2) < _POLE_TOL
+    return alpha, x, y, pole
+
+
+def _ratio(alpha: np.ndarray, b: float, sigma: float) -> np.ndarray:
+    """r = sqrt(b*sm/sp) of potential.sigma_split's (sp, sm), elementwise over strengths.
+
+    b*sigma and b/sigma overflow at a huge b or a subnormal sigma where
+    their square roots may not, so r then comes from sqrt(b) and
+    sqrt(sigma). Raises ValueError where r itself is not finite; at
+    negative strengths with sigma = 0 it is inf, and unused.
+    """
     pos, neg = alpha > 0, alpha < 0
-    x, y = _phases(alpha, b, np.where(neg, sigma, 1.0), np.where(pos, sigma, 1.0))
-    # r at negative strengths is unused when sigma = 0; b / sigma
-    # overflows at a subnormal sigma, where sqrt(b) / sqrt(sigma) does not
+    r_pos = math.sqrt(b * sigma)
+    if r_pos == math.inf:
+        r_pos = math.sqrt(b) * math.sqrt(sigma)
     r_neg = math.sqrt(b / sigma) if sigma else math.inf
     if sigma and r_neg == math.inf:
         r_neg = math.sqrt(b) / math.sqrt(sigma)
-    r = np.where(pos, math.sqrt(b * sigma), np.where(neg, r_neg, math.sqrt(b)))
-    pole = np.abs(np.fmod(y, math.pi) - math.pi / 2) < _POLE_TOL
-    return alpha, x, y, r, pole
+        if r_neg == math.inf and neg.any():
+            raise ValueError(f"r = sqrt(b / sigma) is not finite at b = {b}, sigma = {sigma}")
+    return np.where(pos, r_pos, np.where(neg, r_neg, math.sqrt(b)))
 
 
 def _tanc(z, tan_z):
@@ -158,7 +170,7 @@ def _tanhc(z, tanh_z):
 
 def _f_plus(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """f_plus on an array of strengths: (values, pole mask)."""
-    alpha, x, y, _, pole = _residual_phases(alpha, b, sigma)
+    alpha, x, y, pole = _residual_phases(alpha, b, sigma)
     tx, ty = np.tanh(x), np.tan(y)
     c = np.where(alpha >= 0, b, 1.0 / b)
     return c * y * ty * _tanhc(x, tx) - x * tx * _tanc(y, ty) / c - 2.0, pole
@@ -166,7 +178,8 @@ def _f_plus(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _f_minus(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """f_minus on an array of strengths: (values, pole mask)."""
-    alpha, x, y, r, pole = _residual_phases(alpha, b, sigma)
+    alpha, x, y, pole = _residual_phases(alpha, b, sigma)
+    r = _ratio(alpha, b, sigma)
     tx = np.tanh(x)
     t = tx * np.tan(y)
     f = np.where(alpha >= 0, t, -t) + r
@@ -179,12 +192,13 @@ def _f_minus(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _f_prime(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """f_prime on an array of strengths: (values, pole mask)."""
-    alpha, x, y, r, pole = _residual_phases(alpha, b, sigma)
+    alpha, x, y, pole = _residual_phases(alpha, b, sigma)
+    r = _ratio(alpha, b, sigma)
     tx, ty = np.tanh(x), np.tan(y)
     up = alpha >= 0
-    # r is inf at negative strengths when sigma = 0 or sqrt(b/sigma)
-    # overflows; where tanh(x) underflows to 0 there too, inf * 0 is a nan
-    # without a warning
+    # r is inf at negative strengths when sigma = 0, where the value is
+    # replaced below; where tanh(x) underflows to 0 there too, inf * 0 is a
+    # nan without a warning
     with np.errstate(invalid="ignore"):
         f = np.where(up, tx, ty) - r * np.where(up, ty, tx)
     if sigma == 0.0:

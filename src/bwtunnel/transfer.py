@@ -8,12 +8,11 @@ with an imaginary-part check, so a wrong branch there shows up as a hard
 failure instead of a silent sign error.
 
 The closed form is one numpy kernel, closed_form_arrays, over arrays of
-strengths and energies, for both arrangements. It is real arithmetic on
-the squared wave numbers p^2 and q^2, which are always real: cos/sin of
-an oscillating slab and cosh/sinh of an evanescent one, with no complex
-trig and no branch to choose. closed_form is one point of it for the
-arrangement its parameters name, and the slab product stays the
-independent route.
+strengths and energies: both arrangements are two copies of one
+barrier-well cell, in real arithmetic on the squared wave numbers p^2 and
+q^2 (cos/sin of an oscillating slab, cosh/sinh of an evanescent one), with
+no complex trig and no branch to choose. closed_form is one point of it,
+and the slab product stays the independent route.
 """
 
 from __future__ import annotations
@@ -141,40 +140,33 @@ def _slab_terms(w, width):
     return c, np.where(kap == 0, width, s / kap), np.copysign(kap, w) * s
 
 
-def closed_form_entries(kind: Kind, wp, wq, l, r):
-    """Closed-form entries (m11, m12, m21, m22) of the four-slab chain.
+def _cell(wp, wq, l, r):
+    """Entries (A, B, C, D) of the cell H = (well slab)*(barrier slab), elementwise.
 
-    Real elementwise numpy arithmetic on the squared slab wave numbers
-    wp = p^2, wq = q^2 and the widths l, r. Each entry is a polynomial in
-    each slab's (c, S, T) of _slab_terms and their double angles (2c^2 - 1,
-    2Sc, 2Tc), so the ratios p/q and q/p never appear:
-    (p/q) sin(2pl) sin(2qr) = T2p*S2q, for one. Products are paired so
-    that none overflows before the entry does: (Tp*Sq)^2 and not Tp^2*Sq^2.
-    The mirror arrangement's diagonal entries are equal by spatial
-    symmetry and are computed once: its m22 is the very object returned
-    as m11. Callers silence numpy's floating-point warnings: each
-    np.where evaluates both branches, so cosh overflows on oscillating
-    points it then discards.
+    The barrier (wp = p^2, width l) acts first, then the well (wq = q^2,
+    width r); real arithmetic on each slab's (c, S, T) of _slab_terms, so
+    the ratios p/q and q/p never appear.
     """
     cp, Sp, Tp = _slab_terms(wp, l)
     cq, Sq, Tq = _slab_terms(wq, r)
-    c2p, S2p, T2p = 2 * cp * cp - 1, 2 * Sp * cp, 2 * Tp * cp
-    S2q, T2q = 2 * Sq * cq, 2 * Tq * cq
-    cp2 = cp * cp
+    return cp * cq - Tp * Sq, Sp * cq + cp * Sq, -(Tp * cq + cp * Tq), cp * cq - Sp * Tq
+
+
+def closed_form_entries(kind: Kind, wp, wq, l, r):
+    """Closed-form entries (m11, m12, m21, m22) of the four-slab chain.
+
+    Two copies of the cell H = [[A, B], [C, D]] of _cell: PLUS is H*H, and
+    MINUS is H^R*H with the mirrored cell H^R = [[D, B], [C, A]], whose
+    equal diagonal entries AD + BC are one object, returned as m11 and m22.
+    Callers silence numpy's floating-point warnings: each np.where
+    evaluates both branches, so cosh overflows on points it then discards.
+    """
+    A, B, C, D = _cell(wp, wq, l, r)
     if kind is Kind.PLUS:
-        cq2 = cq * cq
-        common = c2p * cq2 - (cp * Sq) ** 2 * wq
-        m11 = common - 0.25 * (3 * T2p * S2q + S2p * T2q) + (Tp * Sq) ** 2
-        m22 = common - 0.25 * (T2p * S2q + 3 * S2p * T2q) + (Sp * Tq) ** 2
-        mix = Tp * Sq + Sp * Tq
-        m12 = S2p * cq2 + cp2 * S2q - mix * (Sp * cq + cp * Sq)
-        m21 = -T2p * cq2 - cp2 * T2q + mix * (Tp * cq + cp * Tq)
-        return m11, m12, m21, m22
-    c2q = 2 * cq * cq - 1
-    diag = c2p * c2q - 0.5 * (T2p * S2q + S2p * T2q)
-    m12 = S2p * c2q + cp2 * S2q - Sp * (Sp * T2q)
-    m21 = -T2p * c2q + Tp * (Tp * S2q) - cp2 * T2q
-    return diag, m12, m21, diag
+        trace = A + D
+        return A * A + B * C, trace * B, trace * C, B * C + D * D
+    diag = A * D + B * C
+    return diag, 2 * B * D, 2 * A * C, diag
 
 
 def closed_form_arrays(kind: Kind, alphas, E, eps: float, c1: float, c2: float, sigma: float):
@@ -218,9 +210,11 @@ def finite_eps_residuals(params: BWParams, E: float) -> tuple[complex, complex, 
     """The three divergence-cancellation residuals at finite squeezing.
 
     Diagnostics for how close a configuration is to each branch along
-    which the lower-left matrix entry stays finite as eps -> 0. Returned
-    as complex numbers; they are generally not real in the tunneling
-    regime.
+    which the lower-left matrix entry stays finite as eps -> 0. In terms
+    of the cell (A, B, C, D) of _cell they are r8 = A + D, r9 = -C and
+    r10 = -q*A. Returned as complex numbers: r8 and r9 are real at every
+    E > 0, and r10 is real where q^2 >= 0 and purely imaginary where
+    q^2 < 0.
     """
     _, l, _, r = bw_geometry(params)
     w = wave_numbers(params, E)

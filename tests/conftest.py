@@ -25,3 +25,20 @@ def run_cli():
         return code, out.getvalue(), err.getvalue()
 
     return _run
+
+
+def mp_slab_uv(mp, chain, k):
+    """u, v of the chain's own f64 slabs, by a 60-digit slab product (mpf at 60 digits)."""
+    with mp.workdps(60):
+        kk = mp.mpf(k)
+        m = mp.eye(2)
+        for seg in chain.segments:
+            kap2 = kk * kk - mp.mpf(seg.value)
+            kap, w = mp.sqrt(abs(kap2)), mp.mpf(seg.width)
+            if kap2 > 0:
+                c, s = mp.cos(kap * w), mp.sin(kap * w)
+                m = mp.matrix([[c, s / kap], [-kap * s, c]]) * m
+            else:
+                c, s = mp.cosh(kap * w), mp.sinh(kap * w)
+                m = mp.matrix([[c, s / kap], [kap * s, c]]) * m
+        return m[0, 0] - m[1, 1], kk * m[0, 1] + m[1, 0] / kk

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stdout
 from unittest import mock
 
@@ -304,6 +305,15 @@ class TestRejectedInput:
         code, out, err = run_cli(argv)
         assert code == 1 and out == ""
         assert err.splitlines() == [f"error: {message}"]
+
+    def test_r_past_the_float_range_is_computation_error(self, run_cli):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["resonances", "--model", "minus",
+                                      "--b", "1e300", "--sigma", "5e-324"])
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: r = sqrt(b / sigma) is not finite at b = 1e+300, sigma = 5e-324"]
 
 
 SCAN_ARGV = ["scan-alpha", "--alpha-min", "0", "--alpha-max", "1"]

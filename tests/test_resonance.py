@@ -292,6 +292,22 @@ class TestArrayBodies:
         assert f_prime(-1e-310, 3.0, 1e-310) == pytest.approx(want, rel=1e-13, abs=0.0)
         assert want == pytest.approx(-math.sqrt(1.5), rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("label, scalar", [(SetLabel.SIGMA_MINUS, f_minus),
+                                               (SetLabel.SIGMA_PRIME, f_prime)])
+    def test_huge_b_times_sigma_keeps_r_finite(self, label, scalar):
+        # b*sigma = 1e600 overflows, while r = sqrt(b*sigma) = 1e300 does not
+        mp = pytest.importorskip("mpmath").mp
+        want = float(_mp_continued(mp, label, 1e-300, 1e300, 1e300))
+        assert scalar(1e-300, 1e300, 1e300) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("scalar", [f_minus, f_prime])
+    def test_r_past_the_float_range_is_a_value_error(self, scalar):
+        # at alpha < 0, r = sqrt(b/sigma) = sqrt(2e623) is past the float
+        # range; f_plus has no r and stays finite there
+        with pytest.raises(ValueError, match=r"r = sqrt\(b / sigma\) is not finite"):
+            scalar(-1e-310, 1e300, 5e-324)
+        assert math.isfinite(f_plus(-1e-310, 1e300, 5e-324))
+
     def test_array_input_checks(self):
         with pytest.raises(ValueError, match="finite"):
             _f_plus(np.array([1.0, math.nan, 2.0]), 3.0, 1.0)
@@ -517,6 +533,15 @@ class TestResonanceSets:
             model, prime = resonance_sets(kind, 3.0, sigma)
         assert model.alphas() == [0.0]
         assert prime.alphas() == []
+
+    @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
+    def test_r_past_the_float_range_fails_the_sets(self, kind):
+        # r = sqrt(b/sigma) overflows at the window's negative strengths;
+        # the error comes before any floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"r = sqrt\(b / sigma\) is not finite"):
+                resonance_sets(kind, 1e300, 5e-324)
 
     def test_window_doubling_strictly_grows_sets(self):
         p40 = resonance_sets(Kind.PLUS, 3.0, 1.0, (-40.0, 40.0))

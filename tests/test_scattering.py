@@ -22,7 +22,7 @@ from bwtunnel.scattering import (
 )
 from bwtunnel.transfer import TransferMatrix, chain_matrix, limit_matrix, Branch
 
-from conftest import KNOWN_SIGMA_PRIME
+from conftest import KNOWN_SIGMA_PRIME, mp_slab_uv
 
 moderate_segments = st.lists(
     st.tuples(st.floats(0.05, 0.5), st.floats(-4.0, 4.0)),
@@ -108,18 +108,7 @@ def test_minus_model_reflection_symmetry():
 def _mp_slab_transmission(mp, chain, k):
     """T of the chain's own f64 slabs, by a 60-digit slab product."""
     with mp.workdps(60):
-        kk = mp.mpf(k)
-        m = mp.eye(2)
-        for seg in chain.segments:
-            kap2 = kk * kk - mp.mpf(seg.value)
-            kap, w = mp.sqrt(abs(kap2)), mp.mpf(seg.width)
-            if kap2 > 0:
-                c, s = mp.cos(kap * w), mp.sin(kap * w)
-                m = mp.matrix([[c, s / kap], [-kap * s, c]]) * m
-            else:
-                c, s = mp.cosh(kap * w), mp.sinh(kap * w)
-                m = mp.matrix([[c, s / kap], [kap * s, c]]) * m
-        u, v = m[0, 0] - m[1, 1], kk * m[0, 1] + m[1, 0] / kk
+        u, v = mp_slab_uv(mp, chain, k)
         return float(4 / (4 + u * u + v * v))
 
 

@@ -7,19 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwtunnel.potential import BWParams, Kind, Segment, SegmentChain, bw_geometry, concat, realize
-from bwtunnel.scattering import REALNESS_TOL
+from bwtunnel.scattering import REALNESS_TOL, transmissivity
 from bwtunnel.transfer import (
     BoundaryState,
     Branch,
     TransferMatrix,
+    _cell,
     chain_matrix,
     closed_form,
     closed_form_arrays,
+    finite_eps_residuals,
     lambda21_factored,
     limit_matrix,
     segment_matrix,
     wave_numbers,
 )
+
+from conftest import mp_slab_uv
 
 # Entries must stay small enough that the det cancellation (~ entries^2
 # per rounding unit) sits below the absolute tolerances being asserted.
@@ -276,3 +280,69 @@ class TestClosedFormEntries:
         product = chain_matrix(realize(params), E)
         if product.max_abs_entry() <= 1e8:
             assert closed.max_abs_diff(product) <= 1e-9 * (1.0 + growth)
+
+
+def cell(params, E):
+    """The cell entries (A, B, C, D) of params at energy E, as floats."""
+    h, l, d, r = bw_geometry(params)
+    wp, wq = np.float64(E - params.alpha * h), np.float64(E + params.alpha * d)
+    return tuple(float(z) for z in _cell(wp, wq, l, r))
+
+
+class TestCell:
+    def test_cell_gives_the_paper_residuals(self):
+        # r8 = tr H, r9 = -C and r10 = -q*A: r8 and r9 are real at every
+        # E > 0, r10 is purely imaginary where q^2 < 0
+        rng = np.random.default_rng(8910)
+        signs = set()
+        for _ in range(300):
+            params = rand_params(rng)
+            E = rng.uniform(0.05, 6.0) ** 2
+            A, B, C, D = cell(params, E)
+            r8, r9, r10 = finite_eps_residuals(params, E)
+            q = wave_numbers(params, E).q
+            tol = 1e-14 * (1.0 + slab_growth(params, E))
+            assert abs(r8 - (A + D)) <= tol
+            assert abs(r9 + C) <= tol
+            assert abs(r10 + q * A) <= tol * (1.0 + abs(q))
+            signs.add(params.alpha > 0)
+        assert signs == {False, True}
+
+    @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
+    @pytest.mark.parametrize("alpha", [10.0, -7.3, 26.8672])
+    @pytest.mark.parametrize("eps", [0.1, 1e-3])
+    def test_uv_factorizations_match_a_60_digit_slab_product(self, kind, alpha, eps):
+        # PLUS: u = (A - D)(A + D), v = (A + D)(kB + C/k);
+        # MINUS: u = 0, v = 2(k^2 BD + AC)/k
+        mp = pytest.importorskip("mpmath").mp
+        params, k = BWParams(kind, alpha, eps, 3.0, 1.0, 1.0), 1.0
+        A, B, C, D = cell(params, k * k)
+        if kind is Kind.PLUS:
+            u, v = (A - D) * (A + D), (A + D) * (k * B + C / k)
+        else:
+            u, v = 0.0, 2.0 * (k * k * B * D + A * C) / k
+        tol = 1e-15 * (1.0 + slab_growth(params, k * k))
+        with mp.workdps(60):
+            want_u, want_v = mp_slab_uv(mp, realize(params), k)
+            assert abs(u - want_u) <= tol and abs(v - want_v) <= tol
+
+    @pytest.mark.parametrize("guess, root", [(2.2819, 2.2819118347), (35.0916, 35.0915686029),
+                                             (-2.7028, -2.7027549094)])
+    def test_zero_trace_transmits_fully(self, guess, root):
+        # PLUS: M = H*H, so tr H = 0 makes u = v = 0 and T = 1
+        def trace(alpha):
+            A, _, _, D = cell(BWParams(Kind.PLUS, alpha, 0.01, 3.0, 1.0, 1.0), 1.0)
+            return A + D
+
+        lo, hi = guess - 1e-3, guess + 1e-3
+        f_lo = trace(lo)
+        assert f_lo * trace(hi) < 0
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            f_mid = trace(mid)
+            if f_lo * f_mid > 0:
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        assert lo == pytest.approx(root, abs=1e-9)
+        assert transmissivity(BWParams(Kind.PLUS, lo, 0.01, 3.0, 1.0, 1.0), 1.0) >= 1.0 - 1e-13
