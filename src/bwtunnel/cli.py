@@ -33,7 +33,15 @@ from .resonance import (
     resonance_sets,
 )
 from .scattering import BLOCK_POINTS, grid_blocks, log10_transmission
-from .serialize import csv_row, floats, format_column, format_rows, json_dumps, quote_nonfinite
+from .serialize import (
+    _rows17,
+    csv_row,
+    floats,
+    format_column,
+    format_rows,
+    json_dumps,
+    quote_nonfinite,
+)
 from .transfer import chain_matrix, closed_form
 from .zerolimit import classify, converge_study
 
@@ -228,17 +236,17 @@ def _emit(text: str, out_path: str | None) -> None:
 def _write_json_floats(out, values) -> None:
     """A JSON list's floats, BLOCK_POINTS at a time, so a long axis costs no more than a block."""
     for i in range(0, len(values), BLOCK_POINTS):
-        chunk = floats(values[i:i + BLOCK_POINTS])
-        text = quote_nonfinite(format_rows(", %.17g" * len(chunk), (chunk,)))
+        text = quote_nonfinite(_rows17(values[i:i + BLOCK_POINTS, None], ", ", "", ""))
         out.write(text if i else text[2:])  # no separator before the first value
 
 
 def _write_grid(out, out_format: str, alphas, ks, blocks) -> None:
     """Write a grid's rows (CSV) or its axes and value rows (JSON) block by block.
 
-    Each block is one % over its template; a text that repeats across
-    cells (k, and alpha on a grid) is formatted once and written into
-    the template, so % fills only the cells that differ.
+    Each block is one % over its template. In CSV a text that repeats
+    across cells (k, and alpha on a grid) is formatted once and written
+    into the template, so % fills only the cells that differ; in JSON
+    serialize._rows17 writes each block's %.17g cells.
     """
     if out_format == "csv":
         out.write("alpha,k,T,log10T\n")
@@ -261,9 +269,8 @@ def _write_grid(out, out_format: str, alphas, ks, blocks) -> None:
     out.write('], "ks": [')
     _write_json_floats(out, ks)
     out.write('], "values": [')
-    row = ", [" + ", ".join(["%.17g"] * len(ks)) + "]"
     for i, (a, t) in enumerate(blocks):
-        rows = quote_nonfinite(format_rows(row * len(a), (floats(t),)))
+        rows = quote_nonfinite(_rows17(t, ", [", ", ", "]"))
         out.write(rows if i else rows[2:])  # no separator before the first row
     out.write("]}\n")
 

@@ -123,11 +123,17 @@ def transmissivity(params: BWParams, k: float) -> float:
     The slab product, through the same tail as scans and grids. Far
     from the resonances T falls like eps^2, the perfectly-reflecting
     wall of the zero-range limit, and underflows to 0.0 only where
-    u^2 + v^2 overflows.
+    u^2 + v^2 overflows. Where a slab's cmath overflows (past alpha of
+    about 3.4e5) an entry is past the float range and T is NaN, as in
+    the closed-form kernel of scans and grids.
     """
     if not (0.0 < k < math.inf):
         raise ValueError(f"k must be finite and > 0, got {k}")
-    L = transfer.chain_matrix(potential.realize(params), k * k)
+    chain = potential.realize(params)
+    try:
+        L = transfer.chain_matrix(chain, k * k)
+    except OverflowError:
+        return math.nan
     return float(_transmission(L.entries(), k))
 
 

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from bwtunnel import cli, scattering
 from bwtunnel.cli import main, parse_args, run
 from bwtunnel.potential import BWParams, Kind
-from bwtunnel.scattering import grid, transmissivity
-from bwtunnel.serialize import csv_row, json_dumps
+from bwtunnel.scattering import grid, grid_blocks, transmissivity
+from bwtunnel.serialize import csv_row, floats, format_rows, json_dumps, quote_nonfinite
 
 from conftest import KNOWN_SIGMA_PLUS, KNOWN_SIGMA_PRIME
 
@@ -306,6 +306,14 @@ class TestRejectedInput:
         assert code == 1 and out == ""
         assert err.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize("model", ["plus", "minus"])
+    @pytest.mark.parametrize("eps", ["0.1", "1e-7"])
+    def test_matrix_past_the_slab_range_is_computation_error(self, run_cli, model, eps):
+        # transmissivity gives NaN there; the slab product itself keeps raising
+        code, out, err = run_cli(["matrix", "--model", model, "--alpha", "3.5e5", "--eps", eps])
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: math range error"]
+
     def test_r_past_the_float_range_is_computation_error(self, run_cli):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -588,3 +596,63 @@ class TestBlockBytes:
             assert want_csv.count(",-inf\n") == 1391
         if case == "long-k-grid":
             assert g.values.shape[1] > scattering.BLOCK_POINTS
+
+
+def _percent_json(alphas, ks, values):
+    """The JSON writer's bytes as one %.17g fill of each axis and of the value rows."""
+    def fill(field, cells):
+        return quote_nonfinite(format_rows(field * len(cells), (floats(cells),)))[2:]
+
+    row = ", [" + ", ".join(["%.17g"] * len(ks)) + "]"
+    return (f'{{"alphas": [{fill(", %.17g", alphas)}], "ks": [{fill(", %.17g", ks)}], '
+            f'"values": [{fill(row, values)}]}}\n')
+
+
+class TestJsonWriter:
+    """cli._write_grid's JSON against the one %.17g fill per block it replaced."""
+
+    CASES = {
+        # 5001 rows of one cell: the axis and the rows cross BLOCK_POINTS
+        "scan": (Kind.PLUS, 0.1, (-40.0, 40.0), (1.0, 1.0), 5001, 1),
+        "grid": (Kind.MINUS, 0.2, (-40.0, 40.0), (0.01, 10.0), 33, 9),
+        # every T is nan: each block is the plain fill
+        "all-nan-grid": (Kind.PLUS, 0.1, (1e5, 1e6), (0.01, 10.0), 401, 401),
+        # T underflows to 0 between tiny values; the alpha axis starts at -0
+        "zero-scan": (Kind.MINUS, 0.1, (1.7e4, 2.2e4), (1.0, 1.0), 5001, 1),
+        "signed-zero-grid": (Kind.PLUS, 0.2, (-0.0, 3.0), (0.5, 2.0), 7, 5000),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_grid_blocks(self, case):
+        kind, eps, alpha_range, k_range, alpha_steps, k_steps = self.CASES[case]
+        template = BWParams(kind, 0.0, eps, 3.0, 1.0, 1.0)
+        alphas, ks, blocks = grid_blocks(template, alpha_range, k_range, alpha_steps, k_steps)
+        blocks = list(blocks)
+        values = np.concatenate([t for _, t in blocks])
+        out = io.StringIO()
+        with np.errstate(all="raise"):
+            cli._write_grid(out, "json", alphas, ks, iter(blocks))
+        assert out.getvalue() == _percent_json(alphas, ks, values)
+        assert np.isnan(values).all() == (case == "all-nan-grid")
+        if case == "zero-scan":
+            assert (values == 0).any() and (values > 0).any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 4), block_points=st.integers(1, 9),
+           block_rows=st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    def test_drawn_blocks(self, data, width, block_points, block_rows):
+        # nan, +-inf and -0 among ordinary values, in blocks of drawn sizes;
+        # block_points cuts the axes into chunks of their own
+        cell = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 5e-324]),
+                         st.floats(0.0, 1.0), st.floats(-50.0, 50.0))
+        rows = sum(block_rows)
+        values = np.reshape(data.draw(st.lists(cell, min_size=rows * width, max_size=rows * width)),
+                            (rows, width))
+        alphas = np.array(data.draw(st.lists(cell, min_size=rows, max_size=rows)))
+        ks = np.array(data.draw(st.lists(cell, min_size=width, max_size=width)))
+        cuts = np.cumsum([0, *block_rows])
+        blocks = ((alphas[i:j], values[i:j]) for i, j in zip(cuts, cuts[1:]))
+        out = io.StringIO()
+        with mock.patch.object(cli, "BLOCK_POINTS", block_points), np.errstate(all="raise"):
+            cli._write_grid(out, "json", alphas, ks, blocks)
+        assert out.getvalue() == _percent_json(alphas, ks, values)

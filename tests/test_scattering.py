@@ -142,6 +142,17 @@ class TestTransmissivity:
         with pytest.raises(ValueError, match="k must be finite and > 0"):
             amplitudes(L, k, -1.0, 1.0)
 
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("eps", [0.1, 1e-7])
+    def test_overflowing_slab_product_is_nan_as_in_the_kernel(self, kind, eps):
+        # past alpha of about 3.4e5 a slab's cmath overflows: the product raises,
+        # and transmissivity gives the NaN that the kernel gives at the same point
+        params = BWParams(kind, 3.5e5, eps, 3.0, 1.0, 1.0)
+        with pytest.raises(OverflowError):
+            chain_matrix(realize(params), 1.0)
+        assert math.isnan(transmissivity(params, 1.0))
+        assert math.isnan(grid(params, (3.5e5, 3.5e5), (1.0, 1.0), 1, 1).values[0, 0])
+
     def test_both_routes_match_a_60_digit_slab_product(self):
         # 300 seeded points deep into the wall: 134 of them have an entry past
         # 1e12, yet plain f64 T stays within 1e-11 of the product of the same slabs

@@ -1,11 +1,15 @@
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bwtunnel import serialize
 from bwtunnel.serialize import (
+    _rows17,
     csv_row,
     floats,
     format_column,
@@ -111,3 +115,98 @@ def test_scalar_paths_are_the_one_element_column(x):
 def test_json_quotes_only_float_cells():
     assert json_dumps({"nan": "inf", "x": math.nan}) == '{"nan": "inf", "x": "nan"}'
     assert json_dumps(["-inf", -math.inf, {"inf": None}]) == '["-inf", "-inf", {"inf": null}]'
+
+
+def _percent_rows(block, head, sep, tail):
+    """The %.17g fill of a 2-D block, one cell at a time: the bytes _rows17 must give."""
+    return "".join(head + sep.join("%.17g" % (v + 0.0) for v in row) + tail
+                   for row in np.asarray(block, dtype=float).tolist())
+
+
+def _check_rows17(values):
+    """values as a column, and beside a column of certified values, in both JSON layouts.
+
+    The second block has at least half its cells certified, so its other
+    column goes through the integer-field path whatever it holds.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    blocks = (values[:, None], np.column_stack([values, np.full(values.size, 1.25)]))
+    with np.errstate(all="raise"):
+        for block in blocks:
+            for layout in ((", ", "", ""), (", [", ", ", "]")):
+                assert _rows17(block, *layout) == _percent_rows(block, *layout)
+
+
+def _bits(n):
+    return struct.unpack("<d", struct.pack("<Q", n))[0]
+
+
+# every float64, signaling nan payloads included; st.floats covers the
+# subnormals, +-0, nan, +-inf and +-max
+any_float64 = st.one_of(st.floats(), st.integers(0, 2 ** 64 - 1).map(_bits))
+# values the integer-field path certifies, bar near-ties
+certified = st.one_of(st.floats(1e-280, 999.0), st.floats(-999.0, -1e-280))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), width=st.integers(1, 4), rows=st.integers(1, 6),
+       bracketed=st.booleans())
+def test_rows17_is_the_percent_fill_of_any_float64(data, width, rows, bracketed):
+    n = rows * width
+    tame = data.draw(st.integers(0, n))
+    cells = data.draw(st.lists(any_float64, min_size=n - tame, max_size=n - tame))
+    cells += data.draw(st.lists(certified, min_size=tame, max_size=tame))
+    block = np.reshape(data.draw(st.permutations(cells)), (rows, width))
+    layout = (", [", ", ", "]") if bracketed else ("[", ";", "]\n")
+    with np.errstate(all="raise"):
+        assert _rows17(block, *layout) == _percent_rows(block, *layout)
+
+
+def test_rows17_powers_of_two():
+    _check_rows17(2.0 ** np.arange(-1074, 1024))
+
+
+def test_rows17_near_ties():
+    # 17 random digits and then a 5: the nearest double to an 18-digit tie
+    rng = np.random.default_rng(17)
+    digits = rng.integers(10 ** 16, 10 ** 17, 20000)
+    exponents = rng.integers(-330, 300, 20000)
+    near = [float(f"{d}5e{e}") for d, e in zip(digits.tolist(), exponents.tolist())]
+    # where 10**s is exact, s <= 22: values between 1e-6 and 1e17
+    near += [float(f"{d}5e{e}") for d, e in zip(digits.tolist(), (exponents % 23 - 39).tolist())]
+    # exact ties: x = M / 2**(s + 1), M odd, with s = 16 - floor(log10 x), makes
+    # x * 10**s a half-integer, which %g rounds half to even
+    for s in range(40):
+        lo, hi = 10 ** (16 - s) * 2 ** (s + 1), 10 ** (17 - s) * 2 ** (s + 1)
+        lo, hi = math.ceil(lo), min(math.ceil(hi), 2 ** 53)
+        odd = [m | 1 for m in rng.integers(lo, hi, 50).tolist()] if lo < hi else []
+        near += [m / 2 ** (s + 1) for m in odd if lo <= m < hi]
+    _check_rows17(np.array(near) * rng.choice([-1.0, 1.0], len(near)))
+
+
+def test_rows17_powers_of_ten_and_their_neighbours():
+    powers = 10.0 ** np.arange(-323, 309)
+    _check_rows17(np.concatenate([powers, np.nextafter(powers, np.inf),
+                                  np.nextafter(powers, -np.inf), -powers]))
+
+
+def test_rows17_scan_axis():
+    _check_rows17(np.linspace(-40, 40, 160001))
+
+
+def test_rows17_short_fractions_and_integers():
+    # trailing zeros to strip, leading zeros after the point, whole numbers
+    rng = np.random.default_rng(3)
+    values = [round(v, d) for v, d in zip((rng.random(5000) * 2000 - 1000).tolist(),
+                                          rng.integers(0, 18, 5000).tolist())]
+    _check_rows17(values + [1e16, 99999999999999984.0, 123.0, 1000.5, 999.5, 0.5, 1e-5, 1.5e-5])
+
+
+def test_rows17_builds_fragments_for_a_block_at_least_half_candidates():
+    body = mock.patch.object(serialize, "_fragment_body", wraps=serialize._fragment_body)
+    for block, integer_fields in (([[0.5, math.nan]], True), ([[0.5, math.nan, 0.0]], False),
+                                  ([[math.nan, math.inf]], False), ([[1e17, 1e300]], False),
+                                  ([[1234.5, 0.5, -1234.25]], False)):
+        with body as spy, np.errstate(all="raise"):
+            assert _rows17(np.array(block), "[", ",", "]") == _percent_rows(block, "[", ",", "]")
+        assert spy.called == integer_fields
