@@ -10,9 +10,10 @@ an explicit flag wins. Only the required flags (checked once the
 config is merged, so a config may supply them) and checks that span
 several flags run after parsing. Scans and grids are written block by
 block as they are computed; a failure after the range checks removes the
-partial --out file. Exit codes: 0 success, 1 computation error, 2 usage
-error. Identical invocations produce byte-identical output: fixed float
-formatting, fixed ordering, no environment dependence.
+partial --out file if it is a regular file. Exit codes: 0 success, 1
+computation error, 2 usage error. Identical invocations produce
+byte-identical output: fixed float formatting, fixed ordering, no
+environment dependence.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -215,7 +217,11 @@ def _params(config: argparse.Namespace, alpha: float) -> BWParams:
 
 @contextlib.contextmanager
 def _output(out_path: str | None):
-    """The --out file, or stdout without one; a failed run leaves no partial file."""
+    """The --out file, or stdout without one; a failed run leaves no partial file.
+
+    Only a regular file is removed: a FIFO, a device or a symlink given
+    as --out (whose target the open truncated) stays where it is.
+    """
     if not out_path:
         yield sys.stdout
         return
@@ -224,7 +230,8 @@ def _output(out_path: str | None):
             yield out
         except BaseException:
             out.close()
-            os.remove(out_path)
+            if stat.S_ISREG(os.lstat(out_path).st_mode):
+                os.remove(out_path)
             raise
 
 

@@ -61,11 +61,16 @@ def _uv(m, k):
     """u = m11 - m22 and v = k*m12 + m21/k from the entries m, elementwise.
 
     Plain arithmetic, so it runs on Python complex numbers (one point) and
-    on numpy arrays alike. Raises ValueError where an imaginary part
-    exceeds REALNESS_TOL per unit magnitude; returns the real parts.
+    on numpy arrays alike. Complex input (the slab product) is checked:
+    raises ValueError where an imaginary part exceeds REALNESS_TOL per
+    unit magnitude, and returns the real parts. Real input (the
+    closed-form kernel) has no imaginary part to check, so its u and v
+    are returned as they are.
     """
     u = m[0] - m[3]
     v = k * m[1] + m[2] / k
+    if not (np.iscomplexobj(u) or np.iscomplexobj(v)):
+        return u, v
     bad = (abs(u.imag) > REALNESS_TOL * (1.0 + abs(u))) \
         | (abs(v.imag) > REALNESS_TOL * (1.0 + abs(v)))
     if np.count_nonzero(bad):

@@ -31,7 +31,8 @@ def floats(values) -> list[float]:
 
     Adding 0.0 turns -0 into 0, so runs cannot differ on signed zero.
     """
-    return (np.asarray(values, dtype=float) + 0.0).ravel().tolist()
+    with np.errstate(invalid="ignore"):  # only a signaling nan raises it, and stays nan
+        return (np.asarray(values, dtype=float) + 0.0).ravel().tolist()
 
 
 def format_column(values, sig: int) -> list[str]:

@@ -130,13 +130,19 @@ def _slab_terms(w, width):
     """(c, S, T) = (cos(pL), sin(pL)/p, p*sin(pL)) of one slab, p = sqrt(w), L = width.
 
     Real arithmetic: cos/sin of kappa*width where w >= 0, cosh/sinh where
-    w < 0 (p = i*kappa, so T = -kappa*sinh), and S = width at kappa = 0.
+    w < 0 or w is NaN (p = i*kappa, so T = -kappa*sinh), and S = width at
+    kappa = 0. Each point gets only its own branch's pair: the masked
+    ufunc calls fill c and s in place, so no cosh is taken (and none
+    overflows) at an oscillating point, and no cos at an evanescent one.
     """
     kap = np.sqrt(np.abs(w))
     x = kap * width
     osc = w >= 0
-    c = np.where(osc, np.cos(x), np.cosh(x))
-    s = np.where(osc, np.sin(x), np.sinh(x))
+    evan = ~osc
+    c = np.cos(x, out=np.empty_like(x), where=osc)
+    np.cosh(x, out=c, where=evan)
+    s = np.sin(x, out=np.empty_like(x), where=osc)
+    np.sinh(x, out=s, where=evan)
     return c, np.where(kap == 0, width, s / kap), np.copysign(kap, w) * s
 
 
@@ -149,7 +155,8 @@ def _cell(wp, wq, l, r):
     """
     cp, Sp, Tp = _slab_terms(wp, l)
     cq, Sq, Tq = _slab_terms(wq, r)
-    return cp * cq - Tp * Sq, Sp * cq + cp * Sq, -(Tp * cq + cp * Tq), cp * cq - Sp * Tq
+    cc = cp * cq
+    return cc - Tp * Sq, Sp * cq + cp * Sq, -(Tp * cq + cp * Tq), cc - Sp * Tq
 
 
 def closed_form_entries(kind: Kind, wp, wq, l, r):
@@ -158,8 +165,9 @@ def closed_form_entries(kind: Kind, wp, wq, l, r):
     Two copies of the cell H = [[A, B], [C, D]] of _cell: PLUS is H*H, and
     MINUS is H^R*H with the mirrored cell H^R = [[D, B], [C, A]], whose
     equal diagonal entries AD + BC are one object, returned as m11 and m22.
-    Callers silence numpy's floating-point warnings: each np.where
-    evaluates both branches, so cosh overflows on points it then discards.
+    Callers silence numpy's floating-point warnings, which only points
+    whose own terms overflow or are not finite raise: cosh/sinh past a
+    phase of about 710, an inf times 0 in the products, 0/0 at kappa = 0.
     """
     A, B, C, D = _cell(wp, wq, l, r)
     if kind is Kind.PLUS:

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import stat
+import threading
 import warnings
 from contextlib import redirect_stdout
 from unittest import mock
@@ -457,6 +460,30 @@ class TestStreamedOutput:
         assert "complex residue" in err
         assert len(fail_third_block) == 3  # two blocks were written before the failure
         assert not path.exists()
+
+    def test_error_in_a_later_block_keeps_a_symlink_and_its_target(self, run_cli, tmp_path,
+                                                                   fail_third_block):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("earlier output\n")
+        link.symlink_to(target)
+        code, out, err = run_cli([*self.ARGV, "--out", str(link)])
+        assert code == 1 and "complex residue" in err
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        # the open truncated the target, which then took the two finished blocks
+        assert target.read_text().count("\n") == 1 + 2 * 2 * 3
+
+    def test_error_in_a_later_block_keeps_a_fifo(self, run_cli, tmp_path, fail_third_block):
+        fifo = tmp_path / "grid.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, out, err = run_cli([*self.ARGV, "--out", str(fifo)])
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert code == 1 and "complex residue" in err
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert got[0].count("\n") == 1 + 2 * 2 * 3  # header and the two finished blocks
 
     def test_error_in_a_later_block_on_stdout_exits_one(self, run_cli, fail_third_block):
         code, out, err = run_cli(self.ARGV)

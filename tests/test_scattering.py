@@ -9,6 +9,7 @@ from bwtunnel import scattering
 from bwtunnel.potential import BWParams, Kind, Segment, SegmentChain, realize
 from bwtunnel.resonance import peak_refine
 from bwtunnel.scattering import (
+    REALNESS_TOL,
     TransmissionGrid,
     amplitudes,
     grid,
@@ -88,6 +89,38 @@ class TestAmplitudes:
         assert a.trans == b.trans
         assert abs(a.rl) == pytest.approx(abs(b.rl), abs=1e-13)
         assert abs(a.tl) == pytest.approx(abs(b.tl), abs=1e-13)
+
+
+
+class TestRealnessCheck:
+    """scattering._uv checks complex entries and passes real ones through."""
+
+    @pytest.mark.parametrize("where", ["u", "v"])
+    def test_complex_residue_past_the_tolerance_raises(self, where):
+        im = 10 * REALNESS_TOL * 3.0
+        m = [np.array([2.0 + 0j, 1.0]), np.array([0.5 + 0j, 0.5]),
+             np.array([-1.0 + 0j, 0.25]), np.array([0.5 + 0j, 4.0])]
+        m[0 if where == "u" else 1] = m[0 if where == "u" else 1] + np.array([0.0, im * 1j])
+        with pytest.raises(ValueError, match="complex residue"):
+            scattering._uv(m, 1.5)
+        with pytest.raises(ValueError, match="complex residue"):
+            scattering._uv([z[1] for z in m], 1.5)  # one point, Python-style complex
+
+    def test_complex_residue_within_the_tolerance_gives_real_parts(self):
+        m = (2.0 + 1e-12j, 0.5 + 0j, -1.0 - 1e-12j, 0.5 + 0j)
+        u, v = scattering._uv(m, 2.0)
+        assert (u, v) == (1.5, 0.5) and type(u) is type(v) is float
+
+    def test_real_arrays_pass_through_unchanged(self):
+        rng = np.random.default_rng(5150)
+        m = [rng.normal(size=(7, 3)) * 10.0 ** rng.uniform(-3, 200, (7, 3)) for _ in range(4)]
+        m[1][0, 0], m[2][1, 1], m[0][2, 2] = math.inf, math.nan, -math.inf
+        k = rng.uniform(0.1, 5.0, (1, 3))
+        with np.errstate(all="ignore"):
+            u, v = scattering._uv(m, k)
+            want_u, want_v = m[0] - m[3], k * m[1] + m[2] / k
+        assert u.dtype == v.dtype == np.float64
+        assert u.tobytes() == want_u.tobytes() and v.tobytes() == want_v.tobytes()
 
 
 def test_minus_model_reflection_symmetry():

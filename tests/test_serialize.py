@@ -36,6 +36,14 @@ def test_column_rules_for_json():
         "0", '"nan"', '"inf"', '"-inf"', "0.10000000000000001", "-2.5e-300"]
 
 
+def test_signaling_nan_column_raises_no_floating_point_error():
+    # adding 0.0 to a signaling nan sets the invalid flag; the column rules ignore it
+    snan = np.array([0x7FF0000000000001], np.uint64).view(np.float64)
+    with np.errstate(all="raise"):
+        assert format_column(snan, 12) == ["nan"]
+        assert format_column(snan, 17) == ["nan"]
+
+
 def test_column_is_row_major_over_arrays():
     values = np.array([[1.5, -0.0], [math.nan, 3.0]])
     got = floats(values)

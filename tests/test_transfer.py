@@ -1,5 +1,7 @@
 import cmath
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ from hypothesis import strategies as st
 
 from bwtunnel.potential import BWParams, Kind, Segment, SegmentChain, bw_geometry, concat, realize
 from bwtunnel.scattering import REALNESS_TOL, transmissivity
+from bwtunnel import transfer
 from bwtunnel.transfer import (
     BoundaryState,
     Branch,
     TransferMatrix,
     _cell,
+    _slab_terms,
     chain_matrix,
     closed_form,
     closed_form_arrays,
@@ -346,3 +350,98 @@ class TestCell:
                 hi = mid
         assert lo == pytest.approx(root, abs=1e-9)
         assert transmissivity(BWParams(Kind.PLUS, lo, 0.01, 3.0, 1.0, 1.0), 1.0) >= 1.0 - 1e-13
+
+
+def two_branch_slab_terms(w, width):
+    """The slab terms with both branches taken at every point and np.where picking one."""
+    kap = np.sqrt(np.abs(w))
+    x = kap * width
+    osc = w >= 0
+    c = np.where(osc, np.cos(x), np.cosh(x))
+    s = np.where(osc, np.sin(x), np.sinh(x))
+    return c, np.where(kap == 0, width, s / kap), np.copysign(kap, w) * s
+
+
+def same_bits(got, want):
+    """Equal shapes and equal float64 bytes, NaN payload and signed zero included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype == np.float64 \
+        and got.tobytes() == want.tobytes()
+
+
+# oscillating, evanescent and zero squared wave numbers, cosh past its
+# overflow (1e300), and the non-finite ones
+SPECIAL_W = [3.7, 1e-300, 0.0, -0.0, -2.5, -1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf]
+
+
+class TestSlabTerms:
+    """_slab_terms takes each point's own trig pair, bit for bit the two-branch form."""
+
+    @pytest.mark.parametrize("width", [0.3, 2.0, 1e-8])
+    def test_special_values_match_the_two_branch_form(self, width):
+        w = np.array(SPECIAL_W)
+        with np.errstate(all="ignore"):
+            got, want = _slab_terms(w, width), two_branch_slab_terms(w, width)
+        for g, v in zip(got, want):
+            assert same_bits(g, v)
+        # w = 0 takes S = width, and 1e300 overflows cosh/sinh to inf
+        assert got[1][2] == got[1][3] == width
+        assert np.isinf(got[0][7]) and np.isinf(got[1][7])
+
+    @pytest.mark.parametrize("w", SPECIAL_W)
+    def test_zero_dimensional_input(self, w):
+        with np.errstate(all="ignore"):
+            got = _slab_terms(np.float64(w), 0.7)
+            want = two_branch_slab_terms(np.float64(w), 0.7)
+        for g, v in zip(got, want):
+            assert np.ndim(g) == 0
+            assert same_bits(g, v)
+
+    def test_broadcast_rows_and_wave_numbers(self):
+        # (rows, 1) widths against (rows, k) squared wave numbers, as the kernel
+        # broadcasts a block's strengths against its energies
+        rng = np.random.default_rng(4417)
+        w = rng.choice([-1.0, 1.0], (37, 53)) * 10.0 ** rng.uniform(-4, 4, (37, 53))
+        w[::5, ::7] = 0.0
+        width = rng.uniform(0.01, 3.0, (37, 1))
+        with np.errstate(all="ignore"):
+            got, want = _slab_terms(w, width), two_branch_slab_terms(w, width)
+        assert 0.3 < np.mean(w >= 0) < 0.7
+        for g, v in zip(got, want):
+            assert g.shape == (37, 53)
+            assert same_bits(g, v)
+
+
+def kernel_draws(rng, n):
+    """Seeded strengths (|alpha| from 1e-3 to 1e6, both signs), wave numbers and squeezings."""
+    alphas = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 6, n)
+    ks = 10.0 ** rng.uniform(-2, 1, n)
+    eps = 10.0 ** rng.uniform(-7, -0.5, n)
+    return alphas, ks, eps
+
+
+class TestMaskedKernel:
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_entries_match_the_two_branch_kernel(self, kind, sigma):
+        alphas, ks, eps = kernel_draws(np.random.default_rng(9021), 20000)
+        got = closed_form_arrays(kind, alphas, ks * ks, eps, 3.0, 1.0, sigma)
+        with mock.patch.object(transfer, "_slab_terms", two_branch_slab_terms):
+            want = closed_form_arrays(kind, alphas, ks * ks, eps, 3.0, 1.0, sigma)
+        for g, v in zip(got, want):
+            assert same_bits(g, v)
+        # the draws cross the overflow band: finite and non-finite entries both occur
+        finite = np.isfinite(got[1])
+        assert finite.any() and not finite.all()
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_kernel_leaks_no_floating_point_warning(self, kind, sigma):
+        alphas, ks, eps = kernel_draws(np.random.default_rng(9022), 5000)
+        alphas[:4] = [math.nan, 0.0, -0.0, 1e6]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = closed_form_arrays(kind, alphas, ks * ks, eps, 3.0, 1.0, sigma)
+            # the exact p = 0 and q = 0 points, refilled from the slab product
+            closed_form_arrays(kind, [1.0, -1.0], [4.0, 4.0], 0.5, 1.0, 1.0, sigma)
+        assert np.isnan(m[0][0]) and not np.isfinite(m[1]).all()
