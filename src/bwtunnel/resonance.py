@@ -24,19 +24,23 @@ one residual call evaluates the next four levels of midpoints of every
 bracket, and each bracket walks down its tree by the rules of one step at
 a time, so it returns the roots of one step per call, bit for bit.
 find_roots lifts a scalar callable into it.
+
+peak_refine finds a transmission crest by zooming on the closed-form
+kernel of scattering.grid, the route of scans and grids; the slab
+product stays out of it, as the independent check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .potential import BWParams, Kind, sigma_split, slab_geometry
-from .scattering import BLOCK_POINTS, grid, transmissivity
+from .scattering import BLOCK_POINTS, grid
 
 
 class PoleError(ArithmeticError):
@@ -206,12 +210,23 @@ def _f_prime(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     return f, pole
 
 
+def _checked(body, alphas: Sequence[float], b: float, sigma: float) -> np.ndarray:
+    """A residual body's values at strengths from one call; PoleError at the first pole.
+
+    The one checked call of the scalar wrappers (one strength) and of the
+    residual fields of resonance_sets (all roots of a set), so those fields
+    equal the wrappers' |f| bit for bit.
+    """
+    values, pole = body(np.array(alphas, dtype=float), b, sigma)
+    if pole.any():
+        alpha = alphas[int(np.argmax(pole))]
+        raise PoleError(f"the tan phase of strength {alpha} is within {_POLE_TOL} of a pole")
+    return values
+
+
 def _scalar(body, alpha: float, b: float, sigma: float) -> float:
     """One point of a residual body as a float; PoleError where its mask is set."""
-    value, pole = body(alpha, b, sigma)
-    if pole:
-        raise PoleError(f"the tan phase of strength {alpha} is within {_POLE_TOL} of a pole")
-    return float(value)
+    return float(_checked(body, [alpha], b, sigma)[0])
 
 
 def f_plus(alpha: float, b: float, sigma: float) -> float:
@@ -494,11 +509,11 @@ def resonance_sets(
                     if abs(r) > 1e-6]
 
     model = _outward_indices(model_alphas, include_zero=window[0] <= 0.0 <= window[1])
-    model_res = _abs_residuals(body, [alpha for alpha, _ in model], b, sigma)
+    model_res = np.abs(_checked(body, [alpha for alpha, _ in model], b, sigma)).tolist()
     model_roots = [ResonanceRoot(alpha, label, idx, None, res if alpha else 0.0)
                    for (alpha, idx), res in zip(model, model_res)]
     prime = _outward_indices(prime_alphas, include_zero=False)
-    prime_res = _abs_residuals(_f_prime, [alpha for alpha, _ in prime], b, sigma)
+    prime_res = np.abs(_checked(_f_prime, [alpha for alpha, _ in prime], b, sigma)).tolist()
     prime_roots = [ResonanceRoot(alpha, SetLabel.SIGMA_PRIME, idx,
                                  theta_factor(alpha, b, *sigma_split(alpha, sigma)), res)
                    for (alpha, idx), res in zip(prime, prime_res)]
@@ -507,19 +522,6 @@ def resonance_sets(
         ResonanceSet(tuple(model_roots), window, b, sigma),
         ResonanceSet(tuple(prime_roots), window, b, sigma),
     )
-
-
-def _abs_residuals(body, alphas: Sequence[float], b: float, sigma: float) -> list[float]:
-    """|f| at strengths from one call of the array body.
-
-    Equal, bit for bit, to the scalar wrapper's |f| at each strength, and
-    PoleError where the wrapper would raise it.
-    """
-    values, pole = body(np.array(alphas, dtype=float), b, sigma)
-    if pole.any():
-        alpha = alphas[int(np.argmax(pole))]
-        raise PoleError(f"the tan phase of strength {alpha} is within {_POLE_TOL} of a pole")
-    return np.abs(values).tolist()
 
 
 def _outward_indices(alphas: Sequence[float], include_zero: bool) -> list[tuple[float, int]]:
@@ -548,13 +550,16 @@ def peak_refine(
 
     The peaks are far narrower than any reasonable bracket, so a dense
     pre-scan of PEAK_PRESCAN_STEPS points first finds the attraction
-    basin and golden-section then maximizes inside it down to the
-    strength resolution PEAK_RESOLUTION. Crests narrow as eps shrinks;
-    one narrower than the resolution keeps the search going while the
-    two interior values still disagree, down to float resolution, so the
-    reported transmission is the crest's and not a point on its flank.
-    Raises NoPeakError when transmission is monotone across the bracket,
-    and ValueError where the pre-scan holds a T that is not finite.
+    basin. Each zoom then rescans the two cells on either side of the
+    highest sample with as many points, on the closed-form kernel of
+    grid, down to the strength resolution PEAK_RESOLUTION. Crests narrow
+    as eps shrinks; one narrower than the resolution keeps the zoom going
+    while a neighbour of the highest sample is more than 1e-9 relative
+    below it, down to float resolution, so the reported transmission is
+    the crest's and not a point on its flank. Returns the highest sample
+    and its T. Raises NoPeakError when transmission is monotone across
+    the bracket, and ValueError where the pre-scan holds a T that is not
+    finite.
     """
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
@@ -570,28 +575,17 @@ def peak_refine(
     if imax == 0 or imax == len(ts) - 1:
         raise NoPeakError(f"no interior crest on [{lo}, {hi}]")
 
-    cell = (hi - lo) / (PEAK_PRESCAN_STEPS - 1)
-    a_max = float(prescan.alphas[imax])
-    a = max(lo, a_max - 2 * cell)
-    b = min(hi, a_max + 2 * cell)
-
-    def tval(alpha: float) -> float:
-        return transmissivity(replace(template, alpha=alpha), k)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = tval(c), tval(d)
-    while (b - a) > PEAK_RESOLUTION or abs(fc - fd) > 1e-9 * max(fc, fd):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = tval(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = tval(d)
-        if not (a < c < d < b):
+    alphas, width = prescan.alphas, hi - lo
+    while True:
+        cell = width / (PEAK_PRESCAN_STEPS - 1)
+        t_max = ts[imax]
+        if cell <= PEAK_RESOLUTION and t_max - ts[max(imax - 1, 0):imax + 2].min() <= 1e-9 * t_max:
             break
-    alpha_peak = 0.5 * (a + b)
-    return alpha_peak, tval(alpha_peak)
+        a_max = float(alphas[imax])
+        a, b = max(lo, a_max - 2 * cell), min(hi, a_max + 2 * cell)
+        if b - a >= width:  # float resolution: the window no longer shrinks
+            break
+        zoom = grid(template, (a, b), (k, k), PEAK_PRESCAN_STEPS, 1)
+        alphas, ts, width = zoom.alphas, zoom.values[:, 0], b - a
+        imax = int(np.argmax(ts))
+    return float(alphas[imax]), float(ts[imax])

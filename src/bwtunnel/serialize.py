@@ -146,15 +146,11 @@ def _codes(x):
     significand m: the digits after the point lose their trailing zeros,
     as %g does, and the code keeps the e-notation exponent, whether there
     is a fraction, its leading zeros, the sign and the integer part
-    before the point (see _fragment_body). None where fewer than half the
-    cells are candidates, 1e-290 <= |v| < 1000: below that, the % fields
-    saved no longer pay for the numpy work.
+    before the point (see _fragment_body).
     """
     a = np.abs(x)
     ok = a >= 1e-290  # 0, tiny values, nan, inf and 1000 up keep %.17g
     ok &= a < _WHOLE_LIMIT
-    if 2 * np.count_nonzero(ok) < ok.size:
-        return None
     m, s, certified = _significands(np.where(ok, a, 1.0))
     ok &= certified
 
@@ -210,10 +206,7 @@ def _rows17(values, head: str, sep: str, tail: str) -> str:
     rows, width = values.shape
     with np.errstate(invalid="ignore"):  # only a signaling nan raises it, and stays nan
         x = values.ravel() + 0.0  # -0 to 0
-    fields = _codes(x)
-    if fields is None:
-        return (head + sep.join(["%.17g"] * width) + tail) * rows % tuple(x.tolist())
-    code, args = fields
+    code, args = _codes(x)
     column = np.arange(width)
     cells = (code.reshape(rows, width) * 4 + (column == 0) + 2 * (column == width - 1)).ravel()
     template = "".join(map(_Fragments(head, sep, tail).__getitem__, cells.tolist()))

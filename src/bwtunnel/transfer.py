@@ -11,8 +11,11 @@ The closed form is one numpy kernel, closed_form_arrays, over arrays of
 strengths and energies: both arrangements are two copies of one
 barrier-well cell, in real arithmetic on the squared wave numbers p^2 and
 q^2 (cos/sin of an oscillating slab, cosh/sinh of an evanescent one), with
-no complex trig and no branch to choose. closed_form is one point of it,
-and the slab product stays the independent route.
+no complex trig and no branch to choose. It is the one route of
+closed_form, scans, grids and the crest search of peak_refine, down to the
+exact p = 0 / q = 0 points, where each slab term takes its regular limit.
+The slab product is the independent oracle: only transmissivity and the
+matrix command of the CLI take it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import BWParams, Kind, SegmentChain, bw_geometry, realize, slab_geometry
+from .potential import BWParams, Kind, SegmentChain, bw_geometry, slab_geometry
 
 
 class Branch(enum.Enum):
@@ -182,32 +185,22 @@ def closed_form_arrays(kind: Kind, alphas, E, eps: float, c1: float, c2: float, 
 
     Real float64 arrays. Each strength gets bw_geometry's slabs, with sigma
     split by its sign as sigma_split does. At the degenerate points p = 0
-    or q = 0 exactly (E = alpha*h or E = -alpha*d) the entries are
-    refilled from the slab product, whose series branch is regular, so
-    closed_form equals it there bit for bit (MINUS m22 stays the very
-    array returned as m11).
+    or q = 0 exactly (E = alpha*h or E = -alpha*d) each slab term takes its
+    regular limit in _slab_terms, so no point needs another route.
     """
     a = np.asarray(alphas, dtype=float)
     E = np.asarray(E, dtype=float)
     h, l, d, r = slab_geometry(np.where(a < 0, sigma, 1.0), np.where(a > 0, sigma, 1.0),
                                eps, c1, c2)
-    wp, wq = E - a * h, E + a * d
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        m11, m12, m21, m22 = closed_form_entries(kind, wp, wq, l, r)
-    for at in zip(*np.nonzero((wp == 0) | (wq == 0))):
-        params = BWParams(kind, float(np.broadcast_to(a, wp.shape)[at]), eps, c1, c2, sigma)
-        L = chain_matrix(realize(params), float(np.broadcast_to(E, wp.shape)[at]))
-        m11[at], m12[at], m21[at] = L.m11.real, L.m12.real, L.m21.real
-        if m22 is not m11:
-            m22[at] = L.m22.real
-    return m11, m12, m21, m22
+        return closed_form_entries(kind, E - a * h, E + a * d, l, r)
 
 
 def closed_form(params: BWParams, E: float) -> TransferMatrix:
     """Closed-form transfer matrix of the realized four-slab chain.
 
     One point of closed_form_arrays, so it equals a scan or grid point
-    bit for bit; at p = 0 or q = 0 it is the slab product.
+    bit for bit, at p = 0 or q = 0 too.
     """
     m = closed_form_arrays(params.kind, [params.alpha], [E], params.eps,
                            params.c1, params.c2, params.sigma)

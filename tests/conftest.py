@@ -27,18 +27,29 @@ def run_cli():
     return _run
 
 
+def mp_slab_product(mp, chain, E):
+    """The slab product of the chain's own f64 slabs at energy E, in mpf at the caller's precision.
+
+    A slab at kappa = 0 exactly takes its limit [[1, width], [0, 1]].
+    """
+    m = mp.eye(2)
+    for seg in chain.segments:
+        kap2 = mp.mpf(E) - mp.mpf(seg.value)
+        kap, w = mp.sqrt(abs(kap2)), mp.mpf(seg.width)
+        if kap2 > 0:
+            c, s = mp.cos(kap * w), mp.sin(kap * w)
+            m = mp.matrix([[c, s / kap], [-kap * s, c]]) * m
+        elif kap2 < 0:
+            c, s = mp.cosh(kap * w), mp.sinh(kap * w)
+            m = mp.matrix([[c, s / kap], [kap * s, c]]) * m
+        else:
+            m = mp.matrix([[1, w], [0, 1]]) * m
+    return m
+
+
 def mp_slab_uv(mp, chain, k):
     """u, v of the chain's own f64 slabs, by a 60-digit slab product (mpf at 60 digits)."""
     with mp.workdps(60):
         kk = mp.mpf(k)
-        m = mp.eye(2)
-        for seg in chain.segments:
-            kap2 = kk * kk - mp.mpf(seg.value)
-            kap, w = mp.sqrt(abs(kap2)), mp.mpf(seg.width)
-            if kap2 > 0:
-                c, s = mp.cos(kap * w), mp.sin(kap * w)
-                m = mp.matrix([[c, s / kap], [-kap * s, c]]) * m
-            else:
-                c, s = mp.cosh(kap * w), mp.sinh(kap * w)
-                m = mp.matrix([[c, s / kap], [kap * s, c]]) * m
+        m = mp_slab_product(mp, chain, kk * kk)
         return m[0, 0] - m[1, 1], kk * m[0, 1] + m[1, 0] / kk

@@ -263,6 +263,31 @@ class TestDegeneratePoints:
             assert abs(t - direct) < 1e-9
 
 
+def test_production_commands_never_take_the_slab_product(run_cli):
+    # the closed-form kernel is their one route, down to the exact p = 0 / q = 0
+    # points; the slab product is left to transmissivity and matrix, the oracle
+    degenerate = ["--b", "1", "--eps", "0.5", "--alpha-min", "-2", "--alpha-max", "2",
+                  "--alpha-steps", "17", "--k-min", "1", "--k-max", "2", "--k-steps", "2"]
+    argvs = [
+        ["scan-alpha", "--steps", "401"],
+        ["grid", "--model", "plus", *degenerate],
+        ["grid", "--model", "minus", *degenerate],
+        ["converge", "--alpha", "2.282647521704435", "--eps-list", "0.2,0.1"],
+        # the narrow crest of test_narrow_crest_reports_its_peak
+        ["converge", "--model", "minus", "--alpha", "26.867217553883783",
+         "--eps-list", "1e-3,3e-4,1e-4"],
+        ["resonances"],
+        ["classify", "--alpha", "2.282647521704435"],
+    ]
+    slab_product = mock.patch("bwtunnel.transfer.chain_matrix",
+                              side_effect=AssertionError("the slab product was called"))
+    with slab_product as spy:
+        for argv in argvs:
+            code, out, err = run_cli(argv)
+            assert code == 0 and out and err == "", argv
+    assert not spy.called
+
+
 class TestRejectedInput:
     @pytest.mark.parametrize("argv", [
         ["scan-alpha", "--alpha-min", "0", "--alpha-max", "inf", "--steps", "3"],
@@ -485,6 +510,26 @@ class TestStreamedOutput:
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert got[0].count("\n") == 1 + 2 * 2 * 3  # header and the two finished blocks
 
+    def test_existing_file_is_replaced_not_truncated(self, run_cli, tmp_path):
+        # a new file takes the output, so a hard link taken before the run keeps the old bytes
+        path, old = tmp_path / "grid.csv", tmp_path / "old.csv"
+        path.write_text("earlier output\n")
+        os.link(path, old)
+        code, out, err = run_cli([*self.ARGV, "--out", str(path)])
+        assert code == 0 and out == "" and err == ""
+        assert old.read_text() == "earlier output\n"
+        assert path.read_text().count("\n") == 1 + 9 * 3
+        assert not os.path.samefile(path, old)
+
+    def test_symlinked_out_writes_its_target(self, run_cli, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("earlier output\n")
+        link.symlink_to(target)
+        code, out, err = run_cli([*self.ARGV, "--out", str(link)])
+        assert code == 0 and out == "" and err == ""
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text().count("\n") == 1 + 9 * 3
+
     def test_error_in_a_later_block_on_stdout_exits_one(self, run_cli, fail_third_block):
         code, out, err = run_cli(self.ARGV)
         assert code == 1 and "error:" in err
@@ -530,14 +575,14 @@ class TestStreamedOutput:
         assert len(ts) == 41 * k_steps and all(0.0 < t <= 1.0 for t in ts)
 
     @settings(max_examples=80, deadline=None)
-    @given(kind=st.sampled_from(Kind), refill=st.booleans(),
+    @given(kind=st.sampled_from(Kind), degenerate=st.booleans(),
            window=st.sampled_from([(-3.0, 3.0), (0.0, 2.5), (-1.5, 0.0), (-7.0, 5.5)]),
            alpha_steps=st.integers(2, 23), k_steps=st.integers(1, 5),
            block_points=st.integers(1, 40), fmt=st.sampled_from(["csv", "json"]))
-    def test_blocks_stream_the_per_point_bytes(self, kind, refill, window, alpha_steps,
+    def test_blocks_stream_the_per_point_bytes(self, kind, degenerate, window, alpha_steps,
                                                k_steps, block_points, fmt):
-        if refill:
-            # the p = 0 / q = 0 points of test_grid_refills_degenerate_points_from_slab_product
+        if degenerate:
+            # the p = 0 / q = 0 points of test_grid_matches_slab_product_at_degenerate_points
             # (alpha = +-0.25 at k = 1, +-1 at k = 2), on either side of a block edge as
             # block_points // 2 moves the edges
             window, alpha_steps, k_range, k_steps, b, eps = (-2.0, 2.0), 17, (1.0, 2.0), 2, 1.0, 0.5

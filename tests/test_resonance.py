@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,7 @@ from bwtunnel.resonance import (
     resonance_sets,
     theta_factor,
 )
-from bwtunnel.scattering import transmissivity, uv
+from bwtunnel.scattering import grid, transmissivity, uv
 from bwtunnel.transfer import closed_form, finite_eps_residuals, wave_numbers
 
 from conftest import (
@@ -740,6 +741,20 @@ class TestPeakRefine:
         alpha_peak, t_peak = peak_refine(template, 1.0, 2.28, 0.5)
         assert t_peak >= 0.999
         assert abs(alpha_peak - 2.28) < 0.5
+
+    @pytest.mark.parametrize("kind, guess, eps", [
+        (Kind.PLUS, 2.282647521704435, 0.1), (Kind.PLUS, 26.867217553883783, 0.01),
+        (Kind.MINUS, 26.867217553883783, 1e-4)])
+    def test_peak_is_a_kernel_point(self, kind, guess, eps):
+        # T_peak is the one-point kernel T at alpha_peak, bit for bit, and the
+        # slab product agrees with it; the last case is a crest narrower than
+        # PEAK_RESOLUTION
+        template = BWParams(kind, 0.0, eps, 3.0, 1.0, 1.0)
+        alpha_peak, t_peak = peak_refine(template, 1.0, guess, 0.5)
+        one = grid(template, (alpha_peak, alpha_peak), (1.0, 1.0), 1, 1).values[0, 0]
+        assert t_peak == one
+        assert t_peak == pytest.approx(transmissivity(replace(template, alpha=alpha_peak), 1.0),
+                                       rel=1e-9)
 
     def test_peak_position_converges_with_squeezing(self):
         root = 2.282647521704435

@@ -353,7 +353,7 @@ class TestGrid:
         assert rows[1][3] == -math.inf
 
 
-def test_grid_refills_degenerate_points_from_slab_product():
+def test_grid_matches_slab_product_at_degenerate_points():
     # b = 1, eps = 0.5: p = 0 where k^2 = 4*alpha and q = 0 where k^2 = -4*alpha,
     # which this grid hits at alpha = +-0.25 (k = 1) and alpha = +-1 (k = 2)
     for kind in Kind:

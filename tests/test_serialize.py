@@ -132,11 +132,7 @@ def _percent_rows(block, head, sep, tail):
 
 
 def _check_rows17(values):
-    """values as a column, and beside a column of certified values, in both JSON layouts.
-
-    The second block has at least half its cells certified, so its other
-    column goes through the integer-field path whatever it holds.
-    """
+    """values as a column, and beside a column of certified values, in both JSON layouts."""
     values = np.asarray(values, dtype=float).ravel()
     blocks = (values[:, None], np.column_stack([values, np.full(values.size, 1.25)]))
     with np.errstate(all="raise"):
@@ -210,11 +206,14 @@ def test_rows17_short_fractions_and_integers():
     _check_rows17(values + [1e16, 99999999999999984.0, 123.0, 1000.5, 999.5, 0.5, 1e-5, 1.5e-5])
 
 
-def test_rows17_builds_fragments_for_a_block_at_least_half_candidates():
+def test_rows17_builds_fragments_for_every_block():
+    # whatever share of a block is certified, it goes through the fragments:
+    # its uncertified cells as %.17g fields (code -1), the rest as integer fields
     body = mock.patch.object(serialize, "_fragment_body", wraps=serialize._fragment_body)
-    for block, integer_fields in (([[0.5, math.nan]], True), ([[0.5, math.nan, 0.0]], False),
+    for block, integer_fields in (([[0.5, math.nan]], True), ([[0.5, math.nan, 0.0]], True),
                                   ([[math.nan, math.inf]], False), ([[1e17, 1e300]], False),
-                                  ([[1234.5, 0.5, -1234.25]], False)):
+                                  ([[1234.5, 0.5, -1234.25]], True)):
         with body as spy, np.errstate(all="raise"):
             assert _rows17(np.array(block), "[", ",", "]") == _percent_rows(block, "[", ",", "]")
-        assert spy.called == integer_fields
+        codes = {c.args[0] for c in spy.call_args_list}
+        assert -1 in codes and (max(codes) >= 0) == integer_fields

@@ -27,7 +27,7 @@ from bwtunnel.transfer import (
     wave_numbers,
 )
 
-from conftest import mp_slab_uv
+from conftest import mp_slab_product, mp_slab_uv
 
 # Entries must stay small enough that the det cancellation (~ entries^2
 # per rounding unit) sits below the absolute tolerances being asserted.
@@ -229,26 +229,26 @@ def slab_growth(params, E):
 class TestClosedFormEntries:
     @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
     @pytest.mark.parametrize("alpha", [1.0, -1.0])
-    def test_degenerate_point_is_the_slab_product(self, kind, alpha):
-        # b = 1, eps = 0.5, E = 4: p = 0 at alpha = 1 and q = 0 at alpha = -1
+    def test_degenerate_point_matches_a_60_digit_slab_product(self, kind, alpha):
+        # b = 1, eps = 0.5, E = 4: p = 0 at alpha = 1 and q = 0 at alpha = -1,
+        # where each slab term takes its limit (sin(pl)/p = l) in the kernel itself
+        mp = pytest.importorskip("mpmath").mp
         params = BWParams(kind, alpha, 0.5, 1.0, 1.0, 1.0)
         w = wave_numbers(params, 4.0)
         assert w.p == 0 or w.q == 0
         closed = closed_form(params, 4.0)
-        product = chain_matrix(realize(params), 4.0)
-        assert closed.entries()[:3] == product.entries()[:3]
-        if kind is Kind.PLUS:
-            assert closed.m22 == product.m22
-        else:
-            # the mirror diagonal stays exact; the product's own m22 is its
-            # m11 up to rounding
-            assert closed.m22 == closed.m11
-            assert abs(product.m22 - product.m11) <= 4e-16 * abs(product.m11)
+        tol = 1e-15 * (1.0 + slab_growth(params, 4.0))
+        with mp.workdps(60):
+            want = mp_slab_product(mp, realize(params), 4.0)
+            for got, (i, j) in zip(closed.entries(), ((0, 0), (0, 1), (1, 0), (1, 1))):
+                assert got.imag == 0.0 and abs(got.real - want[i, j]) <= tol
+        if kind is Kind.MINUS:
+            assert closed.m22 == closed.m11  # the mirror diagonal is one object
 
     @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
     def test_closed_form_is_one_point_of_the_kernel(self, kind):
         # b = 1, eps = 0.5: the axes hit p = 0 (alpha = 1, E = 4) and
-        # q = 0 (alpha = -1, E = 4), which the kernel refills
+        # q = 0 (alpha = -1, E = 4), where the slab terms take their limits
         alphas = np.linspace(-2.0, 2.0, 17)
         Es = np.array([0.3, 1.0, 4.0, 9.5])
         m = closed_form_arrays(kind, alphas[:, None], Es[None, :], 0.5, 1.0, 1.0, 0.7)
@@ -268,7 +268,7 @@ class TestClosedFormEntries:
                                                             k, degenerate):
         params = BWParams(kind, alpha, eps, 3.0, 1.0, sigma)
         h, _, d, _ = bw_geometry(params)
-        # the exact p = 0 / q = 0 points, where the kernel refills from the product
+        # the exact p = 0 / q = 0 points, where the slab terms take their limits
         E = {"": k * k, "p": alpha * h, "q": -alpha * d}[degenerate]
         w = wave_numbers(params, E)
         assert (degenerate != "p" or w.p == 0) and (degenerate != "q" or w.q == 0)
@@ -442,6 +442,6 @@ class TestMaskedKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             m = closed_form_arrays(kind, alphas, ks * ks, eps, 3.0, 1.0, sigma)
-            # the exact p = 0 and q = 0 points, refilled from the slab product
+            # the exact p = 0 and q = 0 points, where the slab terms take their limits
             closed_form_arrays(kind, [1.0, -1.0], [4.0, 4.0], 0.5, 1.0, 1.0, sigma)
         assert np.isnan(m[0][0]) and not np.isfinite(m[1]).all()
