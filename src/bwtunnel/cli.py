@@ -9,8 +9,7 @@ flags, so its keys are flag names, its values pass the same checks and
 an explicit flag wins. Only the required flags (checked once the
 config is merged, so a config may supply them) and checks that span
 several flags run after parsing. Scans and grids are written block by
-block as they are computed; an existing regular --out file is replaced,
-not truncated in place, and a failure after the range checks removes the
+block as they are computed; a failure after the range checks removes the
 partial --out file if it is a regular file. Exit codes: 0 success, 1
 computation error, 2 usage error. Identical invocations produce
 byte-identical output: fixed float formatting, fixed ordering, no
@@ -216,33 +215,23 @@ def _params(config: argparse.Namespace, alpha: float) -> BWParams:
                     c1=config.c1, c2=config.c2, sigma=config.sigma)
 
 
-def _remove_regular(path: str) -> None:
-    """Remove path if it is a regular file; anything else, or an OSError, leaves it."""
-    with contextlib.suppress(OSError):
-        if stat.S_ISREG(os.lstat(path).st_mode):
-            os.remove(path)
-
-
 @contextlib.contextmanager
 def _output(out_path: str | None):
     """The --out file, or stdout without one; a failed run leaves no partial file.
 
-    An existing regular file is removed and written anew, which is far
-    cheaper than truncating it in place; where it cannot be removed, the
-    open truncates it. Only a regular file is removed: a FIFO, a device
-    or a symlink given as --out is written through (the open truncates a
-    symlink's target) and stays where it is.
+    Only a regular file is removed: a FIFO, a device or a symlink given
+    as --out (whose target the open truncated) stays where it is.
     """
     if not out_path:
         yield sys.stdout
         return
-    _remove_regular(out_path)
     with open(out_path, "w") as out:
         try:
             yield out
         except BaseException:
             out.close()
-            _remove_regular(out_path)
+            if stat.S_ISREG(os.lstat(out_path).st_mode):
+                os.remove(out_path)
             raise
 
 

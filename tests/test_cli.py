@@ -510,17 +510,6 @@ class TestStreamedOutput:
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert got[0].count("\n") == 1 + 2 * 2 * 3  # header and the two finished blocks
 
-    def test_existing_file_is_replaced_not_truncated(self, run_cli, tmp_path):
-        # a new file takes the output, so a hard link taken before the run keeps the old bytes
-        path, old = tmp_path / "grid.csv", tmp_path / "old.csv"
-        path.write_text("earlier output\n")
-        os.link(path, old)
-        code, out, err = run_cli([*self.ARGV, "--out", str(path)])
-        assert code == 0 and out == "" and err == ""
-        assert old.read_text() == "earlier output\n"
-        assert path.read_text().count("\n") == 1 + 9 * 3
-        assert not os.path.samefile(path, old)
-
     def test_symlinked_out_writes_its_target(self, run_cli, tmp_path):
         target, link = tmp_path / "target.csv", tmp_path / "link.csv"
         target.write_text("earlier output\n")

@@ -229,21 +229,32 @@ def slab_growth(params, E):
 class TestClosedFormEntries:
     @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
     @pytest.mark.parametrize("alpha", [1.0, -1.0])
-    def test_degenerate_point_matches_a_60_digit_slab_product(self, kind, alpha):
+    def test_degenerate_point_is_the_slab_product(self, kind, alpha):
         # b = 1, eps = 0.5, E = 4: p = 0 at alpha = 1 and q = 0 at alpha = -1,
         # where each slab term takes its limit (sin(pl)/p = l) in the kernel itself
-        mp = pytest.importorskip("mpmath").mp
         params = BWParams(kind, alpha, 0.5, 1.0, 1.0, 1.0)
         w = wave_numbers(params, 4.0)
         assert w.p == 0 or w.q == 0
+        closed = closed_form(params, 4.0)
+        product = chain_matrix(realize(params), 4.0)
+        for got, want in zip(closed.entries(), product.entries()):
+            assert got.imag == 0.0 and want.imag == 0.0
+            assert abs(got.real - want.real) <= 4 * np.spacing(abs(want.real))
+        if kind is Kind.MINUS:
+            assert closed.m22 == closed.m11  # the mirror diagonal is one object
+
+    @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
+    @pytest.mark.parametrize("alpha", [1.0, -1.0])
+    def test_degenerate_point_matches_a_60_digit_slab_product(self, kind, alpha):
+        # the points above, against the exact product of the same f64 slabs
+        mp = pytest.importorskip("mpmath").mp
+        params = BWParams(kind, alpha, 0.5, 1.0, 1.0, 1.0)
         closed = closed_form(params, 4.0)
         tol = 1e-15 * (1.0 + slab_growth(params, 4.0))
         with mp.workdps(60):
             want = mp_slab_product(mp, realize(params), 4.0)
             for got, (i, j) in zip(closed.entries(), ((0, 0), (0, 1), (1, 0), (1, 1))):
                 assert got.imag == 0.0 and abs(got.real - want[i, j]) <= tol
-        if kind is Kind.MINUS:
-            assert closed.m22 == closed.m11  # the mirror diagonal is one object
 
     @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
     def test_closed_form_is_one_point_of_the_kernel(self, kind):
