@@ -12,18 +12,22 @@ Each residual body works on a numpy array of strengths and returns its
 values with a boolean pole mask, set where the tan phase lies within
 1e-12 of a singularity; the scalar names f_plus, f_minus and f_prime
 are one point of those bodies and raise PoleError where the mask is
-set. numpy's tan and tanh can differ from the math module's by an ulp
-or two, so residual values can differ from a math-based evaluation in
-the last digits.
+set. The bodies share one step (the phases, their tanh and tan, the
+pole mask) and differ only in their formulas, so one step can serve
+several residuals as the rows of one array. numpy's tan and tanh can
+differ from the math module's by an ulp or two, so residual values can
+differ from a math-based evaluation in the last digits.
 
 The finder is a bracketing bisection that knows the residuals alternate
 roots with tan poles and discards pole crossings by magnitude. Its one
 implementation scans and refines all cells of the grid in lockstep over
-an array residual, then bisects the surviving brackets in a tree walk:
-one residual call evaluates the next four levels of midpoints of every
-bracket, and each bracket walks down its tree by the rules of one step at
-a time, so it returns the roots of one step per call, bit for bit.
-find_roots lifts a scalar callable into it.
+rows of array residuals that share a pole mask, then bisects the
+surviving brackets of every row in a tree walk: one residual call
+evaluates the next four levels of midpoints of every bracket, and each
+bracket walks down its tree by the rules of one step at a time, so it
+returns the roots of one step per call, bit for bit. resonance_sets
+finds both of its sets in one such pass; find_roots lifts a scalar
+callable into it as one row.
 
 peak_refine finds a transmission crest by zooming on the closed-form
 kernel of scattering.grid, the route of scans and grids; the slab
@@ -39,8 +43,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .potential import BWParams, Kind, sigma_split, slab_geometry
-from .scattering import BLOCK_POINTS, grid
+from .potential import BWParams, Kind, slab_geometry
+from .scattering import BLOCK_POINTS, _transmission_array
 
 
 class PoleError(ArithmeticError):
@@ -121,17 +125,18 @@ def _phases(alpha, b: float, sp, sm) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _residual_phases(alpha, b: float, sigma: float):
-    """(alpha, x, y, pole) of a limiting residual after its input checks.
+    """(alpha, x, y, tanh x, tan y, pole): the step all limiting residuals share.
 
-    Elementwise over strengths: the phases x, y of potential.sigma_split's
-    (sp, sm), and pole marking the strengths whose tan phase lies within
-    1e-12 of a singularity; the hyperbolic factors are pole free.
+    Runs the input checks, then elementwise over strengths: the phases
+    x, y of potential.sigma_split's (sp, sm), their tanh and tan, and pole
+    marking the strengths whose tan phase lies within 1e-12 of a
+    singularity; the hyperbolic factors are pole free.
     """
     _check_bsigma(b, sigma)
     alpha = np.asarray(alpha, dtype=float)
     x, y = _phases(alpha, b, np.where(alpha < 0, sigma, 1.0), np.where(alpha > 0, sigma, 1.0))
     pole = np.abs(np.fmod(y, math.pi) - math.pi / 2) < _POLE_TOL
-    return alpha, x, y, pole
+    return alpha, x, y, np.tanh(x), np.tan(y), pole
 
 
 def _ratio(alpha: np.ndarray, b: float, sigma: float) -> np.ndarray:
@@ -172,33 +177,26 @@ def _tanhc(z, tanh_z):
     return np.where(small, 1.0 - z2 / 3.0 + 2.0 * z2 * z2 / 15.0, tanh_z / np.where(small, 1.0, z))
 
 
-def _f_plus(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """f_plus on an array of strengths: (values, pole mask)."""
-    alpha, x, y, pole = _residual_phases(alpha, b, sigma)
-    tx, ty = np.tanh(x), np.tan(y)
+def _plus(alpha, x, y, tx, ty, b: float, sigma: float) -> np.ndarray:
+    """The f_plus formula on the shared step's terms."""
     c = np.where(alpha >= 0, b, 1.0 / b)
-    return c * y * ty * _tanhc(x, tx) - x * tx * _tanc(y, ty) / c - 2.0, pole
+    return c * y * ty * _tanhc(x, tx) - x * tx * _tanc(y, ty) / c - 2.0
 
 
-def _f_minus(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """f_minus on an array of strengths: (values, pole mask)."""
-    alpha, x, y, pole = _residual_phases(alpha, b, sigma)
-    r = _ratio(alpha, b, sigma)
-    tx = np.tanh(x)
-    t = tx * np.tan(y)
-    f = np.where(alpha >= 0, t, -t) + r
+def _minus(alpha, x, y, tx, ty, b: float, sigma: float) -> np.ndarray:
+    """The f_minus formula on the shared step's terms."""
+    t = tx * ty
+    f = np.where(alpha >= 0, t, -t) + _ratio(alpha, b, sigma)
     if sigma == 0.0:
         # the rescaled residuals: sm = 0 at positive strengths, sp = 0 at negative ones
         rescaled = tx * np.sqrt(2.0 * np.abs(alpha) / (1.0 + b)) + math.sqrt(b)
         f = np.where(alpha > 0, rescaled, np.where(alpha < 0, 1.0, f))
-    return f, pole
+    return f
 
 
-def _f_prime(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """f_prime on an array of strengths: (values, pole mask)."""
-    alpha, x, y, pole = _residual_phases(alpha, b, sigma)
+def _prime(alpha, x, y, tx, ty, b: float, sigma: float) -> np.ndarray:
+    """The f_prime formula on the shared step's terms."""
     r = _ratio(alpha, b, sigma)
-    tx, ty = np.tanh(x), np.tan(y)
     up = alpha >= 0
     # r is inf at negative strengths when sigma = 0, where the value is
     # replaced below; where tanh(x) underflows to 0 there too, inf * 0 is a
@@ -207,26 +205,49 @@ def _f_prime(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         f = np.where(up, tx, ty) - r * np.where(up, ty, tx)
     if sigma == 0.0:
         f = np.where(alpha < 0, -tx, f)  # the imaginary part over its diverging prefactor
-    return f, pole
+    return f
 
 
-def _checked(body, alphas: Sequence[float], b: float, sigma: float) -> np.ndarray:
-    """A residual body's values at strengths from one call; PoleError at the first pole.
+def _residual_rows(formulas, alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The formulas' residuals at strengths as the rows of one array, and their pole mask.
 
-    The one checked call of the scalar wrappers (one strength) and of the
-    residual fields of resonance_sets (all roots of a set), so those fields
-    equal the wrappers' |f| bit for bit.
+    One shared step serves every row; the rows are computed in order, so
+    the first formula's exception comes first.
     """
-    values, pole = body(np.array(alphas, dtype=float), b, sigma)
-    if pole.any():
+    alpha, x, y, tx, ty, pole = _residual_phases(alpha, b, sigma)
+    return np.array([formula(alpha, x, y, tx, ty, b, sigma) for formula in formulas]), pole
+
+
+def _body(formula):
+    """A formula as a residual body: an array of strengths -> (values, pole mask)."""
+    def body(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        alpha, x, y, tx, ty, pole = _residual_phases(alpha, b, sigma)
+        return formula(alpha, x, y, tx, ty, b, sigma), pole
+    return body
+
+
+# f_plus, f_minus and f_prime on arrays of strengths
+_f_plus, _f_minus, _f_prime = _body(_plus), _body(_minus), _body(_prime)
+
+
+def _check_poles(alphas: Sequence[float], pole: np.ndarray) -> None:
+    """PoleError at the first strength whose pole mask is set.
+
+    The one pole check of the scalar wrappers (one strength) and of the
+    residual fields of resonance_sets (the roots of one set), whose values
+    come from the same shared step and formulas, so those fields equal the
+    wrappers' |f| bit for bit.
+    """
+    if np.count_nonzero(pole):  # cheaper than pole.any() on the one-point mask of a wrapper
         alpha = alphas[int(np.argmax(pole))]
         raise PoleError(f"the tan phase of strength {alpha} is within {_POLE_TOL} of a pole")
-    return values
 
 
 def _scalar(body, alpha: float, b: float, sigma: float) -> float:
     """One point of a residual body as a float; PoleError where its mask is set."""
-    return float(_checked(body, [alpha], b, sigma)[0])
+    values, pole = body(np.array([alpha], dtype=float), b, sigma)
+    _check_poles([alpha], pole)
+    return float(values[0])
 
 
 def f_plus(alpha: float, b: float, sigma: float) -> float:
@@ -279,7 +300,12 @@ def theta_factor(alpha_prime: float, b: float, sigma_plus: float, sigma_minus: f
     _check_bsigma(b, sigma_plus)
     _check_bsigma(b, sigma_minus)
     x, y = map(float, _phases(alpha_prime, b, sigma_plus, sigma_minus))
-    if alpha_prime < 0:
+    return _theta(alpha_prime, x, y)
+
+
+def _theta(alpha: float, x: float, y: float) -> float:
+    """theta_factor from the two limiting slab phases of the strength alpha."""
+    if alpha < 0:
         return math.cos(y) / math.cosh(x)
     denom = math.cos(y)
     if abs(denom) < _POLE_TOL:
@@ -337,24 +363,28 @@ def find_roots(
     calls it at up to 15 points per bracket, all strictly inside it.
     """
     def f_array(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values = np.full(xs.shape, np.nan)
+        values = np.full((1, xs.size), np.nan)
         pole = np.zeros(xs.shape, dtype=bool)
         for i, x in enumerate(xs.tolist()):
             try:
-                values[i] = f(x)
+                values[0, i] = f(x)
             except PoleError:
                 pole[i] = True
         return values, pole
 
-    return _bracket_roots(f_array, window, grid_steps, tol)
+    return _bracket_roots(f_array, window, grid_steps, tol)[0]
 
 
-def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float) -> list[float]:
-    """find_roots for an array residual f: strengths -> (values, pole mask).
+def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float) -> list[list[float]]:
+    """find_roots for an array body f: strengths -> (residual rows, pole mask).
 
-    Every cell follows the same rules, in lockstep across cells. The scan
-    hands f BLOCK_POINTS cells at a time, so the residual's temporaries
-    stay small whatever grid_steps is.
+    f returns a 2-D array with one row per residual and one pole mask
+    that all rows share; the result is one root list per row. Every row
+    and every cell follow the same rules, in lockstep, so one call of f
+    serves all rows per scan block, for the refinement and per bisection
+    round. The scan hands f BLOCK_POINTS cells at a time, so the
+    residual's temporaries stay small whatever grid_steps is. Where two
+    rows raise WindowTooCoarseError, the first row's is raised.
     """
     lo, hi = window
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -367,40 +397,56 @@ def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float) 
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
     xs = np.linspace(lo, hi, grid_steps + 1)
-    roots: list[float] = []
-    cells = []
+    zeros, cells = [], []
     for start in range(0, grid_steps, BLOCK_POINTS):
         x = xs[start:start + BLOCK_POINTS + 1]
         fx, pole = f(x)
-        fa, fb = fx[:-1], fx[1:]
-        clear_a, clear_b = ~pole[:-1], ~pole[1:]
-        roots += x[:-1][clear_a & (fa == 0.0)].tolist()
-        # a zero at the right end is recorded by the next cell
+        # the few cells whose ends do not share a sign hold every zero and
+        # sign change; the rules are applied to them alone
         with np.errstate(over="ignore"):  # an overflowing product keeps its sign
-            change = clear_a & clear_b & (fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0)
-        i = np.flatnonzero(change)
-        cells.append((x[i], x[i + 1], fa[i]))
-    if not pole[-1] and fx[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    a, b, fa = (np.concatenate(c) for c in zip(*cells))
+            row, i = np.nonzero(~(fx[:, :-1] * fx[:, 1:] > 0))
+        fa, fb, clear_a, clear_b = fx[row, i], fx[row, i + 1], ~pole[i], ~pole[i + 1]
+        # a zero at the right end is recorded by the next cell
+        zero = clear_a & (fa == 0.0)
+        zeros.append((row[zero], x[i[zero]]))
+        change = clear_a & clear_b & (fa != 0.0) & (fb != 0.0)
+        row, i = row[change], i[change]
+        cells.append((row, x[i], x[i + 1], fa[change]))
+    if not pole[-1]:
+        row = np.flatnonzero(fx[:, -1] == 0.0)
+        zeros.append((row, xs[-1:].repeat(row.size)))
+    roots: list[list[float]] = [[] for _ in fx]
+    for row, x in zeros:
+        for r, root in zip(row.tolist(), x.tolist()):
+            roots[r].append(root)
+    row, a, b, fa = (np.concatenate(c) for c in zip(*cells))
 
     # a pole crossing, not a root: a pole among the points of
     # np.linspace(a, b, 10), or |f| never below 1 on them
     ts = a[:, None] + np.arange(10.0) * ((b - a) / 9.0)[:, None]
     ts[:, -1] = b
-    ft, pole = (v.reshape(ts.shape) for v in f(ts.ravel()))
+    ft, pole = f(ts.ravel())
+    ft = ft.reshape(len(ft), *ts.shape)[row, np.arange(row.size)]  # each bracket's own row
+    pole = pole.reshape(ts.shape)
     keep = ~pole.any(axis=1) & (np.fmin.reduce(np.abs(ft), axis=1) <= 1.0)
-    a, b, fa = a[keep], b[keep], fa[keep]
 
-    _bisect(f, list(zip(a.tolist(), b.tolist(), fa.tolist())), tol, roots)
+    _bisect(f, list(zip(row[keep].tolist(), a[keep].tolist(), b[keep].tolist(),
+                        fa[keep].tolist())), tol, roots)
+    return [_merged(r, tol, (hi - lo) / grid_steps) for r in roots]
 
+
+def _merged(roots: list[float], tol: float, cell: float) -> list[float]:
+    """The roots ascending, one of each within max(tol, 1e-12) of another.
+
+    Raises WindowTooCoarseError where two of them are closer than one
+    grid cell.
+    """
     roots.sort()
     merged: list[float] = []
     for r in roots:
         if merged and abs(r - merged[-1]) <= max(tol, 1e-12):
             continue
         merged.append(r)
-    cell = (hi - lo) / grid_steps
     for r1, r2 in zip(merged, merged[1:]):
         if r2 - r1 < cell:
             raise WindowTooCoarseError(
@@ -439,44 +485,45 @@ def _midpoint_tree(a: float, b: float, tol: float, points: list[float]) -> list[
     return slots
 
 
-def _bisect(f, brackets: list[tuple[float, float, float]], tol: float, roots: list[float]) -> None:
-    """Bisect each (a, b, f(a)) bracket to its root, appended to roots.
+def _bisect(f, brackets: list[tuple[int, float, float, float]], tol: float,
+            roots: list[list[float]]) -> None:
+    """Bisect each (row, a, b, f(a)) bracket to its root, appended to roots[row].
 
     One call of f evaluates the midpoint trees of all live brackets, and
-    each bracket then walks _TREE_LEVELS steps down its tree by the rules
-    of one step at a time: it stops at the requested width or at
-    double-precision resolution and records the midpoint, is dropped at a
-    pole, records an exact zero, and otherwise keeps the half whose ends
-    change sign. So every bracket visits the midpoints, and returns the
-    root, of one bisection step per call; the nodes it does not visit
-    are never read.
+    each bracket then walks _TREE_LEVELS steps down its tree on its own
+    row by the rules of one step at a time: it stops at the requested
+    width or at double-precision resolution and records the midpoint, is
+    dropped at a pole, records an exact zero, and otherwise keeps the half
+    whose ends change sign. So every bracket visits the midpoints, and
+    returns the root, of one bisection step per call; the nodes it does
+    not visit are never read.
     """
     while brackets:
         points: list[float] = []
-        trees = [_midpoint_tree(a, b, tol, points) for a, b, _ in brackets]
+        trees = [_midpoint_tree(a, b, tol, points) for _, a, b, _ in brackets]
         if points:  # else every bracket stops at its first midpoint
             fm, pole = f(np.array(points))
             values, poles = fm.tolist(), pole.tolist()
         live = []
-        for (a, b, fa), slots in zip(brackets, trees):
+        for (row, a, b, fa), slots in zip(brackets, trees):
             i = 0
             while i < _TREE_NODES:
                 j = slots[i]
                 if j < 0:  # the requested width or double-precision resolution
-                    roots.append(0.5 * (a + b))
+                    roots[row].append(0.5 * (a + b))
                     break
                 if poles[j]:  # a bracket that meets a pole is dropped
                     break
-                m, fm = points[j], values[j]
+                m, fm = points[j], values[row][j]
                 if fm == 0.0:
-                    roots.append(m)
+                    roots[row].append(m)
                     break
                 if fa * fm < 0:
                     b, i = m, 2 * i + 1
                 else:
                     a, fa, i = m, fm, 2 * i + 2
             else:
-                live.append((a, b, fa))
+                live.append((row, a, b, fa))
         brackets = live
 
 
@@ -495,28 +542,37 @@ def resonance_sets(
     index 0; the shared set is the nonzero roots of f_prime with the
     discontinuity factor attached. Indices count outward from zero by
     sign. The default window and grid resolve the closest known pairs for
-    moderate b; for tighter clusters raise grid_steps.
+    moderate b; for tighter clusters raise grid_steps. Both residuals are
+    rows of one body, so one root-finder pass finds both sets.
     """
     _check_bsigma(b, sigma)
     if kind is Kind.PLUS:
-        body, label = _f_plus, SetLabel.SIGMA_PLUS
+        formula, label = _plus, SetLabel.SIGMA_PLUS
     else:
-        body, label = _f_minus, SetLabel.SIGMA_MINUS
+        formula, label = _minus, SetLabel.SIGMA_MINUS
 
-    model_alphas = [r for r in _bracket_roots(lambda a: body(a, b, sigma), window, grid_steps, tol)
-                    if abs(r) > 1e-6]
-    prime_alphas = [r for r in _bracket_roots(lambda a: _f_prime(a, b, sigma), window, grid_steps, tol)
-                    if abs(r) > 1e-6]
+    def body(a):
+        return _residual_rows((formula, _prime), a, b, sigma)
 
+    model_alphas, prime_alphas = ([r for r in roots if abs(r) > 1e-6]
+                                  for roots in _bracket_roots(body, window, grid_steps, tol))
     model = _outward_indices(model_alphas, include_zero=window[0] <= 0.0 <= window[1])
-    model_res = np.abs(_checked(body, [alpha for alpha, _ in model], b, sigma)).tolist()
+    prime = _outward_indices(prime_alphas, include_zero=False)
+
+    # both sets' residual fields and every theta from one shared step, the
+    # model set's poles first
+    n = len(model)
+    alphas = [alpha for alpha, _ in model + prime]
+    alpha, x, y, tx, ty, pole = _residual_phases(alphas, b, sigma)
+    _check_poles(alphas[:n], pole[:n])
+    _check_poles(alphas[n:], pole[n:])
+    model_res = np.abs(formula(alpha, x, y, tx, ty, b, sigma)[:n]).tolist()
+    prime_res = np.abs(_prime(alpha, x, y, tx, ty, b, sigma)[n:]).tolist()
     model_roots = [ResonanceRoot(alpha, label, idx, None, res if alpha else 0.0)
                    for (alpha, idx), res in zip(model, model_res)]
-    prime = _outward_indices(prime_alphas, include_zero=False)
-    prime_res = np.abs(_checked(_f_prime, [alpha for alpha, _ in prime], b, sigma)).tolist()
-    prime_roots = [ResonanceRoot(alpha, SetLabel.SIGMA_PRIME, idx,
-                                 theta_factor(alpha, b, *sigma_split(alpha, sigma)), res)
-                   for (alpha, idx), res in zip(prime, prime_res)]
+    prime_roots = [ResonanceRoot(alpha, SetLabel.SIGMA_PRIME, idx, _theta(alpha, xa, ya), res)
+                   for (alpha, idx), xa, ya, res in zip(prime, x[n:].tolist(), y[n:].tolist(),
+                                                        prime_res)]
 
     return (
         ResonanceSet(tuple(model_roots), window, b, sigma),
@@ -563,9 +619,19 @@ def peak_refine(
     """
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
+    if not (0.0 < k < math.inf):
+        raise ValueError(f"k must be finite and > 0, got {k}")
     lo, hi = alpha_guess - radius, alpha_guess + radius
-    prescan = grid(template, (lo, hi), (k, k), PEAK_PRESCAN_STEPS, 1)
-    ts = prescan.values[:, 0]
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"alpha range must be finite, got {(lo, hi)}")
+
+    def sample(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+        # grid's points and values: PEAK_PRESCAN_STEPS < BLOCK_POINTS is one block
+        alphas = np.linspace(a, b, PEAK_PRESCAN_STEPS)
+        return alphas, _transmission_array(template.kind, alphas, (k,), template.eps,
+                                           template.c1, template.c2, template.sigma)[:, 0]
+
+    alphas, ts = sample(lo, hi)
     if not np.all(np.isfinite(ts)):
         raise ValueError(f"transmission is not finite on [{lo}, {hi}]")
     diffs = np.diff(ts)
@@ -575,7 +641,7 @@ def peak_refine(
     if imax == 0 or imax == len(ts) - 1:
         raise NoPeakError(f"no interior crest on [{lo}, {hi}]")
 
-    alphas, width = prescan.alphas, hi - lo
+    width = hi - lo
     while True:
         cell = width / (PEAK_PRESCAN_STEPS - 1)
         t_max = ts[imax]
@@ -585,7 +651,6 @@ def peak_refine(
         a, b = max(lo, a_max - 2 * cell), min(hi, a_max + 2 * cell)
         if b - a >= width:  # float resolution: the window no longer shrinks
             break
-        zoom = grid(template, (a, b), (k, k), PEAK_PRESCAN_STEPS, 1)
-        alphas, ts, width = zoom.alphas, zoom.values[:, 0], b - a
+        (alphas, ts), width = sample(a, b), b - a
         imax = int(np.argmax(ts))
     return float(alphas[imax]), float(ts[imax])

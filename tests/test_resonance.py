@@ -17,6 +17,10 @@ from bwtunnel.resonance import (
     _f_minus,
     _f_plus,
     _f_prime,
+    _minus,
+    _plus,
+    _prime,
+    _residual_rows,
     NoPeakError,
     PoleError,
     SetLabel,
@@ -224,6 +228,14 @@ class TestResidualFunctions:
 RESIDUAL_BODIES = [(f_plus, _f_plus), (f_minus, _f_minus), (f_prime, _f_prime)]
 
 
+def _one_row(body, b, sigma):
+    """A residual body at (b, sigma) as the one-row body of _bracket_roots."""
+    def f(alphas):
+        values, pole = body(alphas, b, sigma)
+        return values[None], pole
+    return f
+
+
 class TestArrayBodies:
     """Each scalar residual is one point of its array body, bit for bit."""
 
@@ -258,7 +270,7 @@ class TestArrayBodies:
     def test_scalar_finder_equals_array_finder(self, scalar, body, window):
         # find_roots lifts the scalar wrapper into the same core; edges at 0
         # put f_prime's exact zero on the first or last grid point
-        want = _bracket_roots(lambda a: body(a, 3.0, 1.0), window, 2000, 1e-10)
+        want, = _bracket_roots(_one_row(body, 3.0, 1.0), window, 2000, 1e-10)
         assert find_roots(lambda a: scalar(a, 3.0, 1.0), window, 2000, 1e-10) == want
         if body is _f_prime:
             assert 0.0 in want
@@ -390,25 +402,34 @@ class TestFindRoots:
 
 
 def _bisect_one_step(f, brackets, tol, roots):
-    """The bisection stage at one step per call of f: the oracle of resonance._bisect."""
+    """The bisection stage at one step per call of f: the oracle of resonance._bisect.
+
+    brackets are (row, a, b, f(a)) and each walks on its own row of f.
+    """
     if not brackets:
         return
-    a, b, fa = (np.array(v) for v in zip(*brackets))
+    row, a, b, fa = (np.array(v) for v in zip(*brackets))
+
+    def record(where, points):
+        for r, x in zip(row[where].tolist(), points[where].tolist()):
+            roots[r].append(x)
+
     while True:
         m = 0.5 * (a + b)
         # stop at the requested width or at double-precision resolution
         go = (b - a >= tol) & (a < m) & (m < b)
-        roots += m[~go].tolist()
+        record(~go, m)
         if not go.any():
             break
-        a, b, fa, m = a[go], b[go], fa[go], m[go]
-        fm, pole = f(m)
+        row, a, b, fa, m = row[go], a[go], b[go], fa[go], m[go]
+        rows, pole = f(m)
+        fm = rows[row, np.arange(row.size)]
         zero = ~pole & (fm == 0.0)
-        roots += m[zero].tolist()
+        record(zero, m)
         left = fa * fm < 0
         live = ~pole & ~zero  # a bracket that meets a pole is dropped
-        a, b, fa = (np.where(left, a, m)[live], np.where(left, m, b)[live],
-                    np.where(left, fa, fm)[live])
+        row, a, b, fa = (row[live], np.where(left, a, m)[live], np.where(left, m, b)[live],
+                         np.where(left, fa, fm)[live])
 
 
 def _one_step_roots(finder, *args):
@@ -435,9 +456,17 @@ class TestTreeBisection:
     @pytest.mark.parametrize("b, sigma", SEEDED_BSIGMA)
     @pytest.mark.parametrize("body", [_f_plus, _f_minus, _f_prime])
     def test_array_roots_equal_one_step_bisection(self, body, b, sigma):
-        args = (lambda a: body(a, b, sigma), (-40.0, 40.0), 20000, 1e-10)
-        roots = _bracket_roots(*args)
-        assert [r.hex() for r in roots] == [r.hex() for r in _one_step_roots(_bracket_roots, *args)]
+        args = (_one_row(body, b, sigma), (-40.0, 40.0), 20000, 1e-10)
+        roots, = _bracket_roots(*args)
+        assert [r.hex() for r in roots] == [r.hex() for r in _one_step_roots(_bracket_roots, *args)[0]]
+
+    @pytest.mark.parametrize("b, sigma", SEEDED_BSIGMA)
+    @pytest.mark.parametrize("formula", [_plus, _minus])
+    def test_stacked_roots_equal_one_step_bisection(self, formula, b, sigma):
+        args = (lambda a: _residual_rows((formula, _prime), a, b, sigma), (-40.0, 40.0), 20000, 1e-10)
+        want = _one_step_roots(_bracket_roots, *args)
+        assert [[r.hex() for r in row] for row in _bracket_roots(*args)] == \
+            [[r.hex() for r in row] for row in want]
 
     @pytest.mark.parametrize("f, window, grid_steps, tol", [
         # tan's poles are dropped, its roots kept
@@ -466,10 +495,91 @@ class TestTreeBisection:
 
         def body(a):
             calls.append(a.size)
-            return _f_plus(a, 3.0, 1.0)
+            return _one_row(_f_plus, 3.0, 1.0)(a)
 
         _bracket_roots(body, (-40.0, 40.0), 20000, 1e-10)
         assert len(calls) <= 5 + 1 + math.ceil(27 / 4)
+
+    @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
+    def test_both_sets_share_every_residual_call(self, kind):
+        # the 5 scan blocks, the refinement and the ceil(27/4) tree rounds
+        # serve both sets, and one more call gives both sets' residual
+        # fields; a pass per set took twice the finder's calls
+        calls = []
+        shared = resonance._residual_phases
+
+        def spy(alpha, b, sigma):
+            calls.append(np.size(alpha))
+            return shared(alpha, b, sigma)
+
+        with mock.patch.object(resonance, "_residual_phases", spy):
+            model, prime = resonance_sets(kind, 3.0, 1.0)
+        assert len(calls) <= 5 + 1 + math.ceil(27 / 4) + 1
+        assert calls[-1] == len(model.roots) + len(prime.roots)
+        assert (model, prime) == resonance_sets(kind, 3.0, 1.0)
+
+
+def _outcome(run):
+    """What run() returns, as hex strings, or the type and text of what it raises."""
+    try:
+        return [[r.hex() for r in row] for row in run()]
+    except (ArithmeticError, ValueError, WindowTooCoarseError) as exc:
+        return type(exc), str(exc)
+
+
+def _row_by_row(formulas, b, sigma, window, grid_steps, tol):
+    """One single-row _bracket_roots run per formula, in order: the stacked pass's oracle."""
+    def body(formula):
+        return lambda a: _residual_rows((formula,), a, b, sigma)
+
+    return [_bracket_roots(body(formula), window, grid_steps, tol)[0] for formula in formulas]
+
+
+class TestStackedRows:
+    """The rows of one pass return the roots of one run per row, bit for bit."""
+
+    # seeded draws, the well-free case, subnormal sigma, and a b whose
+    # r = sqrt(b / sigma) is past the float range at negative strengths
+    CASES = SEEDED_BSIGMA + [(3.0, 0.0), (3.0, 5e-324), (3.0, 1e-310), (1e300, 5e-324)]
+
+    @pytest.mark.parametrize("b, sigma", CASES)
+    @pytest.mark.parametrize("formulas", [(_plus, _prime), (_minus, _prime)])
+    @pytest.mark.parametrize("window, grid_steps", [((-40.0, 40.0), 20000), ((-40.0, 40.0), 100),
+                                                    ((0.0, 40.0), 400)])
+    def test_stacked_rows_equal_one_run_per_row(self, formulas, b, sigma, window, grid_steps):
+        def stacked():
+            return _bracket_roots(lambda a: _residual_rows(formulas, a, b, sigma),
+                                  window, grid_steps, 1e-10)
+
+        assert _outcome(stacked) == _outcome(
+            lambda: _row_by_row(formulas, b, sigma, window, grid_steps, 1e-10))
+
+    def test_cases_reach_every_outcome(self):
+        # the cases above hold roots, WindowTooCoarseError and ValueError
+        outcomes = [_outcome(lambda: _row_by_row((formula, _prime), b, sigma, (-40.0, 40.0), 100, 1e-10))
+                    for b, sigma in self.CASES for formula in (_plus, _minus)]
+        kinds = {o[0] if isinstance(o, tuple) else list for o in outcomes}
+        assert kinds == {list, WindowTooCoarseError, ValueError}
+
+    @staticmethod
+    def _two_rows(first, second):
+        # rows with roots at the given points and no pole
+        def f(x):
+            rows = [np.prod([x - r for r in roots], axis=0) for roots in (first, second)]
+            return np.array(rows), np.zeros(x.shape, dtype=bool)
+        return f
+
+    def test_first_row_too_coarse_is_raised_first(self):
+        f = self._two_rows([0.9999, 1.0001, 1.5], [0.4999, 0.5001, 1.5])
+        with pytest.raises(WindowTooCoarseError, match="roots 0.9999"):
+            _bracket_roots(f, (0.0, 2.0), 100, 1e-12)
+
+    def test_second_row_too_coarse_is_raised_after_a_clean_first_row(self):
+        f = self._two_rows([1.25, 1.5], [0.4999, 0.5001, 1.5])
+        with pytest.raises(WindowTooCoarseError, match="roots 0.4999"):
+            _bracket_roots(f, (0.0, 2.0), 100, 1e-12)
+        roots = _bracket_roots(self._two_rows([1.25, 1.5], [0.25, 1.5]), (0.0, 2.0), 100, 1e-12)
+        assert roots == [pytest.approx([1.25, 1.5], abs=1e-12), pytest.approx([0.25, 1.5], abs=1e-12)]
 
 
 class TestResonanceSets:
@@ -499,11 +609,17 @@ class TestResonanceSets:
     @pytest.mark.parametrize("b, sigma", SEEDED_BSIGMA)
     @pytest.mark.parametrize("kind, f_model", [(Kind.PLUS, f_plus), (Kind.MINUS, f_minus)])
     def test_residual_fields_equal_the_scalar_residuals(self, kind, f_model, b, sigma):
+        # and each theta equals theta_factor's
         for rset in resonance_sets(kind, b, sigma):
             for root in rset.roots:
                 f = f_prime if root.set_label is SetLabel.SIGMA_PRIME else f_model
                 want = abs(f(root.alpha, b, sigma)) if root.alpha else 0.0
                 assert root.residual.hex() == want.hex(), (root, want)
+                if root.set_label is SetLabel.SIGMA_PRIME:
+                    theta = theta_factor(root.alpha, b, *sigma_split(root.alpha, sigma))
+                    assert root.theta.hex() == theta.hex(), (root, theta)
+                else:
+                    assert root.theta is None
 
     def test_trivial_root_has_zero_residual_and_index(self):
         model, _ = resonance_sets(Kind.MINUS, 3.0, 1.0, (-2.0, 2.0))
@@ -777,6 +893,19 @@ class TestPeakRefine:
         template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             peak_refine(template, 1.0, 2.28, 0.0)
+
+    @pytest.mark.parametrize("k, alpha_guess, radius, match", [
+        (0.0, 2.28, 0.5, "k must be"), (-1.0, 2.28, 0.5, "k must be"),
+        (math.nan, 2.28, 0.5, "k must be"), (math.inf, 2.28, 0.5, "k must be"),
+        (1.0, math.inf, 0.5, "alpha range"), (1.0, math.nan, 0.5, "alpha range"),
+        (1.0, 2.28, math.inf, "alpha range"), (1.0, 2.28, math.nan, "alpha range"),
+        (1.0, 1.7e308, 1e308, "alpha range"),
+    ])
+    def test_k_and_strength_range_validation(self, k, alpha_guess, radius, match):
+        # the kernel is sampled directly, so peak_refine checks what grid checked
+        template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=match):
+            peak_refine(template, k, alpha_guess, radius)
 
     def test_monotone_bracket_signals_no_peak(self):
         # transmission decays monotonically deep in the opaque region
