@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .potential import BWParams, Kind, slab_geometry
-from .scattering import BLOCK_POINTS, _transmission_array
+from .scattering import BLOCK_POINTS, grid
 
 
 class PoleError(ArithmeticError):
@@ -544,6 +544,11 @@ def resonance_sets(
     sign. The default window and grid resolve the closest known pairs for
     moderate b; for tighter clusters raise grid_steps. Both residuals are
     rows of one body, so one root-finder pass finds both sets.
+
+    Errors come as from one finder pass per set followed by each set's
+    residual fields: a WindowTooCoarseError of either set, the model
+    set's first, before a PoleError at a root of either set, again the
+    model set's first.
     """
     _check_bsigma(b, sigma)
     if kind is Kind.PLUS:
@@ -559,8 +564,8 @@ def resonance_sets(
     model = _outward_indices(model_alphas, include_zero=window[0] <= 0.0 <= window[1])
     prime = _outward_indices(prime_alphas, include_zero=False)
 
-    # both sets' residual fields and every theta from one shared step, the
-    # model set's poles first
+    # both sets' residual fields and every theta from one shared step; the
+    # finder has raised any WindowTooCoarseError of either set by now
     n = len(model)
     alphas = [alpha for alpha, _ in model + prime]
     alpha, x, y, tx, ty, pole = _residual_phases(alphas, b, sigma)
@@ -619,19 +624,9 @@ def peak_refine(
     """
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
-    if not (0.0 < k < math.inf):
-        raise ValueError(f"k must be finite and > 0, got {k}")
     lo, hi = alpha_guess - radius, alpha_guess + radius
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"alpha range must be finite, got {(lo, hi)}")
-
-    def sample(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        # grid's points and values: PEAK_PRESCAN_STEPS < BLOCK_POINTS is one block
-        alphas = np.linspace(a, b, PEAK_PRESCAN_STEPS)
-        return alphas, _transmission_array(template.kind, alphas, (k,), template.eps,
-                                           template.c1, template.c2, template.sigma)[:, 0]
-
-    alphas, ts = sample(lo, hi)
+    prescan = grid(template, (lo, hi), (k, k), PEAK_PRESCAN_STEPS, 1)
+    ts = prescan.values[:, 0]
     if not np.all(np.isfinite(ts)):
         raise ValueError(f"transmission is not finite on [{lo}, {hi}]")
     diffs = np.diff(ts)
@@ -641,7 +636,7 @@ def peak_refine(
     if imax == 0 or imax == len(ts) - 1:
         raise NoPeakError(f"no interior crest on [{lo}, {hi}]")
 
-    width = hi - lo
+    alphas, width = prescan.alphas, hi - lo
     while True:
         cell = width / (PEAK_PRESCAN_STEPS - 1)
         t_max = ts[imax]
@@ -651,6 +646,7 @@ def peak_refine(
         a, b = max(lo, a_max - 2 * cell), min(hi, a_max + 2 * cell)
         if b - a >= width:  # float resolution: the window no longer shrinks
             break
-        (alphas, ts), width = sample(a, b), b - a
+        zoom = grid(template, (a, b), (k, k), PEAK_PRESCAN_STEPS, 1)
+        alphas, ts, width = zoom.alphas, zoom.values[:, 0], b - a
         imax = int(np.argmax(ts))
     return float(alphas[imax]), float(ts[imax])

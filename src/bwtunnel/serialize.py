@@ -2,11 +2,12 @@
 
 CSV rows carry 12 significant digits; JSON carries 17 (enough to
 round-trip any double exactly). The writers compose one function per
-rule: floats() holds the float rules, format_rows() fills a % template
+rule: _field() writes one float and floats() readies the cells of a %
+template by the same rule (-0 as 0), format_rows() fills a % template
 from ready-made cell lists, and quote_nonfinite() writes the bare nan and
-inf of a %g text as JSON strings. json_dumps and csv_row write each
-float by the same rule, one % field on float(v) + 0.0, with no numpy
-round trip. Output is byte-stable across runs.
+inf of a %g text as JSON strings. format_column, json_dumps and csv_row
+write each float by _field, with no numpy round trip. Output is
+byte-stable across runs.
 
 The JSON axes and value rows of scans and grids are written by
 _rows17, which gives the bytes of %.17g without the float formatter.
@@ -36,9 +37,18 @@ def floats(values) -> list[float]:
         return (np.asarray(values, dtype=float) + 0.0).ravel().tolist()
 
 
+def _field(value, sig: int) -> str:
+    """One float to sig significant digits, -0 as 0; %g spells nan, inf and -inf.
+
+    float() comes first, so a numpy scalar is added as a Python float and
+    a signaling nan raises no numpy warning.
+    """
+    return "%.*g" % (sig, float(value) + 0.0)
+
+
 def format_column(values, sig: int) -> list[str]:
-    """Each value to sig significant digits, in order; %g spells nan, inf and -inf."""
-    return list(map(f"%.{sig}g".__mod__, floats(values)))
+    """Each value by _field, row-major."""
+    return [_field(v, sig) for v in np.asarray(values, dtype=float).ravel().tolist()]
 
 
 # the non-finite fields of a %g text
@@ -147,18 +157,13 @@ def _codes(x):
     significand m: the digits after the point lose their trailing zeros,
     as %g does, and the code keeps the e-notation exponent, whether there
     is a fraction, its leading zeros, the sign and the integer part
-    before the point (see _fragment_body). None where no cell is
-    certified: the plain %.17g fill is then the faster route.
+    before the point (see _fragment_body).
     """
     a = np.abs(x)
     ok = a >= 1e-290  # 0, tiny values, nan, inf and 1000 up keep %.17g
     ok &= a < _WHOLE_LIMIT
-    if not ok.any():
-        return None
     m, s, certified = _significands(np.where(ok, a, 1.0))
     ok &= certified
-    if not ok.any():
-        return None
 
     # %g's fixed notation from exponent 16 - s = -4 up, its e-notation below
     fixed = s <= 20
@@ -206,17 +211,13 @@ def _rows17(values, head: str, sep: str, tail: str) -> str:
     The bytes equal that % fill for every float64, nan and inf included,
     so quote_nonfinite works on the text as on the % fill's. Most cells
     are one %d field inside a fragment that holds the separator, sign,
-    integer part, point, leading zeros and exponent (_codes); a block
-    with no certified cell is that % fill itself.
+    integer part, point, leading zeros and exponent (_codes).
     """
     values = np.asarray(values, dtype=float)
     rows, width = values.shape
     with np.errstate(invalid="ignore"):  # only a signaling nan raises it, and stays nan
         x = values.ravel() + 0.0  # -0 to 0
-    fields = _codes(x)
-    if fields is None:
-        return (head + sep.join(["%.17g"] * width) + tail) * rows % tuple(x.tolist())
-    code, args = fields
+    code, args = _codes(x)
     column = np.arange(width)
     cells = (code.reshape(rows, width) * 4 + (column == 0) + 2 * (column == width - 1)).ravel()
     template = "".join(map(_Fragments(head, sep, tail).__getitem__, cells.tolist()))
@@ -245,7 +246,7 @@ def _emit(obj, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(quote_nonfinite("%.17g" % (float(obj) + 0.0)))
+        out.append(quote_nonfinite(_field(obj, 17)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -277,7 +278,7 @@ def csv_row(values) -> str:
         if isinstance(v, str):
             cells.append(v)
         elif isinstance(v, float):
-            cells.append("%.12g" % (float(v) + 0.0))
+            cells.append(_field(v, 12))
         else:
             cells.append(str(v))
     return ",".join(cells)

@@ -621,6 +621,38 @@ class TestResonanceSets:
                 else:
                     assert root.theta is None
 
+    @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
+    @pytest.mark.parametrize("coarse, want", [
+        # as from one finder pass per set, then each set's residual fields:
+        # either set's WindowTooCoarseError, the model set's first, comes
+        # before a PoleError at a root of either set, the model set's first
+        ({"shared"}, "shared too coarse"), ({"model", "shared"}, "model too coarse"),
+        ({"model"}, "model too coarse"), (set(), "model poles"),
+    ])
+    def test_error_order_is_that_of_one_pass_per_set(self, kind, coarse, want):
+        model, prime = resonance_sets(kind, 3.0, 1.0)
+        model_alphas = [r.alpha for r in model.roots]
+        model_nonzero = sorted(a for a in model_alphas if a)
+        merged = resonance._merged
+
+        def too_coarse(roots, tol, cell):
+            # each row is told apart by its roots, not by the order of the calls
+            out = merged(roots, tol, cell)
+            row = "model" if [r for r in out if abs(r) > 1e-6] == model_nonzero else "shared"
+            if row in coarse:
+                raise WindowTooCoarseError(f"{row} too coarse")
+            return out
+
+        def at_a_pole(alphas, pole):
+            raise PoleError("model poles" if alphas == model_alphas else "shared poles")
+
+        with mock.patch.object(resonance, "_merged", too_coarse), \
+                mock.patch.object(resonance, "_check_poles", at_a_pole), \
+                pytest.raises((WindowTooCoarseError, PoleError)) as exc:
+            resonance_sets(kind, 3.0, 1.0)
+        assert str(exc.value) == want
+        assert exc.type is (PoleError if want.endswith("poles") else WindowTooCoarseError)
+
     def test_trivial_root_has_zero_residual_and_index(self):
         model, _ = resonance_sets(Kind.MINUS, 3.0, 1.0, (-2.0, 2.0))
         zero = [r for r in model.roots if r.alpha == 0.0]
@@ -893,19 +925,6 @@ class TestPeakRefine:
         template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             peak_refine(template, 1.0, 2.28, 0.0)
-
-    @pytest.mark.parametrize("k, alpha_guess, radius, match", [
-        (0.0, 2.28, 0.5, "k must be"), (-1.0, 2.28, 0.5, "k must be"),
-        (math.nan, 2.28, 0.5, "k must be"), (math.inf, 2.28, 0.5, "k must be"),
-        (1.0, math.inf, 0.5, "alpha range"), (1.0, math.nan, 0.5, "alpha range"),
-        (1.0, 2.28, math.inf, "alpha range"), (1.0, 2.28, math.nan, "alpha range"),
-        (1.0, 1.7e308, 1e308, "alpha range"),
-    ])
-    def test_k_and_strength_range_validation(self, k, alpha_guess, radius, match):
-        # the kernel is sampled directly, so peak_refine checks what grid checked
-        template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match=match):
-            peak_refine(template, k, alpha_guess, radius)
 
     def test_monotone_bracket_signals_no_peak(self):
         # transmission decays monotonically deep in the opaque region
