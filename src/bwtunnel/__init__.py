@@ -34,7 +34,6 @@ from .scattering import (
     transmissivity,
 )
 from .transfer import (
-    BoundaryState,
     Branch,
     TransferMatrix,
     WaveNumbers,
@@ -63,7 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BWParams", "Kind", "Segment", "SegmentChain", "bw_geometry", "concat",
     "realize", "sigma_split",
-    "TransferMatrix", "BoundaryState", "WaveNumbers", "Branch",
+    "TransferMatrix", "WaveNumbers", "Branch",
     "segment_matrix", "chain_matrix", "closed_form", "lambda21_factored",
     "limit_matrix", "wave_numbers",
     "ScatteringResult", "TransmissionGrid", "amplitudes", "transmissivity",

@@ -14,6 +14,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class Kind(enum.Enum):
     """Arrangement of the two barrier-well units.
@@ -123,20 +125,22 @@ class BWParams:
         return self.c1 / self.c2
 
 
-def sigma_split(alpha: float, sigma: float) -> tuple[float, float]:
+def sigma_split(alpha, sigma: float):
     """Distribute the well-control parameter by the sign of the strength.
 
     The parameter is assigned only to the wells: for alpha > 0 the
     negative-value slabs are the wells, so it lands on the second slot;
-    for alpha < 0 the roles swap. At alpha = 0 both slots are 1.
+    for alpha < 0 the roles swap. At alpha = 0 both slots are 1. The one
+    home of this rule: elementwise over an array of strengths, and a pair
+    of floats for one strength.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if alpha > 0:
-        return (1.0, sigma)
-    if alpha < 0:
-        return (sigma, 1.0)
-    return (1.0, 1.0)
+    a = np.asarray(alpha)
+    sp, sm = np.where(a < 0, sigma, 1.0), np.where(a > 0, sigma, 1.0)
+    if sp.ndim == 0:
+        return float(sp), float(sm)
+    return sp, sm
 
 
 def slab_geometry(sp, sm, eps: float, c1: float, c2: float):

@@ -8,15 +8,14 @@ real or purely imaginary and swaps its trigonometric and hyperbolic
 factors, so the real form there is that swap, with the tan phase moved
 from the well slot to the barrier slot.
 
-Each residual body works on a numpy array of strengths and returns its
-values with a boolean pole mask, set where the tan phase lies within
-1e-12 of a singularity; the scalar names f_plus, f_minus and f_prime
-are one point of those bodies and raise PoleError where the mask is
-set. The bodies share one step (the phases, their tanh and tan, the
-pole mask) and differ only in their formulas, so one step can serve
-several residuals as the rows of one array. numpy's tan and tanh can
-differ from the math module's by an ulp or two, so residual values can
-differ from a math-based evaluation in the last digits.
+Each residual is one formula on the terms of one shared step (the
+phases, their tanh and tan, and a boolean pole mask, set where the tan
+phase lies within 1e-12 of a singularity). _residual_rows, the one
+residual body, evaluates formulas over a numpy array of strengths as the
+rows of one array; the scalar names f_plus, f_minus and f_prime are one
+point of it and raise PoleError where the mask is set. numpy's tan and
+tanh can differ from the math module's by an ulp or two, so residual
+values can differ from a math-based evaluation in the last digits.
 
 The finder is a bracketing bisection that knows the residuals alternate
 roots with tan poles and discards pole crossings by magnitude. Its one
@@ -43,8 +42,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .potential import BWParams, Kind, slab_geometry
-from .scattering import BLOCK_POINTS, grid
+from .potential import BWParams, Kind, bw_geometry, sigma_split
+from .scattering import BLOCK_POINTS, _check_steps, grid
 
 
 class PoleError(ArithmeticError):
@@ -102,6 +101,11 @@ def _check_bsigma(b: float, sigma: float) -> None:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
 
 
+def _near_tan_pole(y):
+    """Whether tan(y) is within _POLE_TOL of a singularity, for a phase y >= 0, elementwise."""
+    return np.abs(np.fmod(y, math.pi) - math.pi / 2) < _POLE_TOL
+
+
 def _phases(alpha, b: float, sp, sm) -> tuple[np.ndarray, np.ndarray]:
     """The two limiting slab phases (x, y) of strengths, both real, elementwise.
 
@@ -125,68 +129,73 @@ def _phases(alpha, b: float, sp, sm) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _residual_phases(alpha, b: float, sigma: float):
-    """(alpha, x, y, tanh x, tan y, pole): the step all limiting residuals share.
+    """(alpha, sp, sm, x, y, tanh x, tan y, pole): the step all limiting residuals share.
 
-    Runs the input checks, then elementwise over strengths: the phases
-    x, y of potential.sigma_split's (sp, sm), their tanh and tan, and pole
-    marking the strengths whose tan phase lies within 1e-12 of a
-    singularity; the hyperbolic factors are pole free.
+    Runs the input checks, then elementwise over strengths: the slots
+    (sp, sm) of potential.sigma_split, their phases x, y, the tanh and tan
+    of those, and pole marking the strengths whose tan phase lies within
+    1e-12 of a singularity; the hyperbolic factors are pole free.
     """
     _check_bsigma(b, sigma)
     alpha = np.asarray(alpha, dtype=float)
-    x, y = _phases(alpha, b, np.where(alpha < 0, sigma, 1.0), np.where(alpha > 0, sigma, 1.0))
-    pole = np.abs(np.fmod(y, math.pi) - math.pi / 2) < _POLE_TOL
-    return alpha, x, y, np.tanh(x), np.tan(y), pole
+    sp, sm = sigma_split(alpha, sigma)
+    x, y = _phases(alpha, b, sp, sm)
+    return alpha, sp, sm, x, y, np.tanh(x), np.tan(y), _near_tan_pole(y)
 
 
-def _ratio(alpha: np.ndarray, b: float, sigma: float) -> np.ndarray:
-    """r = sqrt(b*sm/sp) of potential.sigma_split's (sp, sm), elementwise over strengths.
+def _ratio(sp: np.ndarray, sm: np.ndarray, b: float, sigma: float) -> np.ndarray:
+    """r = sqrt(b*sm/sp) of potential.sigma_split's slots (sp, sm), elementwise.
 
-    b*sigma and b/sigma overflow at a huge b or a subnormal sigma where
-    their square roots may not, so r then comes from sqrt(b) and
-    sqrt(sigma). Raises ValueError where r itself is not finite; at
-    negative strengths with sigma = 0 it is inf, and unused.
+    b*sm/sp overflows at a huge b or a subnormal sigma where its square
+    root may not, so r then comes from sqrt(b), sqrt(sm) and sqrt(sp).
+    Raises ValueError where r itself is not finite; at negative strengths
+    with sigma = 0 (sp = 0) it is inf, and unused.
     """
-    pos, neg = alpha > 0, alpha < 0
-    r_pos = math.sqrt(b * sigma)
-    if r_pos == math.inf:
-        r_pos = math.sqrt(b) * math.sqrt(sigma)
-    r_neg = math.sqrt(b / sigma) if sigma else math.inf
-    if sigma and r_neg == math.inf:
-        r_neg = math.sqrt(b) / math.sqrt(sigma)
-        if r_neg == math.inf and neg.any():
-            raise ValueError(f"r = sqrt(b / sigma) is not finite at b = {b}, sigma = {sigma}")
-    return np.where(pos, r_pos, np.where(neg, r_neg, math.sqrt(b)))
+    with np.errstate(over="ignore", divide="ignore"):
+        r = np.sqrt(b * sm / sp)
+        big = r == math.inf
+        if big.any():
+            big &= sp != 0.0
+            r[big] = math.sqrt(b) * np.sqrt(sm[big]) / np.sqrt(sp[big])
+            if (r[big] == math.inf).any():
+                raise ValueError(f"r = sqrt(b / sigma) is not finite at b = {b}, sigma = {sigma}")
+    return r
 
 
 def _tanc(z, tan_z):
     """tan(z)/z from tan_z = tan(z), continuous through z = 0."""
-    small = np.abs(z) < 1e-6
-    if not small.any():  # the common case: no series lane, no zero divisor
-        return tan_z / z
-    z2 = z * z
-    return np.where(small, 1.0 + z2 / 3.0 + 2.0 * z2 * z2 / 15.0, tan_z / np.where(small, 1.0, z))
+    return _over_z(z, tan_z, 1.0)
 
 
 def _tanhc(z, tanh_z):
     """tanh(z)/z from tanh_z = tanh(z), continuous through z = 0."""
+    return _over_z(z, tanh_z, -1.0)
+
+
+def _over_z(z, t, sign: float):
+    """t/z, or the series 1 + sign*z^2/3 + 2z^4/15 of tan(z)/z (sign 1) or tanh(z)/z (sign -1).
+
+    The series takes the lanes where |z| < 1e-6 and sees 0 on the others,
+    so no z^4 of a large phase overflows. z may be an array or a float.
+    """
     small = np.abs(z) < 1e-6
     if not small.any():  # the common case: no series lane, no zero divisor
-        return tanh_z / z
-    z2 = z * z
-    return np.where(small, 1.0 - z2 / 3.0 + 2.0 * z2 * z2 / 15.0, tanh_z / np.where(small, 1.0, z))
+        return t / z
+    zs = np.where(small, z, 0.0)
+    z2 = zs * zs
+    return np.where(small, 1.0 + sign * z2 / 3.0 + 2.0 * z2 * z2 / 15.0, t / np.where(small, 1.0, z))
 
 
-def _plus(alpha, x, y, tx, ty, b: float, sigma: float) -> np.ndarray:
+def _plus(alpha, sp, sm, x, y, tx, ty, b: float, sigma: float) -> np.ndarray:
     """The f_plus formula on the shared step's terms."""
     c = np.where(alpha >= 0, b, 1.0 / b)
     return c * y * ty * _tanhc(x, tx) - x * tx * _tanc(y, ty) / c - 2.0
 
 
-def _minus(alpha, x, y, tx, ty, b: float, sigma: float) -> np.ndarray:
+def _minus(alpha, sp, sm, x, y, tx, ty, b: float, sigma: float) -> np.ndarray:
     """The f_minus formula on the shared step's terms."""
     t = tx * ty
-    f = np.where(alpha >= 0, t, -t) + _ratio(alpha, b, sigma)
+    f = np.where(alpha >= 0, t, -t) + _ratio(sp, sm, b, sigma)
     if sigma == 0.0:
         # the rescaled residuals: sm = 0 at positive strengths, sp = 0 at negative ones
         rescaled = tx * np.sqrt(2.0 * np.abs(alpha) / (1.0 + b)) + math.sqrt(b)
@@ -194,9 +203,9 @@ def _minus(alpha, x, y, tx, ty, b: float, sigma: float) -> np.ndarray:
     return f
 
 
-def _prime(alpha, x, y, tx, ty, b: float, sigma: float) -> np.ndarray:
+def _prime(alpha, sp, sm, x, y, tx, ty, b: float, sigma: float) -> np.ndarray:
     """The f_prime formula on the shared step's terms."""
-    r = _ratio(alpha, b, sigma)
+    r = _ratio(sp, sm, b, sigma)
     up = alpha >= 0
     # r is inf at negative strengths when sigma = 0, where the value is
     # replaced below; where tanh(x) underflows to 0 there too, inf * 0 is a
@@ -214,20 +223,8 @@ def _residual_rows(formulas, alpha, b: float, sigma: float) -> tuple[np.ndarray,
     One shared step serves every row; the rows are computed in order, so
     the first formula's exception comes first.
     """
-    alpha, x, y, tx, ty, pole = _residual_phases(alpha, b, sigma)
-    return np.array([formula(alpha, x, y, tx, ty, b, sigma) for formula in formulas]), pole
-
-
-def _body(formula):
-    """A formula as a residual body: an array of strengths -> (values, pole mask)."""
-    def body(alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-        alpha, x, y, tx, ty, pole = _residual_phases(alpha, b, sigma)
-        return formula(alpha, x, y, tx, ty, b, sigma), pole
-    return body
-
-
-# f_plus, f_minus and f_prime on arrays of strengths
-_f_plus, _f_minus, _f_prime = _body(_plus), _body(_minus), _body(_prime)
+    *terms, pole = _residual_phases(alpha, b, sigma)
+    return np.array([formula(*terms, b, sigma) for formula in formulas]), pole
 
 
 def _check_poles(alphas: Sequence[float], pole: np.ndarray) -> None:
@@ -243,11 +240,11 @@ def _check_poles(alphas: Sequence[float], pole: np.ndarray) -> None:
         raise PoleError(f"the tan phase of strength {alpha} is within {_POLE_TOL} of a pole")
 
 
-def _scalar(body, alpha: float, b: float, sigma: float) -> float:
-    """One point of a residual body as a float; PoleError where its mask is set."""
-    values, pole = body(np.array([alpha], dtype=float), b, sigma)
+def _scalar(formula, alpha: float, b: float, sigma: float) -> float:
+    """One point of a formula's residual as a float; PoleError where its mask is set."""
+    values, pole = _residual_rows((formula,), np.array([alpha], dtype=float), b, sigma)
     _check_poles([alpha], pole)
-    return float(values[0])
+    return float(values[0, 0])
 
 
 def f_plus(alpha: float, b: float, sigma: float) -> float:
@@ -261,7 +258,7 @@ def f_plus(alpha: float, b: float, sigma: float) -> float:
     finite roots. One point of the array body; raises PoleError where
     the body's pole mask is set.
     """
-    return _scalar(_f_plus, alpha, b, sigma)
+    return _scalar(_plus, alpha, b, sigma)
 
 
 def f_minus(alpha: float, b: float, sigma: float) -> float:
@@ -274,7 +271,7 @@ def f_minus(alpha: float, b: float, sigma: float) -> float:
     point of the array body; raises PoleError where the body's pole mask
     is set.
     """
-    return _scalar(_f_minus, alpha, b, sigma)
+    return _scalar(_minus, alpha, b, sigma)
 
 
 def f_prime(alpha: float, b: float, sigma: float) -> float:
@@ -287,7 +284,7 @@ def f_prime(alpha: float, b: float, sigma: float) -> float:
     diverging prefactor. One point of the array body; raises PoleError
     where the body's pole mask is set.
     """
-    return _scalar(_f_prime, alpha, b, sigma)
+    return _scalar(_prime, alpha, b, sigma)
 
 
 def theta_factor(alpha_prime: float, b: float, sigma_plus: float, sigma_minus: float) -> float:
@@ -326,12 +323,13 @@ def db_resonance_residual(k: float, alpha: float, eps: float, c1: float, c2: flo
         raise ValueError(f"k must be finite and > 0, got {k}")
     if not (0 < alpha < math.inf):
         raise ValueError(f"double-barrier residual needs a finite alpha > 0, got {alpha}")
-    BWParams(Kind.MINUS, alpha, eps, c1, c2, 0.0)  # the checks of the well-free mirror pair
-    h, l, _, r = slab_geometry(1.0, 1.0, eps, c1, c2)
+    # the checks and the slabs of the well-free mirror pair
+    h, l, _, r = bw_geometry(BWParams(Kind.MINUS, alpha, eps, c1, c2, 0.0))
     p2 = k * k - alpha * h
     p = math.sqrt(abs(p2))
     pl = p * l
-    if p2 > 0 and abs(math.fmod(pl, math.pi) - math.pi / 2) < _POLE_TOL:
+    # an infinite phase (k*k overflows) meets math.tan's ValueError below
+    if 0 < p2 < math.inf and _near_tan_pole(pl):
         raise PoleError(f"tan argument {pl} is within {_POLE_TOL} of a pole")
     krm = math.fmod(2.0 * k * r, math.pi)
     if min(krm, math.pi - krm) < _POLE_TOL:
@@ -391,8 +389,7 @@ def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float) 
         raise ValueError(f"window must be finite, got {window}")
     if not lo < hi:
         raise ValueError(f"window must satisfy lo < hi, got {window}")
-    if not isinstance(grid_steps, (int, np.integer)) or grid_steps < 100:
-        raise ValueError(f"grid_steps must be an integer >= 100, got {grid_steps!r}")
+    _check_steps("grid", grid_steps, 100)
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
@@ -568,11 +565,12 @@ def resonance_sets(
     # finder has raised any WindowTooCoarseError of either set by now
     n = len(model)
     alphas = [alpha for alpha, _ in model + prime]
-    alpha, x, y, tx, ty, pole = _residual_phases(alphas, b, sigma)
+    alpha, sp, sm, x, y, tx, ty, pole = _residual_phases(alphas, b, sigma)
+    terms = (alpha, sp, sm, x, y, tx, ty)
     _check_poles(alphas[:n], pole[:n])
     _check_poles(alphas[n:], pole[n:])
-    model_res = np.abs(formula(alpha, x, y, tx, ty, b, sigma)[:n]).tolist()
-    prime_res = np.abs(_prime(alpha, x, y, tx, ty, b, sigma)[n:]).tolist()
+    model_res = np.abs(formula(*terms, b, sigma)[:n]).tolist()
+    prime_res = np.abs(_prime(*terms, b, sigma)[n:]).tolist()
     model_roots = [ResonanceRoot(alpha, label, idx, None, res if alpha else 0.0)
                    for (alpha, idx), res in zip(model, model_res)]
     prime_roots = [ResonanceRoot(alpha, SetLabel.SIGMA_PRIME, idx, _theta(alpha, xa, ya), res)

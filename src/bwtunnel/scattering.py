@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from . import potential, transfer
-from .potential import BWParams, Kind, slab_geometry
+from .potential import BWParams, Kind, bw_geometry
 from .transfer import TransferMatrix, closed_form_arrays
 
 # Imaginary parts per unit magnitude above this indicate a branch bug.
@@ -259,9 +259,9 @@ def subbarrier_bound(alpha: float, c1: float, c2: float, eps: float) -> float:
     Returns +inf at alpha = 0 (no barrier at all).
     """
     # BWParams checks the inputs; neither the kind nor sigma enters the barrier
-    BWParams(Kind.PLUS, alpha, eps, c1, c2)
+    params = BWParams(Kind.PLUS, alpha, eps, c1, c2)
     if alpha == 0:
         return math.inf
     # the barrier is the sigma-free slot: h for alpha > 0, d for alpha < 0
-    h, _, d, _ = slab_geometry(1.0, 1.0, eps, c1, c2)
+    h, _, d, _ = bw_geometry(params)
     return math.sqrt(alpha * h if alpha > 0 else -alpha * d)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import BWParams, Kind, SegmentChain, bw_geometry, slab_geometry
+from .potential import BWParams, Kind, SegmentChain, bw_geometry, sigma_split, slab_geometry
 
 
 class Branch(enum.Enum):
@@ -35,14 +35,6 @@ class Branch(enum.Enum):
 
     ONE = 1
     TWO = 2
-
-
-@dataclass(frozen=True)
-class BoundaryState:
-    """Wave-function value and derivative at one point."""
-
-    psi: complex
-    dpsi: complex
 
 
 @dataclass(frozen=True)
@@ -73,12 +65,6 @@ class TransferMatrix:
             self.m11 * other.m12 + self.m12 * other.m22,
             self.m21 * other.m11 + self.m22 * other.m21,
             self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    def apply(self, state: BoundaryState) -> BoundaryState:
-        return BoundaryState(
-            self.m11 * state.psi + self.m12 * state.dpsi,
-            self.m21 * state.psi + self.m22 * state.dpsi,
         )
 
     def entries(self) -> tuple[complex, complex, complex, complex]:
@@ -184,14 +170,13 @@ def closed_form_arrays(kind: Kind, alphas, E, eps: float, c1: float, c2: float, 
     """Closed-form entries (m11, m12, m21, m22) over broadcast strength and energy arrays.
 
     Real float64 arrays. Each strength gets bw_geometry's slabs, with sigma
-    split by its sign as sigma_split does. At the degenerate points p = 0
+    split by its sign by sigma_split. At the degenerate points p = 0
     or q = 0 exactly (E = alpha*h or E = -alpha*d) each slab term takes its
     regular limit in _slab_terms, so no point needs another route.
     """
     a = np.asarray(alphas, dtype=float)
     E = np.asarray(E, dtype=float)
-    h, l, d, r = slab_geometry(np.where(a < 0, sigma, 1.0), np.where(a > 0, sigma, 1.0),
-                               eps, c1, c2)
+    h, l, d, r = slab_geometry(*sigma_split(a, sigma), eps, c1, c2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return closed_form_entries(kind, E - a * h, E + a * d, l, r)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .potential import BWParams, Kind, sigma_split
+from .potential import BWParams, Kind
 from .resonance import (
     ResonanceRoot,
     ResonanceSet,
@@ -101,8 +101,10 @@ def classify(
     The repeated arrangement is totally transparent on its own set and
     only partially transparent on the shared set; the mirror arrangement
     is totally transparent on both. Everything else is opaque. Strength
-    0 is trivially transparent for both.
+    0 is trivially transparent for both. match_tol must be >= 0 (not NaN).
     """
+    if not match_tol >= 0.0:
+        raise ValueError(f"match_tol must be >= 0, got {match_tol}")
     model_set, prime_set = sets
     lo, hi = model_set.window
     if not (lo <= alpha <= hi):
@@ -116,10 +118,7 @@ def classify(
     if match_prime is not None:
         if kind is Kind.MINUS:
             return PointClassification(Transparency.TOTAL, alpha, matched_set=SetLabel.SIGMA_PRIME)
-        th = match_prime.theta
-        if th is None:
-            sp, sm = sigma_split(match_prime.alpha, sigma)
-            th = theta_factor(match_prime.alpha, b, sp, sm)
+        th = match_prime.theta  # resonance_sets sets it on every shared-set root
         return PointClassification(
             Transparency.PARTIAL,
             alpha,

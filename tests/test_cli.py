@@ -225,6 +225,28 @@ class TestRunCommands:
         assert "default 0.1" in out and "default 1" in out
 
 
+class TestLibraryFlags:
+    """--tol, --grid-steps and --match-tol reach the library."""
+
+    def test_match_tol_widens_the_match(self, run_cli):
+        labels = [json.loads(run_cli(["classify", "--alpha", "2.2826", *extra])[1])["label"]
+                  for extra in ([], ["--match-tol", "1e-4"])]
+        assert labels == ["Opaque", "TotalTransmission"]
+
+    def test_grid_steps_sets_the_scan_cell(self, run_cli):
+        # sigma = 1e300 packs the roots closer than either cell of the window (-40, 40)
+        for extra, cell in (([], "(0.004)"), (["--grid-steps", "1000"], "(0.08)")):
+            code, out, err = run_cli(["resonances", "--sigma", "1e300", *extra])
+            assert code == 1 and out == ""
+            assert err.startswith("error: roots ") and cell in err
+
+    def test_tol_sets_the_bisection_width(self, run_cli):
+        first = [json.loads(run_cli(["resonances", *extra])[1])[0]["alpha"]
+                 for extra in ([], ["--tol", "1e-3"])]
+        assert first[0] == pytest.approx(-35.8212234, abs=1e-7)
+        assert first[1] == pytest.approx(-35.82125, abs=1e-7)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ["scan-alpha", "--alpha-min", "-10", "--alpha-max", "10", "--steps", "101"],

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,17 @@ class TestSigmaSplit:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             sigma_split(1.0, -0.1)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.25, 1.0, 3.0])
+    def test_arrays_split_elementwise_like_points(self, sigma):
+        alphas = np.array([-2.0, -0.0, 0.0, 5e-324, 3.0, math.nan])
+        sp, sm = sigma_split(alphas, sigma)
+        assert sp.dtype == sm.dtype == np.float64 and sp.shape == sm.shape == alphas.shape
+        assert list(zip(sp.tolist(), sm.tolist())) == [sigma_split(a, sigma) for a in alphas.tolist()]
+
+    def test_one_strength_gives_python_floats(self):
+        for alpha in (-1.0, 0.0, 2.0, np.float64(2.0), np.array(-1.0)):
+            assert all(type(slot) is float for slot in sigma_split(alpha, 0.5))
 
 
 class TestRealize:

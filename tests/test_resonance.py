@@ -14,9 +14,6 @@ from bwtunnel import resonance
 from bwtunnel.potential import BWParams, Kind, bw_geometry, sigma_split
 from bwtunnel.resonance import (
     _bracket_roots,
-    _f_minus,
-    _f_plus,
-    _f_prime,
     _minus,
     _plus,
     _prime,
@@ -225,34 +222,26 @@ class TestResidualFunctions:
                 assert got == want
 
 
-RESIDUAL_BODIES = [(f_plus, _f_plus), (f_minus, _f_minus), (f_prime, _f_prime)]
-
-
-def _one_row(body, b, sigma):
-    """A residual body at (b, sigma) as the one-row body of _bracket_roots."""
-    def f(alphas):
-        values, pole = body(alphas, b, sigma)
-        return values[None], pole
-    return f
+RESIDUAL_FORMULAS = [(f_plus, _plus), (f_minus, _minus), (f_prime, _prime)]
 
 
 class TestArrayBodies:
-    """Each scalar residual is one point of its array body, bit for bit."""
+    """Each scalar residual is one point of its formula's row of _residual_rows, bit for bit."""
 
     # the reference, the well-free case and a case with b*sigma = 1, where
     # the mirror ratio sqrt(b*sigma) is exactly 1 at positive strengths
     CONFIGS = [(3.0, 1.0), (3.0, 0.0), (2.5, 0.4)]
 
     @pytest.mark.parametrize("b, sigma", CONFIGS)
-    @pytest.mark.parametrize("scalar, body", RESIDUAL_BODIES)
-    def test_scalar_wrapper_equals_array_body(self, scalar, body, b, sigma):
+    @pytest.mark.parametrize("scalar, formula", RESIDUAL_FORMULAS)
+    def test_scalar_wrapper_equals_array_body(self, scalar, formula, b, sigma):
         assert b * sigma in (0.0, 1.0, 3.0)  # exactly 1 in the third case
         # the 20001-point scan grid of resonance_sets, which holds 0.0, then
         # -0.0 and the first tan pole on each side (none when sigma = 0)
         poles = [(math.pi / 2) ** 2 * (1.0 + b) / (2.0 * sigma),
                  -(math.pi / 2) ** 2 * (1.0 + 1.0 / b) / (2.0 * sigma)] if sigma else []
         alphas = np.concatenate([np.linspace(-40.0, 40.0, 20001), [-0.0], poles])
-        values, pole = body(alphas, b, sigma)
+        (values,), pole = _residual_rows((formula,), alphas, b, sigma)
         assert values.dtype == np.float64 and pole.dtype == np.bool_
         got = np.empty_like(values)
         raised = np.zeros_like(pole)
@@ -265,14 +254,15 @@ class TestArrayBodies:
         assert np.array_equal(got[~pole].view(np.int64), values[~pole].view(np.int64))
         assert pole.sum() == len(poles)
 
-    @pytest.mark.parametrize("scalar, body", RESIDUAL_BODIES)
+    @pytest.mark.parametrize("scalar, formula", RESIDUAL_FORMULAS)
     @pytest.mark.parametrize("window", [(-40.0, 0.0), (0.0, 40.0), (-40.0, 40.0)])
-    def test_scalar_finder_equals_array_finder(self, scalar, body, window):
+    def test_scalar_finder_equals_array_finder(self, scalar, formula, window):
         # find_roots lifts the scalar wrapper into the same core; edges at 0
         # put f_prime's exact zero on the first or last grid point
-        want, = _bracket_roots(_one_row(body, 3.0, 1.0), window, 2000, 1e-10)
+        want, = _bracket_roots(lambda a: _residual_rows((formula,), a, 3.0, 1.0),
+                               window, 2000, 1e-10)
         assert find_roots(lambda a: scalar(a, 3.0, 1.0), window, 2000, 1e-10) == want
-        if body is _f_prime:
+        if formula is _prime:
             assert 0.0 in want
 
     @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
@@ -284,18 +274,40 @@ class TestArrayBodies:
             assert resonance_sets(kind, 3.0, 1.0) == want
 
     @pytest.mark.parametrize("sigma", [0.0, 5e-324, 1e-310, 1.0])
-    @pytest.mark.parametrize("scalar, body", RESIDUAL_BODIES)
-    def test_subnormal_strengths_raise_no_warning(self, scalar, body, sigma):
+    @pytest.mark.parametrize("scalar, formula", RESIDUAL_FORMULAS)
+    def test_subnormal_strengths_raise_no_warning(self, scalar, formula, sigma):
         # at alpha < 0 sqrt(b/sigma) overflows to inf while tanh of the
         # well phase underflows to 0; their product was computed (and, at
         # sigma = 0, discarded) with an "invalid value" RuntimeWarning
         alphas = [5e-324, -5e-324, 1e-310, -1e-310, 0.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, pole = body(np.array(alphas), 3.0, sigma)
+            (values,), pole = _residual_rows((formula,), np.array(alphas), 3.0, sigma)
             got = [scalar(alpha, 3.0, sigma) for alpha in alphas]
         assert not pole.any()
         assert [v.hex() for v in got] == [v.hex() for v in values.tolist()]
+
+    @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
+    def test_huge_phases_raise_no_warning(self, kind):
+        # sigma = 1e300 puts barrier phases near 1e151 on the scan, whose z^4
+        # in the series of tan(z)/z and tanh(z)/z overflowed with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WindowTooCoarseError):
+                resonance_sets(kind, 3.0, 1e300)
+
+    @pytest.mark.parametrize("tanc, trig", [(resonance._tanc, np.tan), (resonance._tanhc, np.tanh)])
+    def test_series_takes_the_small_lanes_alone(self, tanc, trig):
+        z = np.array([0.0, 1e-7, -1e-7, 0.5, 1e151, -1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tanc(z, trig(z))
+            point = [float(tanc(v, float(trig(v)))) for v in z.tolist()]
+        sign = 1.0 if trig is np.tan else -1.0
+        series = 1.0 + sign * z[:3] ** 2 / 3.0 + 2.0 * z[:3] ** 4 / 15.0
+        assert got[:3].tolist() == series.tolist()
+        assert got[3:].tolist() == (trig(z[3:]) / z[3:]).tolist()
+        assert point == got.tolist()
 
     def test_subnormal_sigma_residual_is_finite(self):
         # sqrt(b/sigma) overflows here; the residual ty - r*tx does not. Its
@@ -323,11 +335,11 @@ class TestArrayBodies:
 
     def test_array_input_checks(self):
         with pytest.raises(ValueError, match="finite"):
-            _f_plus(np.array([1.0, math.nan, 2.0]), 3.0, 1.0)
+            _residual_rows((_plus,), np.array([1.0, math.nan, 2.0]), 3.0, 1.0)
         with pytest.raises(ValueError, match="finite"):
-            _f_minus(np.array([-math.inf]), 3.0, 1.0)
+            _residual_rows((_minus,), np.array([-math.inf]), 3.0, 1.0)
         with pytest.raises(ValueError):
-            _f_prime(np.array([1.0]), 3.0, -1.0)
+            _residual_rows((_prime,), np.array([1.0]), 3.0, -1.0)
 
 
 class TestFindRoots:
@@ -454,9 +466,9 @@ class TestTreeBisection:
     """Four bisection steps per residual call return the roots of one step per call."""
 
     @pytest.mark.parametrize("b, sigma", SEEDED_BSIGMA)
-    @pytest.mark.parametrize("body", [_f_plus, _f_minus, _f_prime])
-    def test_array_roots_equal_one_step_bisection(self, body, b, sigma):
-        args = (_one_row(body, b, sigma), (-40.0, 40.0), 20000, 1e-10)
+    @pytest.mark.parametrize("formula", [_plus, _minus, _prime])
+    def test_array_roots_equal_one_step_bisection(self, formula, b, sigma):
+        args = (lambda a: _residual_rows((formula,), a, b, sigma), (-40.0, 40.0), 20000, 1e-10)
         roots, = _bracket_roots(*args)
         assert [r.hex() for r in roots] == [r.hex() for r in _one_step_roots(_bracket_roots, *args)[0]]
 
@@ -495,7 +507,7 @@ class TestTreeBisection:
 
         def body(a):
             calls.append(a.size)
-            return _one_row(_f_plus, 3.0, 1.0)(a)
+            return _residual_rows((_plus,), a, 3.0, 1.0)
 
         _bracket_roots(body, (-40.0, 40.0), 20000, 1e-10)
         assert len(calls) <= 5 + 1 + math.ceil(27 / 4)

@@ -12,7 +12,6 @@ from bwtunnel.potential import BWParams, Kind, Segment, SegmentChain, bw_geometr
 from bwtunnel.scattering import REALNESS_TOL, transmissivity
 from bwtunnel import transfer
 from bwtunnel.transfer import (
-    BoundaryState,
     Branch,
     TransferMatrix,
     _cell,
@@ -204,13 +203,6 @@ class TestLimitMatrix:
             limit_matrix(Kind.PLUS, Branch.TWO, theta=0.0)
         with pytest.raises(ValueError):
             limit_matrix(Kind.PLUS, Branch.TWO)
-
-
-def test_apply_boundary_state():
-    m = segment_matrix(1.0, 0.0, math.pi**2 / 4.0)  # quarter wavelength
-    out = m.apply(BoundaryState(1.0, 0.0))
-    assert abs(out.psi) < 1e-12
-    assert out.dpsi.real == pytest.approx(-math.pi / 2.0, rel=1e-12)
 
 
 def slab_growth(params, E):

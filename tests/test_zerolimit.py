@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -117,6 +118,21 @@ class TestClassify:
         assert classify(Kind.PLUS, near, B, SIGMA, sets).label is Transparency.PARTIAL
         off = PRIME_ROOT + 5e-3
         assert classify(Kind.PLUS, off, B, SIGMA, sets).label is Transparency.OPAQUE
+
+    @pytest.mark.parametrize("match_tol", [math.nan, -1.0, -math.inf])
+    def test_match_tol_must_be_a_number_at_least_zero(self, sets, match_tol):
+        # a NaN or negative tolerance matched nothing, so every strength read Opaque
+        with pytest.raises(ValueError, match="match_tol must be >= 0"):
+            classify(Kind.PLUS, 2.282647521704435, B, SIGMA, sets, match_tol=match_tol)
+        assert classify(Kind.PLUS, 2.282647521704435, B, SIGMA, sets).label is Transparency.TOTAL
+
+    def test_theta_is_the_matched_roots(self, sets):
+        # classify reads theta from the shared-set root that resonance_sets built
+        model, prime = sets
+        root = min(prime.roots, key=lambda r: abs(r.alpha - PRIME_ROOT))
+        doctored = (model, replace(prime, roots=(replace(root, theta=0.5),)))
+        c = classify(Kind.PLUS, root.alpha, B, SIGMA, doctored)
+        assert c.theta == 0.5 and c.t_limit == partial_transmission_limit(0.5)
 
 
 class TestConvergeStudy:
