@@ -1,4 +1,4 @@
-"""Deterministic text output: fixed-precision floats for CSV and JSON.
+"""Deterministic output: fixed-precision floats for CSV and JSON.
 
 CSV rows carry 12 significant digits; JSON carries 17 (enough to
 round-trip any double exactly). The writers compose one function per
@@ -8,6 +8,13 @@ from ready-made cell lists, and quote_nonfinite() writes the bare nan and
 inf of a %g text as JSON strings. format_column, json_dumps and csv_row
 write each float by _field, with no numpy round trip. Output is
 byte-stable across runs.
+
+The block writers (format_column, format_rows, quote_nonfinite and
+_rows17) take and return ASCII bytes, so the CLI writes each block as it
+was filled, with no encoded copy. bytes % and str % format a float by the
+same routine (PyOS_double_to_string), so the bytes are those of the str
+fill. json_dumps and csv_row, which write one small payload or row,
+return str.
 
 The JSON axes and value rows of scans and grids are written by
 _rows17, which gives the bytes of %.17g without the float formatter.
@@ -46,29 +53,29 @@ def _field(value, sig: int) -> str:
     return "%.*g" % (sig, float(value) + 0.0)
 
 
-def format_column(values, sig: int) -> list[str]:
-    """Each value by _field, row-major."""
-    return [_field(v, sig) for v in np.asarray(values, dtype=float).ravel().tolist()]
+def format_column(values, sig: int) -> list[bytes]:
+    """Each value by _field as ASCII bytes, row-major."""
+    return [_field(v, sig).encode("ascii") for v in np.asarray(values, dtype=float).ravel().tolist()]
 
 
 # the non-finite fields of a %g text
-_NONFINITE = re.compile(r"-?inf|nan")
+_NONFINITE = re.compile(rb"-?inf|nan")
 
 
-def quote_nonfinite(text: str) -> str:
+def quote_nonfinite(text: bytes) -> bytes:
     """A %g text with each bare nan, inf and -inf written as a JSON string.
 
     A finite %g field never holds the letter n, so a text without one is
     returned as it is.
     """
-    if "n" not in text:
+    if b"n" not in text:
         return text
     # a function replacement: a template one is much slower on many matches
-    return _NONFINITE.sub(lambda m: f'"{m.group()}"', text)
+    return _NONFINITE.sub(lambda m: b'"' + m.group() + b'"', text)
 
 
-def format_rows(template: str, columns) -> str:
-    """A block of rows as one text: template filled by one %.
+def format_rows(template: bytes, columns) -> bytes:
+    """A block of rows as one text: template filled by one bytes %.
 
     template holds one % field per cell, in output order. Cell n is item
     n // w of column n % w of the w equal-length cell lists, so one
@@ -107,7 +114,7 @@ def _powers_of_ten():
 
 
 @functools.lru_cache(maxsize=4096)
-def _fragment_body(code: int) -> str:
+def _fragment_body(code: int) -> bytes:
     """The text of one certified value around its integer field; code -1 is %.17g.
 
     code packs, from the top: the negated exponent of the e-notation (0
@@ -115,13 +122,13 @@ def _fragment_body(code: int) -> str:
     the sign and the integer part that precedes the point.
     """
     if code < 0:
-        return "%.17g"
+        return b"%.17g"
     code, whole = divmod(code, _WHOLE_LIMIT)
     code, negative = divmod(code, 2)
     code, zeros = divmod(code, 32)
     exponent, fraction = divmod(code, 2)
-    text = ("-" if negative else "") + (f"{whole}.{'0' * zeros}%d" if fraction else "%d")
-    return text + "e-%02d" % exponent if exponent else text
+    text = (b"-" if negative else b"") + (b"%d.%s%%d" % (whole, b"0" * zeros) if fraction else b"%d")
+    return text + b"e-%02d" % exponent if exponent else text
 
 
 def _significands(a):
@@ -196,17 +203,17 @@ class _Fragments(dict):
     _fragment_body.
     """
 
-    def __init__(self, head: str, sep: str, tail: str):
+    def __init__(self, head: bytes, sep: bytes, tail: bytes):
         super().__init__()
-        self.before, self.after = (sep, head, sep, head), ("", "", tail, tail)
+        self.before, self.after = (sep, head, sep, head), (b"", b"", tail, tail)
 
-    def __missing__(self, code: int) -> str:
+    def __missing__(self, code: int) -> bytes:
         text = self[code] = self.before[code & 3] + _fragment_body(code >> 2) + self.after[code & 3]
         return text
 
 
-def _rows17(values, head: str, sep: str, tail: str) -> str:
-    """A 2-D block as rows of head, cells joined by sep, and tail: each cell "%.17g" % (v + 0.0).
+def _rows17(values, head: bytes, sep: bytes, tail: bytes) -> bytes:
+    """A 2-D block as rows of head, cells joined by sep, and tail: each cell b"%.17g" % (v + 0.0).
 
     The bytes equal that % fill for every float64, nan and inf included,
     so quote_nonfinite works on the text as on the % fill's. Most cells
@@ -220,7 +227,7 @@ def _rows17(values, head: str, sep: str, tail: str) -> str:
     code, args = _codes(x)
     column = np.arange(width)
     cells = (code.reshape(rows, width) * 4 + (column == 0) + 2 * (column == width - 1)).ravel()
-    template = "".join(map(_Fragments(head, sep, tail).__getitem__, cells.tolist()))
+    template = b"".join(map(_Fragments(head, sep, tail).__getitem__, cells.tolist()))
     args = args.tolist()
     kept = np.flatnonzero(code < 0)
     for i, v in zip(kept.tolist(), x[kept].tolist()):
@@ -246,7 +253,8 @@ def _emit(obj, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(quote_nonfinite(_field(obj, 17)))
+        text = _field(obj, 17)
+        out.append(f'"{text}"' if "n" in text else text)  # only nan, inf and -inf hold an n
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):

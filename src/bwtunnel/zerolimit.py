@@ -91,8 +91,6 @@ def partial_transmission_limit(th: float) -> float:
 def classify(
     kind: Kind,
     alpha: float,
-    b: float,
-    sigma: float,
     sets: tuple[ResonanceSet, ResonanceSet],
     match_tol: float = 1e-6,
 ) -> PointClassification:

@@ -508,15 +508,23 @@ class TestStreamedOutput:
         assert len(fail_third_block) == 3  # two blocks were written before the failure
         assert not path.exists()
 
+    def test_error_in_a_later_block_removes_an_earlier_output(self, run_cli, tmp_path,
+                                                              fail_third_block):
+        path = tmp_path / "grid.csv"
+        path.write_bytes(b"x" * 100000)
+        code, out, err = run_cli([*self.ARGV, "--out", str(path)])
+        assert code == 1 and "complex residue" in err
+        assert not path.exists()
+
     def test_error_in_a_later_block_keeps_a_symlink_and_its_target(self, run_cli, tmp_path,
                                                                    fail_third_block):
         target, link = tmp_path / "target.csv", tmp_path / "link.csv"
-        target.write_text("earlier output\n")
+        target.write_text("earlier output\n" * 1000)
         link.symlink_to(target)
         code, out, err = run_cli([*self.ARGV, "--out", str(link)])
         assert code == 1 and "complex residue" in err
         assert link.is_symlink() and os.readlink(link) == str(target)
-        # the open truncated the target, which then took the two finished blocks
+        # the target holds the two finished blocks, cut to their length
         assert target.read_text().count("\n") == 1 + 2 * 2 * 3
 
     def test_error_in_a_later_block_keeps_a_fifo(self, run_cli, tmp_path, fail_third_block):
@@ -540,6 +548,35 @@ class TestStreamedOutput:
         assert code == 0 and out == "" and err == ""
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_text().count("\n") == 1 + 9 * 3
+
+    @pytest.mark.parametrize("old", [None, "shorter", "longer"])
+    def test_existing_out_is_overwritten_with_the_fresh_bytes(self, run_cli, tmp_path, old):
+        fresh, path, link = tmp_path / "fresh.csv", tmp_path / "grid.csv", tmp_path / "hard.csv"
+        assert run_cli([*self.ARGV, "--out", str(fresh)]) == (0, "", "")
+        want = fresh.read_bytes()
+        if old is not None:
+            path.write_bytes(want[:10] if old == "shorter" else b"x" * (3 * len(want)))
+            path.chmod(0o640)
+            os.link(path, link)
+        assert run_cli([*self.ARGV, "--out", str(path)]) == (0, "", "")
+        assert path.read_bytes() == want
+        if old is not None:  # written in place: the mode stays and a hard link sees the new bytes
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+            assert link.read_bytes() == want
+
+    def test_read_only_out_is_a_computation_error(self, run_cli, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("earlier output\n")
+        path.chmod(0o444)
+        try:
+            os.close(os.open(path, os.O_WRONLY))
+        except PermissionError:
+            pass
+        else:
+            pytest.skip("this process may write a read-only file (root with CAP_DAC_OVERRIDE)")
+        code, out, err = run_cli([*self.ARGV, "--out", str(path)])
+        assert code == 1 and out == "" and err.startswith("error: ") and "Permission denied" in err
+        assert path.read_text() == "earlier output\n"
 
     def test_error_in_a_later_block_on_stdout_exits_one(self, run_cli, fail_third_block):
         code, out, err = run_cli(self.ARGV)
@@ -615,6 +652,37 @@ class TestStreamedOutput:
         assert out.getvalue() == (want_csv if fmt == "csv" else want_json)
 
 
+STDOUT_CASES = {
+    "scan-csv": ["scan-alpha", "--steps", "5001"],
+    "scan-json": ["scan-alpha", "--steps", "5001", "--format", "json"],
+    "nan-scan-json": ["scan-alpha", "--alpha-min", "1e4", "--alpha-max", "1e6", "--steps", "9",
+                      "--format", "json"],
+    "grid-csv": ["grid", "--alpha-steps", "33", "--k-steps", "9"],
+    "grid-json": ["grid", "--alpha-steps", "33", "--k-steps", "9", "--format", "json"],
+    "resonances": ["resonances", "--model", "minus"],
+    "converge-csv": ["converge", "--alpha", "2.282647521704435", "--eps-list", "0.2,0.1"],
+    "converge-json": ["converge", "--alpha", "2.282647521704435", "--eps-list", "0.2,0.1",
+                      "--format", "json"],
+    "classify": ["classify", "--alpha", "26.867217553883783"],
+    "matrix": ["matrix", "--model", "minus", "--alpha", "-7.3", "--sigma", "0"],
+}
+
+
+@pytest.mark.parametrize("case", list(STDOUT_CASES))
+def test_out_file_holds_the_stdout_bytes(run_cli, tmp_path, case):
+    # stdout through a StringIO, as run_cli captures it, and through a text layer over bytes
+    argv = STDOUT_CASES[case]
+    path = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(path)]) == (0, "", "")
+    code, text, err = run_cli(argv)
+    assert code == 0 and err == ""
+    wrapped = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with redirect_stdout(wrapped):
+        assert main(argv) == 0
+    wrapped.flush()
+    assert path.read_bytes() == text.encode("ascii") == wrapped.buffer.getvalue()
+
+
 def _per_cell_reference(argv):
     """CSV and JSON bytes of argv's scan or grid, each cell formatted on its own."""
     config = parse_args(argv)
@@ -686,9 +754,9 @@ def _percent_json(alphas, ks, values):
     def fill(field, cells):
         return quote_nonfinite(format_rows(field * len(cells), (floats(cells),)))[2:]
 
-    row = ", [" + ", ".join(["%.17g"] * len(ks)) + "]"
-    return (f'{{"alphas": [{fill(", %.17g", alphas)}], "ks": [{fill(", %.17g", ks)}], '
-            f'"values": [{fill(row, values)}]}}\n')
+    row = b", [" + b", ".join([b"%.17g"] * len(ks)) + b"]"
+    return (b'{"alphas": [' + fill(b", %.17g", alphas) + b'], "ks": [' + fill(b", %.17g", ks)
+            + b'], "values": [' + fill(row, values) + b"]}\n")
 
 
 class TestJsonWriter:
@@ -712,7 +780,7 @@ class TestJsonWriter:
         alphas, ks, blocks = grid_blocks(template, alpha_range, k_range, alpha_steps, k_steps)
         blocks = list(blocks)
         values = np.concatenate([t for _, t in blocks])
-        out = io.StringIO()
+        out = io.BytesIO()
         with np.errstate(all="raise"):
             cli._write_grid(out, "json", alphas, ks, iter(blocks))
         assert out.getvalue() == _percent_json(alphas, ks, values)
@@ -735,7 +803,7 @@ class TestJsonWriter:
         ks = np.array(data.draw(st.lists(cell, min_size=width, max_size=width)))
         cuts = np.cumsum([0, *block_rows])
         blocks = ((alphas[i:j], values[i:j]) for i, j in zip(cuts, cuts[1:]))
-        out = io.StringIO()
+        out = io.BytesIO()
         with mock.patch.object(cli, "BLOCK_POINTS", block_points), np.errstate(all="raise"):
             cli._write_grid(out, "json", alphas, ks, blocks)
         assert out.getvalue() == _percent_json(alphas, ks, values)

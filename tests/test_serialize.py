@@ -28,20 +28,20 @@ def _json_cell(x, sig=17):
 
 
 def test_column_rules_for_csv():
-    assert format_column(SPECIAL, 12) == ["0", "nan", "inf", "-inf", "0.1", "-2.5e-300"]
+    assert format_column(SPECIAL, 12) == [b"0", b"nan", b"inf", b"-inf", b"0.1", b"-2.5e-300"]
 
 
 def test_column_rules_for_json():
     assert [quote_nonfinite(t) for t in format_column(np.array(SPECIAL), 17)] == [
-        "0", '"nan"', '"inf"', '"-inf"', "0.10000000000000001", "-2.5e-300"]
+        b"0", b'"nan"', b'"inf"', b'"-inf"', b"0.10000000000000001", b"-2.5e-300"]
 
 
 def test_signaling_nan_column_raises_no_floating_point_error():
     # adding 0.0 to a signaling nan sets the invalid flag; the column rules ignore it
     snan = np.array([0x7FF0000000000001], np.uint64).view(np.float64)
     with np.errstate(all="raise"):
-        assert format_column(snan, 12) == ["nan"]
-        assert format_column(snan, 17) == ["nan"]
+        assert format_column(snan, 12) == [b"nan"]
+        assert format_column(snan, 17) == [b"nan"]
 
 
 def test_column_is_row_major_over_arrays():
@@ -49,22 +49,22 @@ def test_column_is_row_major_over_arrays():
     got = floats(values)
     assert [type(x) for x in got] == [float] * 4
     assert [math.copysign(1.0, x) for x in got] == [1.0, 1.0, 1.0, 1.0]
-    assert format_column(values, 12) == ["1.5", "0", "nan", "3"]
+    assert format_column(values, 12) == [b"1.5", b"0", b"nan", b"3"]
 
 
 def test_finite_text_is_returned_as_it_is():
-    text = "[0, 1e-300, -2.5, 1.7976931348623157e+308]\n"
+    text = b"[0, 1e-300, -2.5, 1.7976931348623157e+308]\n"
     assert quote_nonfinite(text) is text
-    assert quote_nonfinite("") == ""
+    assert quote_nonfinite(b"") == b""
 
 
 def test_quoting_keeps_every_other_byte():
-    text = "nan, -inf,inf\n[1e+300, nan]inf"
-    assert quote_nonfinite(text) == '"nan", "-inf","inf"\n[1e+300, "nan"]"inf"'
+    text = b"nan, -inf,inf\n[1e+300, nan]inf"
+    assert quote_nonfinite(text) == b'"nan", "-inf","inf"\n[1e+300, "nan"]"inf"'
 
 
-def _template(sig, width, rows, start="", sep=",", end="\n"):
-    return (start + sep.join([f"%.{sig}g"] * width) + end) * rows
+def _template(sig, width, rows, start=b"", sep=b",", end=b"\n"):
+    return (start + sep.join([b"%%.%dg" % sig] * width) + end) * rows
 
 
 @pytest.mark.parametrize("quote", [False, True])
@@ -74,25 +74,25 @@ def test_rows_write_the_column_texts(width, sig, quote):
     texts = format_column(SPECIAL, sig)
     if quote:
         texts = list(map(quote_nonfinite, texts))
-    want = "".join("[" + ";".join(texts[i:i + width]) + "]\n" for i in range(0, len(texts), width))
+    want = b"".join(b"[" + b";".join(texts[i:i + width]) + b"]\n" for i in range(0, len(texts), width))
     block = np.reshape(SPECIAL, (-1, width))
-    template = _template(sig, width, len(block), start="[", sep=";", end="]\n")
-    write = quote_nonfinite if quote else str
+    template = _template(sig, width, len(block), start=b"[", sep=b";", end=b"]\n")
+    write = quote_nonfinite if quote else bytes
     # one row-major 2-D column, or one column per cell of a row
     assert write(format_rows(template, (floats(block),))) == want
     assert write(format_rows(template, [floats(c) for c in block.T])) == want
 
 
 def test_rows_put_the_text_columns_first_as_they_are():
-    template = "%s,%s,%.12g,%.12g\n" * 2
-    columns = (["a", "%.12g%"], ["x%s", "y"], floats([0.5, math.nan]), floats([-0.0, -math.inf]))
-    assert format_rows(template, columns) == "a,x%s,0.5,0\n%.12g%,y,nan,-inf\n"
+    template = b"%s,%s,%.12g,%.12g\n" * 2
+    columns = ([b"a", b"%.12g%"], [b"x%s", b"y"], floats([0.5, math.nan]), floats([-0.0, -math.inf]))
+    assert format_rows(template, columns) == b"a,x%s,0.5,0\n%.12g%,y,nan,-inf\n"
 
 
 def test_columns_meet_row_by_row():
     ts = floats([1.0, -0.0, 2.0])
     got = format_rows(_template(12, 3, 3), (floats([0.5, 0.0, -0.0]), ts, [t + 1.0 for t in ts]))
-    assert got == "0.5,1,2\n0,0,1\n0,2,3\n"
+    assert got == b"0.5,1,2\n0,0,1\n0,2,3\n"
 
 
 finite_or_special = st.one_of(
@@ -106,11 +106,11 @@ finite_or_special = st.one_of(
 def test_float_columns_are_the_per_cell_join(data, width, rows, sig, quote, split):
     cells = data.draw(st.lists(finite_or_special, min_size=rows * width, max_size=rows * width))
     block = np.reshape(np.array(cells, dtype=float), (rows, width))
-    texts = [_json_cell(x, sig) if quote else format_column([x], sig)[0] for x in cells]
+    texts = [_json_cell(x, sig) if quote else "%.*g" % (sig, x + 0.0) for x in cells]
     want = "".join("[" + ", ".join(texts[i:i + width]) + "]\n" for i in range(0, len(texts), width))
     columns = [floats(c) for c in block.T] if split else (floats(block),)
-    got = format_rows(_template(sig, width, rows, "[", ", ", "]\n"), columns)
-    assert (quote_nonfinite(got) if quote else got) == want
+    got = format_rows(_template(sig, width, rows, b"[", b", ", b"]\n"), columns)
+    assert (quote_nonfinite(got) if quote else got) == want.encode("ascii")
 
 
 _SNAN = np.array([0x7FF0000000000001, 0xFFF0000000000001], np.uint64).view(np.float64)
@@ -124,8 +124,8 @@ SCALARS = (SPECIAL + [5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 1.79769
 @pytest.mark.parametrize("x", SCALARS, ids=repr)
 def test_scalar_paths_are_the_one_element_column(x):
     with np.errstate(all="raise"):
-        assert csv_row((x,)) == format_column([x], 12)[0]
-        assert json_dumps([x]) == "[" + quote_nonfinite(format_column([x], 17)[0]) + "]"
+        assert csv_row((x,)) == format_column([x], 12)[0].decode()
+        assert json_dumps([x]) == "[" + quote_nonfinite(format_column([x], 17)[0]).decode() + "]"
         assert json_dumps({"x": x}) == '{"x": ' + _json_cell(float(x)) + "}"
 
 
@@ -135,9 +135,9 @@ def test_json_quotes_only_float_cells():
 
 
 def _percent_rows(block, head, sep, tail):
-    """The %.17g fill of a 2-D block, one cell at a time: the bytes _rows17 must give."""
-    return "".join(head + sep.join("%.17g" % (v + 0.0) for v in row) + tail
-                   for row in np.asarray(block, dtype=float).tolist())
+    """The str %.17g fill of a 2-D block, one cell at a time, encoded: the bytes _rows17 must give."""
+    return b"".join(head + sep.join(("%.17g" % (v + 0.0)).encode("ascii") for v in row) + tail
+                    for row in np.asarray(block, dtype=float).tolist())
 
 
 def _check_rows17(values):
@@ -146,7 +146,7 @@ def _check_rows17(values):
     blocks = (values[:, None], np.column_stack([values, np.full(values.size, 1.25)]))
     with np.errstate(all="raise"):
         for block in blocks:
-            for layout in ((", ", "", ""), (", [", ", ", "]")):
+            for layout in ((b", ", b"", b""), (b", [", b", ", b"]")):
                 assert _rows17(block, *layout) == _percent_rows(block, *layout)
 
 
@@ -170,7 +170,7 @@ def test_rows17_is_the_percent_fill_of_any_float64(data, width, rows, bracketed)
     cells = data.draw(st.lists(any_float64, min_size=n - tame, max_size=n - tame))
     cells += data.draw(st.lists(certified, min_size=tame, max_size=tame))
     block = np.reshape(data.draw(st.permutations(cells)), (rows, width))
-    layout = (", [", ", ", "]") if bracketed else ("[", ";", "]\n")
+    layout = (b", [", b", ", b"]") if bracketed else (b"[", b";", b"]\n")
     with np.errstate(all="raise"):
         assert _rows17(block, *layout) == _percent_rows(block, *layout)
 
@@ -223,6 +223,6 @@ def test_rows17_builds_fragments_for_every_block():
                                   ([[math.nan, math.inf]], False), ([[1e17, 1e300]], False),
                                   ([[1234.5, 0.5, -1234.25]], True)):
         with body as spy, np.errstate(all="raise"):
-            assert _rows17(np.array(block), "[", ",", "]") == _percent_rows(block, "[", ",", "]")
+            assert _rows17(np.array(block), b"[", b",", b"]") == _percent_rows(block, b"[", b",", b"]")
         codes = {c.args[0] for c in spy.call_args_list}
         assert -1 in codes and (max(codes) >= 0) == integer_fields

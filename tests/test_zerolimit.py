@@ -85,53 +85,53 @@ class TestBoundaryMap:
 
 class TestClassify:
     def test_plus_on_shared_set_is_partial(self, sets):
-        c = classify(Kind.PLUS, PRIME_ROOT, B, SIGMA, sets)
+        c = classify(Kind.PLUS, PRIME_ROOT, sets)
         assert c.label is Transparency.PARTIAL
         assert c.theta is not None and c.t_limit is not None
         assert 0.0 < c.t_limit < 1.0
 
     def test_minus_on_shared_set_is_total(self, sets_minus):
-        c = classify(Kind.MINUS, PRIME_ROOT, B, SIGMA, sets_minus)
+        c = classify(Kind.MINUS, PRIME_ROOT, sets_minus)
         assert c.label is Transparency.TOTAL
         assert c.theta is None and c.t_limit is None
 
     def test_unmatched_strength_is_opaque(self, sets):
-        c = classify(Kind.PLUS, 10.0, B, SIGMA, sets)
+        c = classify(Kind.PLUS, 10.0, sets)
         assert c.label is Transparency.OPAQUE
 
     def test_zero_strength_total_for_both(self, sets, sets_minus):
-        assert classify(Kind.PLUS, 0.0, B, SIGMA, sets).label is Transparency.TOTAL
-        assert classify(Kind.MINUS, 0.0, B, SIGMA, sets_minus).label is Transparency.TOTAL
+        assert classify(Kind.PLUS, 0.0, sets).label is Transparency.TOTAL
+        assert classify(Kind.MINUS, 0.0, sets_minus).label is Transparency.TOTAL
 
     def test_minus_never_partial(self, sets_minus):
         model, prime = sets_minus
         for root in list(model.roots) + list(prime.roots):
-            c = classify(Kind.MINUS, root.alpha, B, SIGMA, sets_minus)
+            c = classify(Kind.MINUS, root.alpha, sets_minus)
             assert c.label is Transparency.TOTAL
 
     def test_outside_window_rejected(self, sets):
         with pytest.raises(ValueError):
-            classify(Kind.PLUS, 55.0, B, SIGMA, sets)
+            classify(Kind.PLUS, 55.0, sets)
 
     def test_match_tolerance(self, sets):
         near = PRIME_ROOT + 5e-7
-        assert classify(Kind.PLUS, near, B, SIGMA, sets).label is Transparency.PARTIAL
+        assert classify(Kind.PLUS, near, sets).label is Transparency.PARTIAL
         off = PRIME_ROOT + 5e-3
-        assert classify(Kind.PLUS, off, B, SIGMA, sets).label is Transparency.OPAQUE
+        assert classify(Kind.PLUS, off, sets).label is Transparency.OPAQUE
 
     @pytest.mark.parametrize("match_tol", [math.nan, -1.0, -math.inf])
     def test_match_tol_must_be_a_number_at_least_zero(self, sets, match_tol):
         # a NaN or negative tolerance matched nothing, so every strength read Opaque
         with pytest.raises(ValueError, match="match_tol must be >= 0"):
-            classify(Kind.PLUS, 2.282647521704435, B, SIGMA, sets, match_tol=match_tol)
-        assert classify(Kind.PLUS, 2.282647521704435, B, SIGMA, sets).label is Transparency.TOTAL
+            classify(Kind.PLUS, 2.282647521704435, sets, match_tol=match_tol)
+        assert classify(Kind.PLUS, 2.282647521704435, sets).label is Transparency.TOTAL
 
     def test_theta_is_the_matched_roots(self, sets):
         # classify reads theta from the shared-set root that resonance_sets built
         model, prime = sets
         root = min(prime.roots, key=lambda r: abs(r.alpha - PRIME_ROOT))
         doctored = (model, replace(prime, roots=(replace(root, theta=0.5),)))
-        c = classify(Kind.PLUS, root.alpha, B, SIGMA, doctored)
+        c = classify(Kind.PLUS, root.alpha, doctored)
         assert c.theta == 0.5 and c.t_limit == partial_transmission_limit(0.5)
 
 
