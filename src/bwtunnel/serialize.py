@@ -9,12 +9,10 @@ inf of a %g text as JSON strings. format_column, json_dumps and csv_row
 write each float by _field, with no numpy round trip. Output is
 byte-stable across runs.
 
-The block writers (format_column, format_rows, quote_nonfinite and
-_rows17) take and return ASCII bytes, so the CLI writes each block as it
-was filled, with no encoded copy. bytes % and str % format a float by the
-same routine (PyOS_double_to_string), so the bytes are those of the str
-fill. json_dumps and csv_row, which write one small payload or row,
-return str.
+Every writer takes and returns ASCII bytes, so the CLI writes each
+block as it was filled, with no encoded copy. bytes % and str % format a
+float by the same routine (PyOS_double_to_string), so the bytes are
+those of the str fill.
 
 The JSON axes and value rows of scans and grids are written by
 _rows17, which gives the bytes of %.17g without the float formatter.
@@ -44,18 +42,18 @@ def floats(values) -> list[float]:
         return (np.asarray(values, dtype=float) + 0.0).ravel().tolist()
 
 
-def _field(value, sig: int) -> str:
+def _field(value, sig: int) -> bytes:
     """One float to sig significant digits, -0 as 0; %g spells nan, inf and -inf.
 
     float() comes first, so a numpy scalar is added as a Python float and
     a signaling nan raises no numpy warning.
     """
-    return "%.*g" % (sig, float(value) + 0.0)
+    return b"%.*g" % (sig, float(value) + 0.0)
 
 
 def format_column(values, sig: int) -> list[bytes]:
-    """Each value by _field as ASCII bytes, row-major."""
-    return [_field(v, sig).encode("ascii") for v in np.asarray(values, dtype=float).ravel().tolist()]
+    """Each value by _field, row-major."""
+    return [_field(v, sig) for v in np.asarray(values, dtype=float).ravel().tolist()]
 
 
 # the non-finite fields of a %g text
@@ -235,58 +233,57 @@ def _rows17(values, head: bytes, sep: bytes, tail: bytes) -> bytes:
     return template % tuple(args)
 
 
-def json_dumps(obj) -> str:
+def json_dumps(obj) -> bytes:
     """Serialize dicts/lists/str/int/float/bool/None, floats to 17 digits.
 
     Key order is preserved (callers build dicts in deterministic order).
     """
-    out: list[str] = []
+    out: list[bytes] = []
     _emit(obj, out)
-    return "".join(out)
+    return b"".join(out)
 
 
-def _emit(obj, out: list[str]) -> None:
+def _emit(obj, out: list[bytes]) -> None:
     if obj is None:
-        out.append("null")
+        out.append(b"null")
     elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
+        out.append(b"true" if obj else b"false")
     elif isinstance(obj, int):
-        out.append(str(obj))
+        out.append(str(obj).encode("ascii"))
     elif isinstance(obj, float):
-        text = _field(obj, 17)
-        out.append(f'"{text}"' if "n" in text else text)  # only nan, inf and -inf hold an n
+        out.append(quote_nonfinite(_field(obj, 17)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(json.dumps(obj).encode("ascii"))
     elif isinstance(obj, dict):
-        out.append("{")
+        out.append(b"{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
-                out.append(", ")
+                out.append(b", ")
             if not isinstance(k, str):
                 raise TypeError(f"JSON keys must be str, got {type(k)}")
-            out.append(json.dumps(k))
-            out.append(": ")
+            out.append(json.dumps(k).encode("ascii"))
+            out.append(b": ")
             _emit(v, out)
-        out.append("}")
+        out.append(b"}")
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
+        out.append(b"[")
         for i, v in enumerate(obj):
             if i:
-                out.append(", ")
+                out.append(b", ")
             _emit(v, out)
-        out.append("]")
+        out.append(b"]")
     else:
         raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def csv_row(values) -> str:
+def csv_row(values) -> bytes:
     """One CSV line; floats formatted to 12 digits, strings passed through."""
     cells = []
     for v in values:
         if isinstance(v, str):
-            cells.append(v)
+            cells.append(v.encode("ascii"))
         elif isinstance(v, float):
             cells.append(_field(v, 12))
         else:
-            cells.append(str(v))
-    return ",".join(cells)
+            cells.append(str(v).encode("ascii"))
+    return b",".join(cells)

@@ -471,13 +471,13 @@ class TestConfigFile:
 def _per_point_oracle(template, alpha_range, k_range, alpha_steps, k_steps):
     """CSV and JSON bytes of the whole grid, one point at a time."""
     g = grid(template, alpha_range, k_range, alpha_steps, k_steps)
-    lines = ["alpha,k,T,log10T"]
+    lines = [b"alpha,k,T,log10T"]
     for i, a in enumerate(g.alphas.tolist()):
         for j, k in enumerate(g.ks.tolist()):
             t = float(g.values[i, j])
             lines.append(csv_row((a, k, t, math.log10(t) if t > 0 else -math.inf)))
     payload = {"alphas": g.alphas.tolist(), "ks": g.ks.tolist(), "values": g.values.tolist()}
-    return "\n".join(lines) + "\n", json_dumps(payload) + "\n"
+    return (b"\n".join(lines) + b"\n").decode(), (json_dumps(payload) + b"\n").decode()
 
 
 class TestStreamedOutput:
@@ -524,7 +524,7 @@ class TestStreamedOutput:
         code, out, err = run_cli([*self.ARGV, "--out", str(link)])
         assert code == 1 and "complex residue" in err
         assert link.is_symlink() and os.readlink(link) == str(target)
-        # the target holds the two finished blocks, cut to their length
+        # the open truncated the target, which then took the two finished blocks
         assert target.read_text().count("\n") == 1 + 2 * 2 * 3
 
     def test_error_in_a_later_block_keeps_a_fifo(self, run_cli, tmp_path, fail_third_block):
@@ -560,7 +560,7 @@ class TestStreamedOutput:
             os.link(path, link)
         assert run_cli([*self.ARGV, "--out", str(path)]) == (0, "", "")
         assert path.read_bytes() == want
-        if old is not None:  # written in place: the mode stays and a hard link sees the new bytes
+        if old is not None:  # the same file: the mode stays and a hard link sees the new bytes
             assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
             assert link.read_bytes() == want
 

@@ -124,14 +124,14 @@ SCALARS = (SPECIAL + [5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 1.79769
 @pytest.mark.parametrize("x", SCALARS, ids=repr)
 def test_scalar_paths_are_the_one_element_column(x):
     with np.errstate(all="raise"):
-        assert csv_row((x,)) == format_column([x], 12)[0].decode()
-        assert json_dumps([x]) == "[" + quote_nonfinite(format_column([x], 17)[0]).decode() + "]"
-        assert json_dumps({"x": x}) == '{"x": ' + _json_cell(float(x)) + "}"
+        assert csv_row((x,)) == format_column([x], 12)[0]
+        assert json_dumps([x]) == b"[" + quote_nonfinite(format_column([x], 17)[0]) + b"]"
+        assert json_dumps({"x": x}) == b'{"x": ' + _json_cell(float(x)).encode() + b"}"
 
 
 def test_json_quotes_only_float_cells():
-    assert json_dumps({"nan": "inf", "x": math.nan}) == '{"nan": "inf", "x": "nan"}'
-    assert json_dumps(["-inf", -math.inf, {"inf": None}]) == '["-inf", "-inf", {"inf": null}]'
+    assert json_dumps({"nan": "inf", "x": math.nan}) == b'{"nan": "inf", "x": "nan"}'
+    assert json_dumps(["-inf", -math.inf, {"inf": None}]) == b'["-inf", "-inf", {"inf": null}]'
 
 
 def _percent_rows(block, head, sep, tail):
