@@ -314,8 +314,10 @@ def db_resonance_residual(k: float, alpha: float, eps: float, c1: float, c2: flo
     """Double-barrier resonance residual in the wave number.
 
     Applies to the well-free (sigma = 0) mirror structure with positive
-    strength; its roots are the k values where the structure transmits
-    perfectly. With p the barrier wave number it reads
+    strength. A root implies perfect transmission, not the converse: the
+    family sin(p*l) = 0, where each barrier is transparent on its own, is
+    not among the roots (alpha = 10, eps = 0.2, b = 3: T = 1 at k = 8.3116,
+    where the residual is -10.80). With p the barrier wave number it reads
     (p/k + k/p) tan(p*l) - 2 cot(2*k*r); tunneling wave numbers turn tan
     into tanh, and at p = 0 it takes its regular limit k*l - 2 cot(2*k*r).
     """

@@ -100,11 +100,11 @@ def amplitudes(L: TransferMatrix, k: float, x1: float, x2: float) -> ScatteringR
     """Left/right reflection and transmission amplitudes for the matrix L.
 
     x1 and x2 are the edge positions entering the plane-wave phase
-    factors. Probabilities always satisfy refl + trans = 1, also where
-    u^2 + v^2 overflows (refl 1, trans 0), and the two transmission
-    amplitudes are equal for any real potential. The det = 1 test runs on
-    the entries divided by the largest one (when it exceeds 1), so no
-    product in it overflows and lets a matrix through.
+    factors. trans is the T of _transmission, as in transmissivity, and
+    refl + trans = 1, also where u^2 + v^2 overflows (refl 1, trans 0).
+    The two transmission amplitudes are equal for any real potential. The
+    det = 1 test runs on the entries divided by the largest one (when it
+    exceeds 1), so no product in it overflows and lets a matrix through.
     """
     u, v = uv(L, k)
     g = max(1.0, L.max_abs_entry())
@@ -119,7 +119,7 @@ def amplitudes(L: TransferMatrix, k: float, x1: float, x2: float) -> ScatteringR
     t = 2.0 / D * cmath.exp(1j * k * (x1 - x2))
     s = u * u + v * v
     refl = 1.0 if s == math.inf else s / (4.0 + s)
-    return ScatteringResult(rl, rr, t, t, refl=refl, trans=4.0 / (4.0 + s))
+    return ScatteringResult(rl, rr, t, t, refl=refl, trans=float(_transmission(L.entries(), k)))
 
 
 def transmissivity(params: BWParams, k: float) -> float:

@@ -12,10 +12,11 @@ strengths and energies: both arrangements are two copies of one
 barrier-well cell, in real arithmetic on the squared wave numbers p^2 and
 q^2 (cos/sin of an oscillating slab, cosh/sinh of an evanescent one), with
 no complex trig and no branch to choose. It is the one route of
-closed_form, scans, grids and the crest search of peak_refine, down to the
-exact p = 0 / q = 0 points, where each slab term takes its regular limit.
-The slab product is the independent oracle: only transmissivity and the
-matrix command of the CLI take it.
+closed_form, scans, grids and the crest search of peak_refine, and the
+finite-eps residuals and lambda21 are read off its cell, down to the exact
+p = 0 / q = 0 points, where each slab term takes its regular limit. The
+slab product is the independent oracle: only transmissivity and the CLI's
+matrix command take it.
 """
 
 from __future__ import annotations
@@ -148,37 +149,28 @@ def _cell(wp, wq, l, r):
     return cc - Tp * Sq, Sp * cq + cp * Sq, -(Tp * cq + cp * Tq), cc - Sp * Tq
 
 
-def closed_form_entries(kind: Kind, wp, wq, l, r):
-    """Closed-form entries (m11, m12, m21, m22) of the four-slab chain.
-
-    Two copies of the cell H = [[A, B], [C, D]] of _cell: PLUS is H*H, and
-    MINUS is H^R*H with the mirrored cell H^R = [[D, B], [C, A]], whose
-    equal diagonal entries AD + BC are one object, returned as m11 and m22.
-    Callers silence numpy's floating-point warnings, which only points
-    whose own terms overflow or are not finite raise: cosh/sinh past a
-    phase of about 710, an inf times 0 in the products, 0/0 at kappa = 0.
-    """
-    A, B, C, D = _cell(wp, wq, l, r)
-    if kind is Kind.PLUS:
-        trace = A + D
-        return A * A + B * C, trace * B, trace * C, B * C + D * D
-    diag = A * D + B * C
-    return diag, 2 * B * D, 2 * A * C, diag
-
-
 def closed_form_arrays(kind: Kind, alphas, E, eps: float, c1: float, c2: float, sigma: float):
     """Closed-form entries (m11, m12, m21, m22) over broadcast strength and energy arrays.
 
-    Real float64 arrays. Each strength gets bw_geometry's slabs, with sigma
-    split by its sign by sigma_split. At the degenerate points p = 0
-    or q = 0 exactly (E = alpha*h or E = -alpha*d) each slab term takes its
-    regular limit in _slab_terms, so no point needs another route.
+    Real float64 arrays, on bw_geometry's slabs with sigma split by the sign
+    of each strength. PLUS is H*H for the cell H = [[A, B], [C, D]] of _cell,
+    and MINUS is H^R*H with the mirror H^R = [[D, B], [C, A]], whose equal
+    diagonal AD + BC is one object, returned as m11 and m22. At p = 0 or
+    q = 0 exactly (E = alpha*h or E = -alpha*d) each slab term takes its
+    regular limit in _slab_terms. The floating-point warnings silenced here
+    come only from points whose own terms overflow or are not finite
+    (cosh/sinh past a phase of about 710, inf times 0, 0/0 at kappa = 0).
     """
     a = np.asarray(alphas, dtype=float)
     E = np.asarray(E, dtype=float)
     h, l, d, r = slab_geometry(*sigma_split(a, sigma), eps, c1, c2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return closed_form_entries(kind, E - a * h, E + a * d, l, r)
+        A, B, C, D = _cell(E - a * h, E + a * d, l, r)
+        if kind is Kind.PLUS:
+            trace = A + D
+            return A * A + B * C, trace * B, trace * C, B * C + D * D
+        diag = A * D + B * C
+        return diag, 2 * B * D, 2 * A * C, diag
 
 
 def closed_form(params: BWParams, E: float) -> TransferMatrix:
@@ -192,38 +184,42 @@ def closed_form(params: BWParams, E: float) -> TransferMatrix:
     return TransferMatrix(*(complex(z[0]) for z in m))
 
 
+def _point_cell(params: BWParams, E: float):
+    """The cell entries (A, B, C, D) at E as floats, with the kernel's bits, and q^2."""
+    h, l, d, r = bw_geometry(params)
+    wq = E + params.alpha * d
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cell = _cell(np.float64(E - params.alpha * h), np.float64(wq), l, r)
+    return tuple(float(z) for z in cell), wq
+
+
 def finite_eps_residuals(params: BWParams, E: float) -> tuple[complex, complex, complex]:
     """The three divergence-cancellation residuals at finite squeezing.
 
     Diagnostics for how close a configuration is to each branch along
-    which the lower-left matrix entry stays finite as eps -> 0. In terms
-    of the cell (A, B, C, D) of _cell they are r8 = A + D, r9 = -C and
-    r10 = -q*A. Returned as complex numbers: r8 and r9 are real at every
-    E > 0, and r10 is real where q^2 >= 0 and purely imaginary where
-    q^2 < 0.
+    which the lower-left matrix entry stays finite as eps -> 0, read off
+    the cell (A, B, C, D) of _cell: r8 = A + D, r9 = -C and r10 = -q*A,
+    regular at p = 0 and q = 0, inf or NaN past the float range. Complex:
+    r10 is purely imaginary where q^2 < 0, and the rest is real.
     """
-    _, l, _, r = bw_geometry(params)
-    w = wave_numbers(params, E)
-    p, q = w.p, w.q
-    sp, cp = cmath.sin(p * l), cmath.cos(p * l)
-    sq, cq = cmath.sin(q * r), cmath.cos(q * r)
-    r8 = 2.0 * cp * cq - (p / q + q / p) * sp * sq
-    r9 = p * sp * cq + q * cp * sq
-    r10 = p * sp * sq - q * cp * cq
-    return r8, r9, r10
+    (A, _, C, D), wq = _point_cell(params, E)
+    qA = math.sqrt(abs(wq)) * A
+    return complex(A + D), complex(-C), complex(-qA) if wq >= 0 else complex(0.0, -qA)
 
 
-def lambda21_factored(kind: Kind, params: BWParams, E: float) -> complex:
+def lambda21_factored(params: BWParams, E: float) -> complex:
     """Two-factor form of the lower-left entry.
 
     Each factor is one of the divergence-cancellation residuals, so the
     entry vanishes exactly when either cancellation condition holds:
-    -r8*r9 for PLUS and 2*(r10/q)*r9 for MINUS.
+    -r8*r9 = (A + D)*C for PLUS and 2*(r10/q)*r9 = 2*A*C for MINUS, read
+    off the cell with no division by p or q. It is closed_form's m21 bit
+    for bit.
     """
-    r8, r9, r10 = finite_eps_residuals(params, E)
-    if kind is Kind.PLUS:
-        return -r8 * r9
-    return 2.0 * (r10 / wave_numbers(params, E).q) * r9
+    (A, _, C, D), _ = _point_cell(params, E)
+    if params.kind is Kind.PLUS:
+        return complex((A + D) * C)
+    return complex(2 * A * C)
 
 
 def limit_matrix(kind: Kind, branch: Branch, theta: float | None = None) -> TransferMatrix:

@@ -287,7 +287,7 @@ def test_criterion_07_oracle_equivalence():
         closed = closed_form(params, E)
         scale = 1.0 + product.max_abs_entry()
         worst_entry = max(worst_entry, product.max_abs_diff(closed) / scale)
-        factored = lambda21_factored(params.kind, params, E)
+        factored = lambda21_factored(params, E)
         worst_factor = max(worst_factor, abs(closed.m21 - factored) / scale)
         checked += 1
     ok = worst_entry <= 1e-9 and worst_factor <= 1e-10

@@ -827,7 +827,7 @@ class TestFiniteEpsResiduals:
                               rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(0, 2))
             E = rng.uniform(0.3, 9.0)
             r8, r9, r10 = finite_eps_residuals(params, E)
-            factored = lambda21_factored(kind, params, E)
+            factored = lambda21_factored(params, E)
             if kind is Kind.PLUS:
                 expected = -r8 * r9
             else:
@@ -861,6 +861,19 @@ class TestDoubleBarrierResonance:
             _, v = uv(L, k)
             assert abs(v) < 1e-4  # bisection-limited; the polish happens below
             assert transmissivity(params, k) > 0.999999
+
+    def test_transparent_barriers_transmit_fully_but_are_no_root(self):
+        # sin(p*l) = 0: each barrier is transparent on its own, so T = 1 at k1;
+        # the residual is far from zero there and find_roots does not return k1
+        alpha, eps, c1, c2 = 10.0, 0.2, 3.0, 1.0
+        params = BWParams(Kind.MINUS, alpha, eps, c1, c2, 0.0)
+        h, l, _, _ = bw_geometry(params)
+        k1 = math.sqrt(alpha * h + (math.pi / l) ** 2)
+        assert k1 == pytest.approx(8.311572, abs=1e-6)
+        assert transmissivity(params, k1) == pytest.approx(1.0, abs=1e-12)
+        assert db_resonance_residual(k1, alpha, eps, c1, c2) == pytest.approx(-10.80, abs=0.01)
+        roots = find_roots(lambda k: db_resonance_residual(k, alpha, eps, c1, c2), (0.01, 10.0))
+        assert roots == pytest.approx([4.2542, 7.2020, 9.3756], abs=1e-4)
 
     def test_pole_at_tan_singularity(self):
         # overbarrier point engineered so the barrier phase is exactly pi/2

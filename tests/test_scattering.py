@@ -162,7 +162,8 @@ class TestTransmissivity:
         params = BWParams(Kind.MINUS, -4.2, 0.2, 2.0, 1.0, 1.0)
         chain = realize(params)
         res = amplitudes(chain_matrix(chain, 1.69), 1.3, chain.x_left, chain.x_right)
-        assert transmissivity(params, 1.3) == pytest.approx(res.trans, rel=1e-12)
+        # one T tail: the same entries give the same bits
+        assert transmissivity(params, 1.3) == res.trans
 
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_non_finite_or_non_positive_k_rejected(self, k):

@@ -159,13 +159,13 @@ class TestClosedForms:
             closed = closed_form(params, E)
             if closed.max_abs_entry() > 1e8:
                 continue
-            factored = lambda21_factored(params.kind, params, E)
+            factored = lambda21_factored(params, E)
             scale = 1.0 + closed.max_abs_entry()
             assert abs(closed.m21 - factored) <= 1e-10 * scale
             checked += 1
         assert checked >= 200
         params, E = PEAK, 1.0
-        factored = lambda21_factored(params.kind, params, E)
+        factored = lambda21_factored(params, E)
         assert abs(closed_form(params, E).m21 - factored) <= 1e-10 * (1.0 + slab_growth(params, E))
 
 
@@ -296,10 +296,28 @@ def cell(params, E):
     return tuple(float(z) for z in _cell(wp, wq, l, r))
 
 
+def paper_residuals(params, E):
+    """r8, r9 and r10 in the paper's complex trig forms, which divide by p and q."""
+    _, l, _, r = bw_geometry(params)
+    w = wave_numbers(params, E)
+    p, q = w.p, w.q
+    sp, cp = cmath.sin(p * l), cmath.cos(p * l)
+    sq, cq = cmath.sin(q * r), cmath.cos(q * r)
+    return (2.0 * cp * cq - (p / q + q / p) * sp * sq,
+            p * sp * cq + q * cp * sq,
+            p * sp * sq - q * cp * cq)
+
+
+# b = 1, eps = 0.5, sigma = 1 give h = d = 4: p = 0 at (alpha, E) = (2, 8)
+# and q = 0 at (-3, 12), where the paper forms divide by zero
+DEGENERATE = [(2.0, 8.0), (-3.0, 12.0)]
+
+
 class TestCell:
     def test_cell_gives_the_paper_residuals(self):
-        # r8 = tr H, r9 = -C and r10 = -q*A: r8 and r9 are real at every
-        # E > 0, r10 is purely imaginary where q^2 < 0
+        # r8 = tr H, r9 = -C and r10 = -q*A, equal to the paper's complex forms
+        # away from p = 0 and q = 0: r8 and r9 are real at every E > 0, r10 is
+        # purely imaginary where q^2 < 0
         rng = np.random.default_rng(8910)
         signs = set()
         for _ in range(300):
@@ -308,12 +326,38 @@ class TestCell:
             A, B, C, D = cell(params, E)
             r8, r9, r10 = finite_eps_residuals(params, E)
             q = wave_numbers(params, E).q
+            assert r8 == A + D and r9 == -C and r8.imag == r9.imag == 0.0
+            assert abs(r10 + q * A) <= 1e-15 * abs(q * A)
+            assert (r10.real if q.imag else r10.imag) == 0.0
             tol = 1e-14 * (1.0 + slab_growth(params, E))
-            assert abs(r8 - (A + D)) <= tol
-            assert abs(r9 + C) <= tol
-            assert abs(r10 + q * A) <= tol * (1.0 + abs(q))
+            want8, want9, want10 = paper_residuals(params, E)
+            assert abs(r8 - want8) <= tol
+            assert abs(r9 - want9) <= tol
+            assert abs(r10 - want10) <= tol * (1.0 + abs(q))
             signs.add(params.alpha > 0)
         assert signs == {False, True}
+
+    @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
+    @pytest.mark.parametrize("alpha, E", DEGENERATE)
+    def test_residuals_at_p_or_q_zero_are_the_cell_slab_product(self, kind, alpha, E):
+        params = BWParams(kind, alpha, 0.5, 1.0, 1.0, 1.0)
+        h, l, d, r = bw_geometry(params)
+        wq = E + alpha * d
+        assert E - alpha * h == 0.0 or wq == 0.0
+        # the cell H as the slab product of the (barrier, well) chain
+        slabs = (Segment(l, alpha * h), Segment(r, -alpha * d))
+        H = chain_matrix(SegmentChain(slabs, x_left=0.0), E)
+        scale = 1.0 + H.max_abs_entry()
+        want = (H.m11 + H.m22, -H.m21, -cmath.sqrt(wq) * H.m11)
+        for got, w in zip(finite_eps_residuals(params, E), want):
+            assert cmath.isfinite(got)
+            assert abs(got - w) <= 4 * math.ulp(scale) * (1.0 + math.sqrt(abs(wq)))
+        m21 = lambda21_factored(params, E)
+        assert cmath.isfinite(m21) and m21.imag == 0.0
+        # the kernel's entry bit for bit, and the slab product's to a few ulp
+        assert m21 == closed_form(params, E).m21
+        want = (H.m11 + H.m22) * H.m21 if kind is Kind.PLUS else 2 * H.m11 * H.m21
+        assert abs(m21 - want) <= 4 * math.ulp(scale * scale)
 
     @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
     @pytest.mark.parametrize("alpha", [10.0, -7.3, 26.8672])
