@@ -22,6 +22,7 @@ from .resonance import (
     find_roots,
     peak_refine,
     resonance_sets,
+    resonance_sets_near,
 )
 from .scattering import (
     ScatteringResult,
@@ -70,6 +71,7 @@ __all__ = [
     "PoleError", "WindowTooCoarseError", "NoPeakError", "SetLabel",
     "ResonanceRoot", "ResonanceSet", "f_plus", "f_minus", "f_prime",
     "finite_eps_residuals", "find_roots", "resonance_sets",
+    "resonance_sets_near",
     "db_resonance_residual", "peak_refine",
     "Transparency", "PointClassification", "ConvergenceRow", "theta",
     "boundary_map", "boundary_values", "classify", "converge_study",

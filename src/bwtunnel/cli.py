@@ -35,6 +35,7 @@ from .resonance import (
     NoPeakError,
     WindowTooCoarseError,
     resonance_sets,
+    resonance_sets_near,
 )
 from .scattering import BLOCK_POINTS, grid_blocks, log10_transmission
 from .serialize import (
@@ -136,7 +137,8 @@ _COMMANDS = {
                    ("alpha-min", "alpha-max", "grid-steps", "tol"), ()),
     "converge": ("finite-squeezing peak drift toward a limiting strength",
                  ("format", "k", "radius"), ("alpha", "eps-list")),
-    "classify": ("limiting transparency of one strength (JSON)",
+    "classify": ("limiting transparency of one strength (JSON), from the root-scan cells "
+                 "within --match-tol of it and one more on each side",
                  ("alpha-min", "alpha-max", "grid-steps", "tol", "match-tol"), ("alpha",)),
     "matrix": ("transfer matrix diagnostics at one point (JSON)",
                ("alpha", "k", "eps", "raw"), ()),
@@ -337,9 +339,10 @@ def run(config: argparse.Namespace) -> int:
         return 0
 
     if cmd == "classify":
-        sets = resonance_sets(config.model, config.b, config.sigma,
-                              (config.alpha_min, config.alpha_max),
-                              config.grid_steps, config.tol)
+        # the sets on the grid cells around the strength: all that matching it reads
+        sets = resonance_sets_near(config.model, config.b, config.sigma, config.alpha,
+                                   config.match_tol, (config.alpha_min, config.alpha_max),
+                                   config.grid_steps, config.tol)
         result = classify(config.model, config.alpha, sets, config.match_tol)
         payload = {
             "alpha": result.alpha,

@@ -25,7 +25,8 @@ surviving brackets of every row in a tree walk: one residual call
 evaluates the next four levels of midpoints of every bracket, and each
 bracket walks down its tree by the rules of one step at a time, so it
 returns the roots of one step per call, bit for bit. resonance_sets
-finds both of its sets in one such pass; find_roots lifts a scalar
+finds both of its sets in one such pass, and resonance_sets_near in one
+over the grid cells around one strength; find_roots lifts a scalar
 callable into it as one row.
 
 peak_refine finds a transmission crest by zooming on the closed-form
@@ -69,12 +70,14 @@ class ResonanceRoot:
     """One quantized strength with its set membership and outward index.
 
     theta is populated only for SIGMA_PRIME entries; residual is |f| at
-    the returned root (0 by convention for the trivial strength 0).
+    the returned root (0 by convention for the trivial strength 0). index
+    is None for a nonzero root of resonance_sets_near, which does not
+    count the roots outside its cells.
     """
 
     alpha: float
     set_label: SetLabel
-    index: int
+    index: int | None
     theta: float | None
     residual: float
 
@@ -355,9 +358,11 @@ def find_roots(
     Scans a uniform grid, keeps sign-change cells, and drops cells that
     contain a PoleError or whose 10-point refinement never brings |f|
     below 1 (a pole crossing, not a root). Surviving brackets are
-    bisected to the requested width. Raises WindowTooCoarseError when
-    two returned roots are closer than one grid cell, since siblings may
-    then have been missed. grid_steps must be an integer >= 100 and tol
+    bisected to the requested width; one whose |f| at the left end of its
+    last bracket exceeds |f| at both ends of its cell closed in on a pole,
+    and is dropped. Raises WindowTooCoarseError when two returned roots
+    are closer than one grid cell, since siblings may then have been
+    missed. grid_steps must be an integer >= 100 and tol
     finite and > 0. f is called one point at a time, under the same cell
     rules as the array residuals of resonance_sets; each bisection round
     calls it at up to 15 points per bracket, all strictly inside it.
@@ -375,7 +380,8 @@ def find_roots(
     return _bracket_roots(f_array, window, grid_steps, tol)[0]
 
 
-def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float) -> list[list[float]]:
+def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float,
+                   near: tuple[float, float] | None = None) -> list[list[float]]:
     """find_roots for an array body f: strengths -> (residual rows, pole mask).
 
     f returns a 2-D array with one row per residual and one pole mask
@@ -385,6 +391,17 @@ def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float) 
     round. The scan hands f BLOCK_POINTS cells at a time, so the
     residual's temporaries stay small whatever grid_steps is. Where two
     rows raise WindowTooCoarseError, the first row's is raised.
+
+    With near = (lo', hi'), only the window's grid cells that touch
+    [lo', hi'] are solved, plus one neighbouring cell on each side (at
+    least one cell). They are the same points of the same grid, so the
+    roots in [lo', hi'] are the full pass's, bit for bit: a root is
+    dropped as a copy of one less than max(tol, 1e-12) below it, which
+    lies in its own cell or the one before. A pair among the solved
+    cells' roots closer than one cell raises WindowTooCoarseError as in
+    the full pass; roots, pairs and errors of the other cells are never
+    seen. Where max(tol, 1e-12) is half a cell or more, such copies may
+    chain across cells, so every cell is solved.
     """
     lo, hi = window
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -396,8 +413,12 @@ def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float) 
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
     xs = np.linspace(lo, hi, grid_steps + 1)
+    if near is not None and 2.0 * max(tol, 1e-12) < (hi - lo) / grid_steps:
+        first = max(int(np.searchsorted(xs, near[0])) - 2, 0)
+        stop = min(int(np.searchsorted(xs, near[1], "right")) + 1, grid_steps)
+        xs = xs[first:max(stop, first + 1) + 1]
     zeros, cells = [], []
-    for start in range(0, grid_steps, BLOCK_POINTS):
+    for start in range(0, xs.size - 1, BLOCK_POINTS):
         x = xs[start:start + BLOCK_POINTS + 1]
         fx, pole = f(x)
         # the few cells whose ends do not share a sign hold every zero and
@@ -410,7 +431,7 @@ def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float) 
         zeros.append((row[zero], x[i[zero]]))
         change = clear_a & clear_b & (fa != 0.0) & (fb != 0.0)
         row, i = row[change], i[change]
-        cells.append((row, x[i], x[i + 1], fa[change]))
+        cells.append((row, x[i], x[i + 1], fa[change], fb[change]))
     if not pole[-1]:
         row = np.flatnonzero(fx[:, -1] == 0.0)
         zeros.append((row, xs[-1:].repeat(row.size)))
@@ -418,7 +439,7 @@ def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float) 
     for row, x in zeros:
         for r, root in zip(row.tolist(), x.tolist()):
             roots[r].append(root)
-    row, a, b, fa = (np.concatenate(c) for c in zip(*cells))
+    row, a, b, fa, fb = (np.concatenate(c) for c in zip(*cells))
 
     # a pole crossing, not a root: a pole among the points of
     # np.linspace(a, b, 10), or |f| never below 1 on them
@@ -429,8 +450,13 @@ def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float) 
     pole = pole.reshape(ts.shape)
     keep = ~pole.any(axis=1) & (np.fmin.reduce(np.abs(ft), axis=1) <= 1.0)
 
-    _bisect(f, list(zip(row[keep].tolist(), a[keep].tolist(), b[keep].tolist(),
-                        fa[keep].tolist())), tol, roots)
+    row, fa, fb = row[keep].tolist(), fa[keep], fb[keep]
+    found = _bisect(f, list(zip(row, a[keep].tolist(), b[keep].tolist(), fa.tolist())), tol)
+    # a bisection that closed in on a tan pole, not a root: |f| at the left
+    # end of its last bracket exceeds |f| at both ends of its scan cell
+    for r, hit, bound in zip(row, found, np.fmax(np.abs(fa), np.abs(fb)).tolist()):
+        if hit is not None and not abs(hit[1]) > bound:
+            roots[r].append(hit[0])
     return [_merged(r, tol, (hi - lo) / grid_steps) for r in roots]
 
 
@@ -484,46 +510,50 @@ def _midpoint_tree(a: float, b: float, tol: float, points: list[float]) -> list[
     return slots
 
 
-def _bisect(f, brackets: list[tuple[int, float, float, float]], tol: float,
-            roots: list[list[float]]) -> None:
-    """Bisect each (row, a, b, f(a)) bracket to its root, appended to roots[row].
+def _bisect(f, brackets: list[tuple[int, float, float, float]],
+            tol: float) -> list[tuple[float, float] | None]:
+    """Bisect each (row, a, b, f(a)) bracket on its row to its root; one result per bracket.
 
     One call of f evaluates the midpoint trees of all live brackets, and
     each bracket then walks _TREE_LEVELS steps down its tree on its own
     row by the rules of one step at a time: it stops at the requested
-    width or at double-precision resolution and records the midpoint, is
-    dropped at a pole, records an exact zero, and otherwise keeps the half
-    whose ends change sign. So every bracket visits the midpoints, and
-    returns the root, of one bisection step per call; the nodes it does
-    not visit are never read.
+    width or at double-precision resolution with the midpoint and f at
+    its bracket's left end, records an exact zero with f = 0 there, is
+    dropped (None) at a pole, and otherwise keeps the half whose ends
+    change sign. So every bracket visits the midpoints, and returns the
+    root, of one bisection step per call; the nodes it does not visit are
+    never read.
     """
-    while brackets:
+    found: list[tuple[float, float] | None] = [None] * len(brackets)
+    live = list(enumerate(brackets))
+    while live:
         points: list[float] = []
-        trees = [_midpoint_tree(a, b, tol, points) for _, a, b, _ in brackets]
+        trees = [_midpoint_tree(a, b, tol, points) for _, (_, a, b, _) in live]
         if points:  # else every bracket stops at its first midpoint
             fm, pole = f(np.array(points))
             values, poles = fm.tolist(), pole.tolist()
-        live = []
-        for (row, a, b, fa), slots in zip(brackets, trees):
+        walking = []
+        for (k, (row, a, b, fa)), slots in zip(live, trees):
             i = 0
             while i < _TREE_NODES:
                 j = slots[i]
                 if j < 0:  # the requested width or double-precision resolution
-                    roots[row].append(0.5 * (a + b))
+                    found[k] = (0.5 * (a + b), fa)
                     break
                 if poles[j]:  # a bracket that meets a pole is dropped
                     break
                 m, fm = points[j], values[row][j]
                 if fm == 0.0:
-                    roots[row].append(m)
+                    found[k] = (m, fm)
                     break
                 if fa * fm < 0:
                     b, i = m, 2 * i + 1
                 else:
                     a, fa, i = m, fm, 2 * i + 2
             else:
-                live.append((row, a, b, fa))
-        brackets = live
+                walking.append((k, (row, a, b, fa)))
+        live = walking
+    return found
 
 
 def resonance_sets(
@@ -542,13 +572,47 @@ def resonance_sets(
     discontinuity factor attached. Indices count outward from zero by
     sign. The default window and grid resolve the closest known pairs for
     moderate b; for tighter clusters raise grid_steps. Both residuals are
-    rows of one body, so one root-finder pass finds both sets.
+    rows of one body, so one root-finder pass finds both sets, over every
+    cell of the window's grid. The classify command instead solves only
+    the cells around its strength (resonance_sets_near), so the errors
+    below fail it only where they come from those cells.
 
     Errors come as from one finder pass per set followed by each set's
     residual fields: a WindowTooCoarseError of either set, the model
     set's first, before a PoleError at a root of either set, again the
     model set's first.
     """
+    return _sets(kind, b, sigma, window, grid_steps, tol, None)
+
+
+def resonance_sets_near(
+    kind: Kind,
+    b: float,
+    sigma: float,
+    alpha: float,
+    reach: float,
+    window: tuple[float, float] = (-40.0, 40.0),
+    grid_steps: int = 20000,
+    tol: float = 1e-10,
+) -> tuple[ResonanceSet, ResonanceSet]:
+    """resonance_sets on the window's grid cells within reach of one strength alone.
+
+    Solves the cells that touch [alpha - reach, alpha + reach] and one
+    neighbouring cell on each side, with the checks, rules and error order
+    of resonance_sets. Every root of resonance_sets within reach of alpha
+    is here, bit for bit and with the same residual and theta; so
+    zerolimit.classify, given reach = match_tol, matches alpha as it would
+    against resonance_sets. The sets keep the whole window; the trivial
+    strength 0 keeps index 0, and every other root has index None, since
+    no root outside the cells is counted. A WindowTooCoarseError, a
+    PoleError or a ValueError of a non-finite phase or r that only other
+    cells' strengths raise is not raised here.
+    """
+    return _sets(kind, b, sigma, window, grid_steps, tol, (alpha - reach, alpha + reach))
+
+
+def _sets(kind, b, sigma, window, grid_steps, tol, near):
+    """resonance_sets, or with near = (lo', hi') only the cells around it (_bracket_roots)."""
     _check_bsigma(b, sigma)
     if kind is Kind.PLUS:
         formula, label = _plus, SetLabel.SIGMA_PLUS
@@ -559,7 +623,7 @@ def resonance_sets(
         return _residual_rows((formula, _prime), a, b, sigma)
 
     model_alphas, prime_alphas = ([r for r in roots if abs(r) > 1e-6]
-                                  for roots in _bracket_roots(body, window, grid_steps, tol))
+                                  for roots in _bracket_roots(body, window, grid_steps, tol, near))
     model = _outward_indices(model_alphas, include_zero=window[0] <= 0.0 <= window[1])
     prime = _outward_indices(prime_alphas, include_zero=False)
 
@@ -573,9 +637,12 @@ def resonance_sets(
     _check_poles(alphas[n:], pole[n:])
     model_res = np.abs(formula(*terms, b, sigma)[:n]).tolist()
     prime_res = np.abs(_prime(*terms, b, sigma)[n:]).tolist()
-    model_roots = [ResonanceRoot(alpha, label, idx, None, res if alpha else 0.0)
+    counted = near is None  # only a pass over every cell knows a root's outward index
+    model_roots = [ResonanceRoot(alpha, label, idx if counted or not alpha else None, None,
+                                 res if alpha else 0.0)
                    for (alpha, idx), res in zip(model, model_res)]
-    prime_roots = [ResonanceRoot(alpha, SetLabel.SIGMA_PRIME, idx, _theta(alpha, xa, ya), res)
+    prime_roots = [ResonanceRoot(alpha, SetLabel.SIGMA_PRIME, idx if counted else None,
+                                 _theta(alpha, xa, ya), res)
                    for (alpha, idx), xa, ya, res in zip(prime, x[n:].tolist(), y[n:].tolist(),
                                                         prime_res)]
 

@@ -100,6 +100,8 @@ def classify(
     only partially transparent on the shared set; the mirror arrangement
     is totally transparent on both. Everything else is opaque. Strength
     0 is trivially transparent for both. match_tol must be >= 0 (not NaN).
+    The sets of resonance_sets_near(..., alpha, match_tol, ...) hold every
+    root this matches, so they classify alpha as resonance_sets' do.
     """
     if not match_tol >= 0.0:
         raise ValueError(f"match_tol must be >= 0, got {match_tol}")

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import threading
 import warnings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from bwtunnel import cli, scattering
 from bwtunnel.cli import main, parse_args, run
 from bwtunnel.potential import BWParams, Kind
+from bwtunnel.resonance import WindowTooCoarseError, resonance_sets
 from bwtunnel.scattering import grid, grid_blocks, transmissivity
 from bwtunnel.serialize import csv_row, floats, format_rows, json_dumps, quote_nonfinite
 
@@ -245,6 +247,43 @@ class TestLibraryFlags:
                  for extra in ([], ["--tol", "1e-3"])]
         assert first[0] == pytest.approx(-35.8212234, abs=1e-7)
         assert first[1] == pytest.approx(-35.82125, abs=1e-7)
+
+
+class TestLocalClassify:
+    """classify solves the grid cells around its strength, not the whole window."""
+
+    # at negative strengths the tan phase is near 1e51 and changes sign between
+    # grid points, so the window's roots there come in pairs closer than one
+    # cell; at positive strengths both phases are sqrt(2 alpha)
+    HUGE = ["--b", "1e100", "--sigma", "1e100"]
+
+    @staticmethod
+    def _full_window_error():
+        with pytest.raises(WindowTooCoarseError) as exc:
+            resonance_sets(Kind.PLUS, 1e100, 1e100)
+        return exc.value
+
+    def test_pair_far_from_the_strength_no_longer_fails(self, run_cli):
+        assert float(re.search(r"and (\S+) are", str(self._full_window_error())).group(1)) < -30.0
+        code, out, err = run_cli(["classify", *self.HUGE, "--alpha", "10"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["label"] == "Opaque"
+
+    @pytest.mark.parametrize("member", [1, 2])
+    def test_pair_within_reach_still_fails(self, run_cli, member):
+        # on either root of the pair, the other lies in a neighbouring cell
+        error = self._full_window_error()
+        alpha = re.search(r"roots (\S+) and (\S+) are", str(error)).group(member)
+        code, out, err = run_cli(["classify", *self.HUGE, "--alpha", alpha])
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {error}"]
+
+    def test_a_pole_is_no_root_of_resonances(self, run_cli):
+        # the full window raised WindowTooCoarseError on a tan pole and a root
+        code, out, err = run_cli(["resonances", "--model", "minus", "--b", "90.65087093655639",
+                                  "--sigma", "9.885609104410841"])
+        assert code == 0 and err == ""
+        assert -0.1234386419355886 in [r["alpha"] for r in json.loads(out)]
 
 
 class TestDeterminism:

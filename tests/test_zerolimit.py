@@ -1,10 +1,12 @@
 import math
+import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from bwtunnel.potential import Kind
-from bwtunnel.resonance import PoleError, resonance_sets
+from bwtunnel.resonance import PoleError, WindowTooCoarseError, resonance_sets, resonance_sets_near
 from bwtunnel.transfer import TransferMatrix
 from bwtunnel.zerolimit import (
     ConvergenceRow,
@@ -133,6 +135,71 @@ class TestClassify:
         doctored = (model, replace(prime, roots=(replace(root, theta=0.5),)))
         c = classify(Kind.PLUS, root.alpha, doctored)
         assert c.theta == 0.5 and c.t_limit == partial_transmission_limit(0.5)
+
+
+WINDOW = (-40.0, 40.0)
+# 0.013 spans four cells of the default grid (0.004)
+MATCH_TOLS = (0.0, 1e-6, 0.013)
+
+
+def classify_draws(rng, kind, n):
+    """n seeded (kind, b, sigma) draws, every fifth well-free (sigma = 0)."""
+    return [(kind, rng.uniform(0.5, 50.0), rng.uniform(0.0, 10.0) if i % 5 else 0.0)
+            for i in range(n)]
+
+
+def classify_strengths(rng, b, sigma, sets):
+    """The roots of both sets, up to three tan poles, 0, a grid point and the window's ends."""
+    poles = []
+    if sigma:  # the tan phase is the well's at positive strengths, the barrier's at negative ones
+        for n in range(60):
+            y2 = ((n + 0.5) * math.pi) ** 2
+            poles += [y2 * (1.0 + b) / (2.0 * sigma), -y2 * (1.0 + 1.0 / b) / (2.0 * sigma)]
+    poles = [a for a in poles if WINDOW[0] <= a <= WINDOW[1]]
+    grid_point = float(np.linspace(*WINDOW, 20001)[rng.randrange(20001)])
+    return ([r.alpha for s in sets for r in s.roots] + rng.sample(poles, min(3, len(poles)))
+            + [0.0, grid_point, *WINDOW])
+
+
+def check_local_classify(rng, kind, b, sigma):
+    """classify on resonance_sets_near equals classify on resonance_sets at each strength and match_tol.
+
+    Returns the number of classifications compared, 0 where resonance_sets fails.
+    """
+    try:
+        full = resonance_sets(kind, b, sigma, WINDOW)
+    except (ArithmeticError, ValueError, WindowTooCoarseError):
+        return 0
+    compared = 0
+    for alpha in classify_strengths(rng, b, sigma, full):
+        for tol in MATCH_TOLS:
+            local = resonance_sets_near(kind, b, sigma, alpha, tol, WINDOW)
+            assert repr(classify(kind, alpha, local, tol)) == repr(classify(kind, alpha, full, tol)), \
+                (kind, b, sigma, alpha, tol)
+            compared += 1
+    return compared
+
+
+class TestLocalClassify:
+    """classify against the sets of the grid cells around a strength, as against the whole window's."""
+
+    def test_local_sets_classify_as_the_full_sets(self):
+        rng = random.Random(20261022)
+        draws = classify_draws(rng, Kind.PLUS, 12) + classify_draws(rng, Kind.MINUS, 12)
+        compared = [check_local_classify(rng, *draw) for draw in draws]
+        assert sum(compared) > 1000 and compared.count(0) < 4
+
+    def test_local_sets_hold_the_full_roots_without_outward_index(self):
+        model, prime = resonance_sets(Kind.PLUS, B, SIGMA)
+        near = resonance_sets_near(Kind.PLUS, B, SIGMA, PRIME_ROOT, 1e-6)
+        assert near[1].roots == tuple(replace(r, index=None) for r in prime.roots
+                                      if abs(r.alpha - PRIME_ROOT) < 0.01)
+        # the trivial strength keeps its index; the window is the whole window's
+        assert near[0].roots == tuple(r for r in model.roots if r.alpha == 0.0)
+        assert near[0].window == near[1].window == model.window
+        # every cell is solved where a root's copies may chain across cells
+        assert resonance_sets_near(Kind.PLUS, B, SIGMA, 0.0, 0.0, tol=0.002)[1].roots == \
+            tuple(replace(r, index=None) for r in resonance_sets(Kind.PLUS, B, SIGMA, tol=0.002)[1].roots)
 
 
 class TestConvergeStudy:
