@@ -18,13 +18,13 @@ tanh can differ from the math module's by an ulp or two, so residual
 values can differ from a math-based evaluation in the last digits.
 
 The finder is a bracketing bisection that knows the residuals alternate
-roots with tan poles and discards pole crossings by magnitude. Its one
-implementation scans and refines all cells of the grid in lockstep over
-rows of array residuals that share a pole mask, then bisects the
-surviving brackets of every row in a tree walk: one residual call
-evaluates the next four levels of midpoints of every bracket, and each
-bracket walks down its tree by the rules of one step at a time, so it
-returns the roots of one step per call, bit for bit. resonance_sets
+roots with tan poles and drops, by one relative magnitude rule, each
+bisection that closed in on a pole. It scans all cells of the grid in
+lockstep over rows of array residuals that share a pole mask, then
+bisects every sign-change cell of every row in a tree walk: one residual
+call evaluates the next four levels of midpoints of every bracket, and
+each bracket walks down its tree by the rules of one step at a time, so
+it returns the roots of one step per call, bit for bit. resonance_sets
 finds both of its sets in one such pass, and resonance_sets_near in one
 over the grid cells around one strength; find_roots lifts a scalar
 callable into it as one row.
@@ -220,6 +220,10 @@ def _prime(alpha, sp, sm, x, y, tx, ty, b: float, sigma: float) -> np.ndarray:
     return f
 
 
+# each arrangement's own limiting formula and the label of its model set
+MODEL_SETS = {Kind.PLUS: (_plus, SetLabel.SIGMA_PLUS), Kind.MINUS: (_minus, SetLabel.SIGMA_MINUS)}
+
+
 def _residual_rows(formulas, alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """The formulas' residuals at strengths as the rows of one array, and their pole mask.
 
@@ -355,14 +359,13 @@ def find_roots(
 ) -> list[float]:
     """All roots of f in the window by sign-change bracketing.
 
-    Scans a uniform grid, keeps sign-change cells, and drops cells that
-    contain a PoleError or whose 10-point refinement never brings |f|
-    below 1 (a pole crossing, not a root). Surviving brackets are
-    bisected to the requested width; one whose |f| at the left end of its
-    last bracket exceeds |f| at both ends of its cell closed in on a pole,
-    and is dropped. Raises WindowTooCoarseError when two returned roots
-    are closer than one grid cell, since siblings may then have been
-    missed. grid_steps must be an integer >= 100 and tol
+    Scans a uniform grid and bisects each sign-change cell to the
+    requested width. A bracket that meets a PoleError is dropped, and so
+    is one whose |f| at the left end of its last bracket exceeds |f| at
+    both ends of its cell (a pole crossing, not a root); that rule is
+    relative, so it keeps steep roots. Raises WindowTooCoarseError when
+    two returned roots are closer than one grid cell, since siblings may
+    then have been missed. grid_steps must be an integer >= 100 and tol
     finite and > 0. f is called one point at a time, under the same cell
     rules as the array residuals of resonance_sets; each bisection round
     calls it at up to 15 points per bracket, all strictly inside it.
@@ -387,10 +390,10 @@ def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float,
     f returns a 2-D array with one row per residual and one pole mask
     that all rows share; the result is one root list per row. Every row
     and every cell follow the same rules, in lockstep, so one call of f
-    serves all rows per scan block, for the refinement and per bisection
-    round. The scan hands f BLOCK_POINTS cells at a time, so the
-    residual's temporaries stay small whatever grid_steps is. Where two
-    rows raise WindowTooCoarseError, the first row's is raised.
+    serves all rows per scan block and per bisection round. The scan
+    hands f BLOCK_POINTS cells at a time, so the residual's temporaries
+    stay small whatever grid_steps is. Where two rows raise
+    WindowTooCoarseError, the first row's is raised.
 
     With near = (lo', hi'), only the window's grid cells that touch
     [lo', hi'] are solved, plus one neighbouring cell on each side (at
@@ -440,20 +443,10 @@ def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float,
         for r, root in zip(row.tolist(), x.tolist()):
             roots[r].append(root)
     row, a, b, fa, fb = (np.concatenate(c) for c in zip(*cells))
-
-    # a pole crossing, not a root: a pole among the points of
-    # np.linspace(a, b, 10), or |f| never below 1 on them
-    ts = a[:, None] + np.arange(10.0) * ((b - a) / 9.0)[:, None]
-    ts[:, -1] = b
-    ft, pole = f(ts.ravel())
-    ft = ft.reshape(len(ft), *ts.shape)[row, np.arange(row.size)]  # each bracket's own row
-    pole = pole.reshape(ts.shape)
-    keep = ~pole.any(axis=1) & (np.fmin.reduce(np.abs(ft), axis=1) <= 1.0)
-
-    row, fa, fb = row[keep].tolist(), fa[keep], fb[keep]
-    found = _bisect(f, list(zip(row, a[keep].tolist(), b[keep].tolist(), fa.tolist())), tol)
-    # a bisection that closed in on a tan pole, not a root: |f| at the left
-    # end of its last bracket exceeds |f| at both ends of its scan cell
+    row = row.tolist()
+    found = _bisect(f, list(zip(row, a.tolist(), b.tolist(), fa.tolist())), tol)
+    # a pole crossing, not a root: |f| at the left end of the last bracket
+    # exceeds |f| at both ends of the scan cell
     for r, hit, bound in zip(row, found, np.fmax(np.abs(fa), np.abs(fb)).tolist()):
         if hit is not None and not abs(hit[1]) > bound:
             roots[r].append(hit[0])
@@ -530,7 +523,8 @@ def _bisect(f, brackets: list[tuple[int, float, float, float]],
         points: list[float] = []
         trees = [_midpoint_tree(a, b, tol, points) for _, (_, a, b, _) in live]
         if points:  # else every bracket stops at its first midpoint
-            fm, pole = f(np.array(points))
+            with np.errstate(over="ignore"):  # beside a tan pole f may overflow to +-inf
+                fm, pole = f(np.array(points))
             values, poles = fm.tolist(), pole.tolist()
         walking = []
         for (k, (row, a, b, fa)), slots in zip(live, trees):
@@ -606,18 +600,18 @@ def resonance_sets_near(
     strength 0 keeps index 0, and every other root has index None, since
     no root outside the cells is counted. A WindowTooCoarseError, a
     PoleError or a ValueError of a non-finite phase or r that only other
-    cells' strengths raise is not raised here.
+    cells' strengths raise is not raised here. alpha must be finite and
+    reach >= 0 (not NaN).
     """
+    if not (math.isfinite(alpha) and reach >= 0.0):
+        raise ValueError(f"alpha must be finite and reach >= 0, got {alpha} and {reach}")
     return _sets(kind, b, sigma, window, grid_steps, tol, (alpha - reach, alpha + reach))
 
 
 def _sets(kind, b, sigma, window, grid_steps, tol, near):
     """resonance_sets, or with near = (lo', hi') only the cells around it (_bracket_roots)."""
     _check_bsigma(b, sigma)
-    if kind is Kind.PLUS:
-        formula, label = _plus, SetLabel.SIGMA_PLUS
-    else:
-        formula, label = _minus, SetLabel.SIGMA_MINUS
+    formula, label = MODEL_SETS[kind]
 
     def body(a):
         return _residual_rows((formula, _prime), a, b, sigma)

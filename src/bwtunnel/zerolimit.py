@@ -14,6 +14,7 @@ from enum import Enum
 
 from .potential import BWParams, Kind
 from .resonance import (
+    MODEL_SETS,
     ResonanceRoot,
     ResonanceSet,
     SetLabel,
@@ -99,13 +100,17 @@ def classify(
     The repeated arrangement is totally transparent on its own set and
     only partially transparent on the shared set; the mirror arrangement
     is totally transparent on both. Everything else is opaque. Strength
-    0 is trivially transparent for both. match_tol must be >= 0 (not NaN).
-    The sets of resonance_sets_near(..., alpha, match_tol, ...) hold every
-    root this matches, so they classify alpha as resonance_sets' do.
+    0 is trivially transparent for both. match_tol must be >= 0 (not NaN)
+    and the model set kind's own. The sets of resonance_sets_near(...,
+    alpha, match_tol, ...) hold every root this matches, so they classify
+    alpha as resonance_sets' do.
     """
     if not match_tol >= 0.0:
         raise ValueError(f"match_tol must be >= 0, got {match_tol}")
     model_set, prime_set = sets
+    label = MODEL_SETS[kind][1]
+    if any(root.set_label is not label for root in model_set.roots):
+        raise ValueError(f"a {kind.value} strength needs a {label.value} model set")
     lo, hi = model_set.window
     if not (lo <= alpha <= hi):
         raise ValueError(f"alpha {alpha} lies outside the precomputed window {model_set.window}")

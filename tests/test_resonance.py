@@ -15,6 +15,7 @@ from bwtunnel.potential import BWParams, Kind, bw_geometry, sigma_split
 from bwtunnel.resonance import (
     _bracket_roots,
     _minus,
+    _phases,
     _plus,
     _prime,
     _residual_rows,
@@ -506,7 +507,8 @@ class TestTreeBisection:
 
     def test_one_residual_call_per_four_steps(self):
         # each bracket takes 26 steps to 1e-10 and stops at the 27th; one
-        # step per call took 32 calls: 5 scan blocks + 1 refinement + 26
+        # step per call takes 31 calls: 5 scan blocks + 26. The brackets go
+        # from the scan to the bisection, so a pass between them fails this
         calls = []
 
         def body(a):
@@ -514,13 +516,13 @@ class TestTreeBisection:
             return _residual_rows((_plus,), a, 3.0, 1.0)
 
         _bracket_roots(body, (-40.0, 40.0), 20000, 1e-10)
-        assert len(calls) <= 5 + 1 + math.ceil(27 / 4)
+        assert len(calls) <= 5 + math.ceil(27 / 4)
 
     @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
     def test_both_sets_share_every_residual_call(self, kind):
-        # the 5 scan blocks, the refinement and the ceil(27/4) tree rounds
-        # serve both sets, and one more call gives both sets' residual
-        # fields; a pass per set took twice the finder's calls
+        # the 5 scan blocks and the ceil(27/4) tree rounds serve both sets,
+        # and one more call gives both sets' residual fields; a pass per set
+        # took twice the finder's calls
         calls = []
         shared = resonance._residual_phases
 
@@ -530,7 +532,7 @@ class TestTreeBisection:
 
         with mock.patch.object(resonance, "_residual_phases", spy):
             model, prime = resonance_sets(kind, 3.0, 1.0)
-        assert len(calls) <= 5 + 1 + math.ceil(27 / 4) + 1
+        assert len(calls) <= 5 + math.ceil(27 / 4) + 1
         assert calls[-1] == len(model.roots) + len(prime.roots)
         assert (model, prime) == resonance_sets(kind, 3.0, 1.0)
 
@@ -602,10 +604,11 @@ class TestStackedRows:
 
 class TestResonanceSets:
     def test_a_bisection_that_ends_on_a_pole_is_no_root(self):
-        # the cell [-0.128, -0.124] holds a tan pole at -0.12617, and its
-        # refinement ends beside the root -0.12344 of the next cell, where
-        # |f| < 1; its bisection closed in on the pole (f = -7.7e8) and the
-        # pair raised WindowTooCoarseError
+        # the cell [-0.128, -0.124] holds a tan pole at -0.12617 and ends
+        # beside the root -0.12344 of the next cell; its bisection closes in
+        # on the pole (f = -7.7e8), where |f| exceeds both ends of the cell,
+        # so it is no root. Taken as one, it and the root raised
+        # WindowTooCoarseError
         model, _ = resonance_sets(Kind.MINUS, 90.65087093655639, 9.885609104410841)
         assert [r.alpha for r in model.roots if -0.2 < r.alpha < -0.05] == [-0.1234386419355886]
         assert max(r.residual for r in model.roots) < 1e-6
@@ -796,6 +799,101 @@ class TestRootsOracle:
                 hi = _mp_continued(mp, label, alpha + 2 * tol, b, sigma)
                 assert lo * hi < 0, (label, alpha, lo, hi)
             assert len(nonzero) == _scan_count(label, b, sigma), label
+
+
+def unfound_sign_changes(kind, b, sigma, window=(-40.0, 40.0), grid_steps=20000):
+    """How many scan cells of resonance_sets' grid must hold a root, and which hold none.
+
+    Such a cell is one where a row of _residual_rows changes sign, both
+    ends are unmasked and both ends lie on one tan branch (equal
+    floor(y/pi + 1/2) of the tan phase y): the residual is continuous
+    across it. Cells within 1e-6 of strength 0, which the sets leave out
+    as the trivial root, are not checked. An empty cell is given as
+    (label, a, b); resonance_sets' errors propagate.
+    """
+    sets = resonance_sets(kind, b, sigma, window, grid_steps)
+    xs = np.linspace(*window, grid_steps + 1)
+    formula, label = resonance.MODEL_SETS[kind]
+    values, pole = _residual_rows((formula, _prime), xs, b, sigma)
+    _, y = _phases(xs, b, *sigma_split(xs, sigma))
+    branch = np.floor(y / math.pi + 0.5)
+    with np.errstate(over="ignore"):
+        change = values[:, :-1] * values[:, 1:] < 0
+    clear = ~pole[:-1] & ~pole[1:] & (branch[:-1] == branch[1:])
+    clear &= (xs[1:] < -1e-6) | (xs[:-1] > 1e-6)
+    unfound = []
+    cells = change & clear
+    for row_label, rset, row in zip((label, SetLabel.SIGMA_PRIME), sets, cells):
+        roots = np.array(rset.alphas())
+        for i in np.flatnonzero(row).tolist():
+            a, c = xs[i], xs[i + 1]
+            if not ((roots >= a) & (roots <= c)).any():
+                unfound.append((row_label, float(a), float(c)))
+    return int(np.count_nonzero(cells)), unfound
+
+
+def completeness_draws(rng, n):
+    """n seeded (b, sigma) draws, b in [0.3, 100] and sigma in [0, 100], every tenth well-free."""
+    return [(rng.uniform(0.3, 100.0), rng.uniform(0.0, 100.0) if i % 10 else 0.0) for i in range(n)]
+
+
+def check_completeness(kind, b, sigma):
+    """Assert that every tan-branch sign change of a draw holds a root.
+
+    Returns the number of such cells, or None where resonance_sets fails.
+    """
+    try:
+        checked, unfound = unfound_sign_changes(kind, b, sigma)
+    except (ArithmeticError, ValueError, WindowTooCoarseError):
+        return None
+    assert not unfound, (kind, b, sigma, unfound[:3])
+    return checked
+
+
+class TestCompleteness:
+    """Every sign change of a residual on one tan branch holds a root, whatever the residual's scale."""
+
+    @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
+    def test_seeded_draws(self, kind):
+        rng = random.Random(20261025 + (kind is Kind.MINUS))
+        checked = [check_completeness(kind, *draw) for draw in completeness_draws(rng, 30)]
+        assert checked.count(None) <= 3 and sum(filter(None, checked)) > 500, checked
+
+    def test_steep_root_of_the_mirror_pair(self):
+        # its cell [0.556, 0.560] reaches |f| >= 1.25 right of the root and
+        # -2.09 left of it: steep enough to fall through a test of |f| <= 1
+        b, sigma = 42.299768464923005, 97.05882328818129
+        assert unfound_sign_changes(Kind.MINUS, b, sigma)[1] == []
+        model, _ = resonance_sets(Kind.MINUS, b, sigma)
+        assert 0.5589387262761603 in model.alphas()
+
+    def test_residuals_of_scale_1e100(self):
+        # f_prime = tanh x - 1e100 tan y crosses zero near (n pi)^2 / 2 at a slope near 1e100
+        for kind in Kind:
+            checked, unfound = unfound_sign_changes(kind, 1e100, 1e100, (0.0, 40.0))
+            assert checked > 0 and unfound == []
+        model, prime = resonance_sets(Kind.PLUS, 1e100, 1e100, (0.0, 40.0))
+        _, prime_minus = resonance_sets(Kind.MINUS, 1e100, 1e100, (0.0, 40.0))
+        want = [4.934802200525999, 19.739208802193403]
+        assert model.alphas() == [0.0] + want
+        assert prime.alphas() == prime_minus.alphas() == want
+
+    def test_steep_roots_bracket_a_50_digit_sign_change(self):
+        mp = pytest.importorskip("mpmath").mp
+        tol = 1e-10
+        model, _ = resonance_sets(Kind.PLUS, 1.0, 1e6, (0.0, 40.0))
+        # 1874 roots past 0, most with slopes past 1e4; an absolute threshold
+        # on |f| kept 124
+        assert len(model.roots) == 1875
+        cases = [(SetLabel.SIGMA_PLUS, r.alpha, 1.0, 1e6) for r in model.roots[1::60]]
+        cases += [(SetLabel.SIGMA_MINUS, 0.5589387262761603, 42.299768464923005, 97.05882328818129),
+                  (SetLabel.SIGMA_PRIME, 4.934802200525999, 1e100, 1e100),
+                  (SetLabel.SIGMA_PRIME, 19.739208802193403, 1e100, 1e100),
+                  (SetLabel.SIGMA_PLUS, 19.739208802193403, 1e100, 1e100)]
+        for label, alpha, b, sigma in cases:
+            lo = _mp_continued(mp, label, alpha - 2 * tol, b, sigma)
+            hi = _mp_continued(mp, label, alpha + 2 * tol, b, sigma)
+            assert lo * hi < 0, (label, alpha, b, sigma, lo, hi)
 
 
 class TestThetaFactor:

@@ -128,6 +128,14 @@ class TestClassify:
             classify(Kind.PLUS, 2.282647521704435, sets, match_tol=match_tol)
         assert classify(Kind.PLUS, 2.282647521704435, sets).label is Transparency.TOTAL
 
+    def test_model_set_of_the_other_kind_rejected(self, sets, sets_minus):
+        # matched against the other arrangement's roots, a strength reads TOTAL
+        with pytest.raises(ValueError, match="needs a SigmaPlus model set"):
+            classify(Kind.PLUS, -35.82479268333316, sets_minus)
+        with pytest.raises(ValueError, match="needs a SigmaMinus model set"):
+            classify(Kind.MINUS, 0.0, sets)
+        assert classify(Kind.MINUS, -35.82479268333316, sets_minus).label is Transparency.TOTAL
+
     def test_theta_is_the_matched_roots(self, sets):
         # classify reads theta from the shared-set root that resonance_sets built
         model, prime = sets
@@ -200,6 +208,17 @@ class TestLocalClassify:
         # every cell is solved where a root's copies may chain across cells
         assert resonance_sets_near(Kind.PLUS, B, SIGMA, 0.0, 0.0, tol=0.002)[1].roots == \
             tuple(replace(r, index=None) for r in resonance_sets(Kind.PLUS, B, SIGMA, tol=0.002)[1].roots)
+
+
+    @pytest.mark.parametrize("alpha, reach", [
+        (math.nan, 1e-6), (math.inf, 1e-6), (-math.inf, 1e-6),
+        (PRIME_ROOT, -1.0), (PRIME_ROOT, math.nan), (PRIME_ROOT, -math.inf)])
+    def test_local_sets_reject_a_non_finite_strength_or_a_negative_reach(self, alpha, reach):
+        # no cells lie around a NaN strength or within a negative reach; the
+        # sets returned would hold only strength 0
+        with pytest.raises(ValueError, match="alpha must be finite and reach >= 0"):
+            resonance_sets_near(Kind.PLUS, B, SIGMA, alpha, reach)
+        assert resonance_sets_near(Kind.PLUS, B, SIGMA, PRIME_ROOT, 0.0)[1].alphas() == [PRIME_ROOT]
 
 
 class TestConvergeStudy:
