@@ -119,11 +119,6 @@ class BWParams:
             raise ValueError(f"the slab geometry of eps = {eps}, c1 = {c1}, c2 = {c2}, "
                              f"sigma = {sigma} is not finite")
 
-    @property
-    def b(self) -> float:
-        """Shape ratio c1/c2."""
-        return self.c1 / self.c2
-
 
 def sigma_split(alpha, sigma: float):
     """Distribute the well-control parameter by the sign of the strength.

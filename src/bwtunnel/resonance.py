@@ -13,9 +13,10 @@ phases, their tanh and tan, and a boolean pole mask, set where the tan
 phase lies within 1e-12 of a singularity). _residual_rows, the one
 residual body, evaluates formulas over a numpy array of strengths as the
 rows of one array; the scalar names f_plus, f_minus and f_prime are one
-point of it and raise PoleError where the mask is set. numpy's tan and
-tanh can differ from the math module's by an ulp or two, so residual
-values can differ from a math-based evaluation in the last digits.
+point of it and raise PoleError where the mask is set, and theta_factor
+reads its phases off one point of the same step. numpy's tan and tanh
+can differ from the math module's by an ulp or two, so residual values
+can differ from a math-based evaluation in the last digits.
 
 The finder is a bracketing bisection that knows the residuals alternate
 roots with tan poles and drops, by one relative magnitude rule, each
@@ -109,15 +110,22 @@ def _near_tan_pole(y):
     return np.abs(np.fmod(y, math.pi) - math.pi / 2) < _POLE_TOL
 
 
-def _phases(alpha, b: float, sp, sm) -> tuple[np.ndarray, np.ndarray]:
-    """The two limiting slab phases (x, y) of strengths, both real, elementwise.
+def _residual_phases(alpha, b: float, sigma: float):
+    """(alpha, sp, sm, x, y, tanh x, tan y, pole): the step all limiting residuals and theta share.
 
-    x goes under tanh/cosh and y under tan/cos. For positive strengths y
-    is the well slot's phase; continuation to negative strengths swaps
-    the trigonometric and hyperbolic factors, so there y is the barrier
-    slot's. Only y carries sigma, so sigma = 0 gives y = 0.
+    Runs the input checks, then elementwise over strengths: the slots
+    (sp, sm) of potential.sigma_split and the two limiting slab phases x,
+    y, both real. x goes under tanh/cosh and y under tan/cos. For positive
+    strengths y is the well slot's phase; continuation to negative
+    strengths swaps the trigonometric and hyperbolic factors, so there y
+    is the barrier slot's. Only y carries sigma, so sigma = 0 gives y = 0.
+    Last come the tanh and tan of the phases, and pole marking the
+    strengths whose tan phase lies within 1e-12 of a singularity; the
+    hyperbolic factors are pole free.
     """
+    _check_bsigma(b, sigma)
     alpha = np.asarray(alpha, dtype=float)
+    sp, sm = sigma_split(alpha, sigma)
     a = np.abs(alpha)
     finite = a < math.inf
     if not finite.all():
@@ -128,21 +136,7 @@ def _phases(alpha, b: float, sp, sm) -> tuple[np.ndarray, np.ndarray]:
     if not finite.all():
         raise ValueError(f"the slab phases of strength {alpha[~finite][0]} are not finite")
     up = alpha >= 0
-    return np.where(up, barrier, well), np.where(up, well, barrier)
-
-
-def _residual_phases(alpha, b: float, sigma: float):
-    """(alpha, sp, sm, x, y, tanh x, tan y, pole): the step all limiting residuals share.
-
-    Runs the input checks, then elementwise over strengths: the slots
-    (sp, sm) of potential.sigma_split, their phases x, y, the tanh and tan
-    of those, and pole marking the strengths whose tan phase lies within
-    1e-12 of a singularity; the hyperbolic factors are pole free.
-    """
-    _check_bsigma(b, sigma)
-    alpha = np.asarray(alpha, dtype=float)
-    sp, sm = sigma_split(alpha, sigma)
-    x, y = _phases(alpha, b, sp, sm)
+    x, y = np.where(up, barrier, well), np.where(up, well, barrier)
     return alpha, sp, sm, x, y, np.tanh(x), np.tan(y), _near_tan_pole(y)
 
 
@@ -294,17 +288,16 @@ def f_prime(alpha: float, b: float, sigma: float) -> float:
     return _scalar(_prime, alpha, b, sigma)
 
 
-def theta_factor(alpha_prime: float, b: float, sigma_plus: float, sigma_minus: float) -> float:
+def theta_factor(alpha: float, b: float, sigma: float) -> float:
     """Wave-function discontinuity factor at a root of f_prime.
 
-    cosh over cos of the two limiting slab phases; continuation to
-    negative strengths swaps them into cos over cosh. Signals PoleError
-    when the denominator is within 1e-12 of zero.
+    cosh over cos of the two limiting slab phases of the shared step, for
+    the same (b, sigma) as the residuals; continuation to negative
+    strengths swaps them into cos over cosh. Signals PoleError when the
+    denominator is within 1e-12 of zero.
     """
-    _check_bsigma(b, sigma_plus)
-    _check_bsigma(b, sigma_minus)
-    x, y = map(float, _phases(alpha_prime, b, sigma_plus, sigma_minus))
-    return _theta(alpha_prime, x, y)
+    _, _, _, x, y, *_ = _residual_phases(np.array([alpha], dtype=float), b, sigma)
+    return _theta(alpha, float(x[0]), float(y[0]))
 
 
 def _theta(alpha: float, x: float, y: float) -> float:
@@ -705,7 +698,7 @@ def peak_refine(
             break
         a_max = float(alphas[imax])
         a, b = max(lo, a_max - 2 * cell), min(hi, a_max + 2 * cell)
-        if b - a >= width:  # float resolution: the window no longer shrinks
+        if b - a >= width:  # float resolution, where only a NaN sample fails the test above
             break
         zoom = grid(template, (a, b), (k, k), PEAK_PRESCAN_STEPS, 1)
         alphas, ts, width = zoom.alphas, zoom.values[:, 0], b - a

@@ -277,13 +277,5 @@ def _emit(obj, out: list[bytes]) -> None:
 
 
 def csv_row(values) -> bytes:
-    """One CSV line; floats formatted to 12 digits, strings passed through."""
-    cells = []
-    for v in values:
-        if isinstance(v, str):
-            cells.append(v.encode("ascii"))
-        elif isinstance(v, float):
-            cells.append(_field(v, 12))
-        else:
-            cells.append(str(v).encode("ascii"))
-    return b",".join(cells)
+    """One CSV line of floats, each to 12 digits by _field."""
+    return b",".join([_field(v, 12) for v in values])

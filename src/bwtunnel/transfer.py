@@ -149,6 +149,20 @@ def _cell(wp, wq, l, r):
     return cc - Tp * Sq, Sp * cq + cp * Sq, -(Tp * cq + cp * Tq), cc - Sp * Tq
 
 
+def _cell_step(alphas, E, eps, c1, c2, sigma: float):
+    """The cell entries (A, B, C, D) of _cell and q^2, over broadcast strength and energy arrays.
+
+    The one cell step of closed_form_arrays and the finite-eps diagnostics,
+    on bw_geometry's slabs with sigma split by the sign of each strength.
+    Callers run it under the errstate of closed_form_arrays.
+    """
+    a = np.asarray(alphas, dtype=float)
+    E = np.asarray(E, dtype=float)
+    h, l, d, r = slab_geometry(*sigma_split(a, sigma), eps, c1, c2)
+    wq = E + a * d
+    return _cell(E - a * h, wq, l, r), wq
+
+
 def closed_form_arrays(kind: Kind, alphas, E, eps: float, c1: float, c2: float, sigma: float):
     """Closed-form entries (m11, m12, m21, m22) over broadcast strength and energy arrays.
 
@@ -161,11 +175,8 @@ def closed_form_arrays(kind: Kind, alphas, E, eps: float, c1: float, c2: float, 
     come only from points whose own terms overflow or are not finite
     (cosh/sinh past a phase of about 710, inf times 0, 0/0 at kappa = 0).
     """
-    a = np.asarray(alphas, dtype=float)
-    E = np.asarray(E, dtype=float)
-    h, l, d, r = slab_geometry(*sigma_split(a, sigma), eps, c1, c2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        A, B, C, D = _cell(E - a * h, E + a * d, l, r)
+        (A, B, C, D), _ = _cell_step(alphas, E, eps, c1, c2, sigma)
         if kind is Kind.PLUS:
             trace = A + D
             return A * A + B * C, trace * B, trace * C, B * C + D * D
@@ -185,12 +196,10 @@ def closed_form(params: BWParams, E: float) -> TransferMatrix:
 
 
 def _point_cell(params: BWParams, E: float):
-    """The cell entries (A, B, C, D) at E as floats, with the kernel's bits, and q^2."""
-    h, l, d, r = bw_geometry(params)
-    wq = E + params.alpha * d
+    """The cell entries (A, B, C, D) and q^2 at E as floats: one point of _cell_step."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cell = _cell(np.float64(E - params.alpha * h), np.float64(wq), l, r)
-    return tuple(float(z) for z in cell), wq
+        cell, wq = _cell_step([params.alpha], [E], params.eps, params.c1, params.c2, params.sigma)
+    return tuple(float(z[0]) for z in cell), float(wq[0])
 
 
 def finite_eps_residuals(params: BWParams, E: float) -> tuple[complex, complex, complex]:

@@ -366,6 +366,24 @@ class TestRejectedInput:
         assert code == 2 and out == ""
         assert "'abc' is not 'value:width'" in err
 
+    @pytest.mark.parametrize("raw", ["", " , ,"])
+    def test_empty_raw_chain_is_usage_error(self, run_cli, raw):
+        code, out, err = run_cli(["matrix", "--raw", raw])
+        assert code == 2 and out == ""
+        assert "the chain is empty" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scan-alpha", "--alpha-min", "1", "--alpha-max", "1"],
+         "--alpha-min must be strictly less than --alpha-max"),
+        (["grid", "--alpha-min", "2", "--alpha-max", "1"],
+         "--alpha-min must be strictly less than --alpha-max"),
+        (["grid", "--k-min", "2", "--k-max", "1"], "--k-min must be strictly less than --k-max"),
+    ])
+    def test_unordered_range_is_usage_error(self, run_cli, argv, message):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_x_left_is_no_flag(self, run_cli):
         code, out, err = run_cli(["matrix", "--raw", "1:1", "--x-left", "1"])
         assert code == 2 and out == ""
@@ -460,6 +478,21 @@ class TestConfigFile:
                                 "--config", config({"out": str(target), "format": "json"})])
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["alphas"] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("text", [None, "{steps: 3}"], ids=["missing", "not_json"])
+    def test_unreadable_config_is_usage_error(self, run_cli, tmp_path, text):
+        path = tmp_path / "run.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run_cli([*SCAN_ARGV, "--config", str(path)])
+        assert code == 2 and out == ""
+        assert f"--config {path}: " in err
+
+    @pytest.mark.parametrize("data", [[], ["--steps", 3], "steps", 3, None])
+    def test_config_that_is_no_object_is_usage_error(self, run_cli, config, data):
+        code, out, err = run_cli([*SCAN_ARGV, "--config", config(data)])
+        assert code == 2 and out == ""
+        assert "top level must be a JSON object" in err
 
     @pytest.mark.parametrize("key", ["alpah_min", "out_path"])
     def test_key_of_no_command_is_usage_error(self, run_cli, config, key):

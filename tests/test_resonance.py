@@ -15,9 +15,9 @@ from bwtunnel.potential import BWParams, Kind, bw_geometry, sigma_split
 from bwtunnel.resonance import (
     _bracket_roots,
     _minus,
-    _phases,
     _plus,
     _prime,
+    _residual_phases,
     _residual_rows,
     NoPeakError,
     PoleError,
@@ -106,8 +106,8 @@ def f_prime_continued(alpha, b, sigma):
     return _collapse(cmath.tanh(A) - math.sqrt(b * sm / sp) * cmath.tan(B))
 
 
-def theta_continued(alpha_prime, b, sigma_plus, sigma_minus):
-    A, B = _sqrt_args(alpha_prime, b, sigma_plus, sigma_minus)
+def theta_continued(alpha, b, sigma):
+    A, B = _sqrt_args(alpha, b, *sigma_split(alpha, sigma))
     return _collapse(cmath.cosh(A) / cmath.cos(B))
 
 
@@ -151,13 +151,13 @@ class TestResidualFunctions:
         (f_plus, (math.nan, 3.0, 1.0)),
         (f_minus, (math.nan, 3.0, 1.0)),
         (f_prime, (math.nan, 3.0, 1.0)),
-        (theta_factor, (math.nan, 3.0, 1.0, 1.0)),
+        (theta_factor, (math.nan, 3.0, 1.0)),
         (db_resonance_residual, (1.0, math.nan, 0.1, 3.0, 1.0)),
         (db_resonance_residual, (1.0, 30.0, math.nan, 3.0, 1.0)),
         (f_plus, (1.0, math.inf, 1.0)),
         (f_plus, (1.0, 3.0, math.inf)),
         (f_prime, (-1e308, 3.0, 1.0)),
-        (theta_factor, (1e10, 3.0, 1.0, 1e300)),
+        (theta_factor, (1e10, 3.0, 1e300)),
     ], ids=["f_plus-nan_alpha", "f_minus-nan_alpha", "f_prime-nan_alpha", "theta_factor-nan_alpha",
             "db_residual-nan_alpha", "db_residual-nan_eps", "f_plus-inf_b", "f_plus-inf_sigma",
             "f_prime-phase_overflow", "theta_factor-phase_overflow"])
@@ -205,7 +205,7 @@ class TestResidualFunctions:
             pairs = [(f(alpha, b, sigma), CONTINUED[label](alpha, b, sigma), label)
                      for f, label in ((f_plus, SetLabel.SIGMA_PLUS), (f_minus, SetLabel.SIGMA_MINUS),
                                       (f_prime, SetLabel.SIGMA_PRIME))]
-            pairs.append((theta_factor(alpha, b, sp, sm), theta_continued(alpha, b, sp, sm), None))
+            pairs.append((theta_factor(alpha, b, sigma), theta_continued(alpha, b, sigma), None))
         except PoleError:
             reject()
         # Both forms take tan of the same phase; their terms grow like it
@@ -646,7 +646,7 @@ class TestResonanceSets:
                 want = abs(f(root.alpha, b, sigma)) if root.alpha else 0.0
                 assert root.residual.hex() == want.hex(), (root, want)
                 if root.set_label is SetLabel.SIGMA_PRIME:
-                    theta = theta_factor(root.alpha, b, *sigma_split(root.alpha, sigma))
+                    theta = theta_factor(root.alpha, b, sigma)
                     assert root.theta.hex() == theta.hex(), (root, theta)
                 else:
                     assert root.theta is None
@@ -815,7 +815,7 @@ def unfound_sign_changes(kind, b, sigma, window=(-40.0, 40.0), grid_steps=20000)
     xs = np.linspace(*window, grid_steps + 1)
     formula, label = resonance.MODEL_SETS[kind]
     values, pole = _residual_rows((formula, _prime), xs, b, sigma)
-    _, y = _phases(xs, b, *sigma_split(xs, sigma))
+    y = _residual_phases(xs, b, sigma)[4]
     branch = np.floor(y / math.pi + 0.5)
     with np.errstate(over="ignore"):
         change = values[:, :-1] * values[:, 1:] < 0
@@ -850,6 +850,16 @@ def check_completeness(kind, b, sigma):
     return checked
 
 
+# Sigma-plus roots inside the limits draw range (b in [1.5, 6], sigma in
+# [0.3, 2]) that share a scan cell with a tan pole: the cell's ends keep one
+# sign, so the 20000-cell scan of (-40, 40) never brackets them
+MISSED_SIGMA_PLUS = [
+    (1.9707395928661682, 1.988022834142239, -0.9320299435138651),
+    (1.8501105721549729, 1.848342540052744, -9.255947260808945),
+    (1.8501105721549729, 1.848342540052744, -1.0286649184703798),
+]
+
+
 class TestCompleteness:
     """Every sign change of a residual on one tan branch holds a root, whatever the residual's scale."""
 
@@ -878,6 +888,19 @@ class TestCompleteness:
         assert model.alphas() == [0.0] + want
         assert prime.alphas() == prime_minus.alphas() == want
 
+    @pytest.mark.parametrize("b, sigma, root", MISSED_SIGMA_PLUS)
+    def test_missed_roots_are_50_digit_sign_changes(self, b, sigma, root):
+        mp = pytest.importorskip("mpmath").mp
+        lo = _mp_continued(mp, SetLabel.SIGMA_PLUS, root - 1e-9, b, sigma)
+        hi = _mp_continued(mp, SetLabel.SIGMA_PLUS, root + 1e-9, b, sigma)
+        assert lo * hi < 0, (lo, hi)
+
+    @pytest.mark.xfail(strict=True, reason="a root that shares its scan cell with a tan pole is missed")
+    @pytest.mark.parametrize("b, sigma, root", MISSED_SIGMA_PLUS)
+    def test_root_beside_a_pole_in_its_cell_is_found(self, b, sigma, root):
+        model, _ = resonance_sets(Kind.PLUS, b, sigma)
+        assert any(abs(alpha - root) <= 1e-9 for alpha in model.alphas())
+
     def test_steep_roots_bracket_a_50_digit_sign_change(self):
         mp = pytest.importorskip("mpmath").mp
         tol = 1e-10
@@ -896,27 +919,91 @@ class TestCompleteness:
             assert lo * hi < 0, (label, alpha, b, sigma, lo, hi)
 
 
+def _theta_from_slots(alpha, b, sp, sm):
+    """theta at explicit sigma slots (sp, sm), written out in the math module.
+
+    The checks of b and both slots, the two limiting slab phases and the
+    1e-12 guard on the cos denominator, one float at a time.
+    """
+    if not (0.0 < b < math.inf and 0.0 <= sp < math.inf and 0.0 <= sm < math.inf):
+        raise ValueError("b or a sigma slot is out of range")
+    if not abs(alpha) < math.inf:
+        raise ValueError("alpha must be finite")
+    barrier = math.sqrt(2.0 * abs(alpha) * sp / (1.0 + 1.0 / b))
+    well = math.sqrt(2.0 * abs(alpha) * sm / (1.0 + b))
+    if not barrier + well < math.inf:
+        raise ValueError("the slab phases are not finite")
+    if alpha < 0:
+        return math.cos(barrier) / math.cosh(well)
+    if abs(math.cos(well)) < 1e-12:
+        raise PoleError("cos denominator")
+    return math.cosh(barrier) / math.cos(well)
+
+
+def _theta_draws(rng, n):
+    """(alpha, b, sigma) draws: moderate and extreme values, tan poles and invalid input."""
+    draws = []
+    for _ in range(n):
+        b = rng.choice([10 ** rng.uniform(-3, 3)] * 8 + [0.0, -1.0, math.inf, math.nan])
+        sigma = rng.choice([rng.uniform(0.0, 3.0)] * 6 + [0.0, 5e-324, 1e300, -1.0, math.nan, math.inf])
+        magnitude = rng.choice([rng.uniform(0.0, 60.0)] * 4 + [10 ** rng.uniform(-320, 300)])
+        alpha = rng.choice([magnitude, -magnitude, 0.0, -0.0, math.nan, math.inf])
+        if rng.random() < 0.2 and b > 0.0 and sigma > 0.0:
+            # where the cos denominator of a positive strength nears zero
+            n_branch = rng.randrange(20)
+            alpha = (math.pi / 2 + n_branch * math.pi) ** 2 * (1.0 + b) / (2.0 * sigma)
+        draws.append((alpha, b, sigma))
+    return draws
+
+
+def _value_or_error(f, *args):
+    try:
+        return f(*args).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
 class TestThetaFactor:
     def test_degenerate_origin(self):
-        assert theta_factor(0.0, 3.0, 1.0, 1.0) == 1.0
+        assert theta_factor(0.0, 3.0, 1.0) == 1.0
 
     def test_continuation_matches_real_form(self):
         alpha = -11.6585
         a_ = math.sqrt(2.0 * abs(alpha) / (1.0 + 1.0 / 3.0))
         b_ = math.sqrt(2.0 * abs(alpha) / (1.0 + 3.0))
         want = math.cos(a_) / math.cosh(b_)
-        assert theta_factor(alpha, 3.0, 1.0, 1.0) == pytest.approx(want, rel=1e-12)
+        assert theta_factor(alpha, 3.0, 1.0) == pytest.approx(want, rel=1e-12)
 
     def test_pole_on_cos_zero(self):
         with pytest.raises(PoleError):
-            theta_factor(2.0 * (math.pi / 2.0) ** 2, 3.0, 1.0, 1.0)
+            theta_factor(2.0 * (math.pi / 2.0) ** 2, 3.0, 1.0)
 
     @pytest.mark.parametrize("args", [
-        (5.0, -3.0, 1.0, 1.0), (5.0, 0.0, 1.0, 1.0), (5.0, 3.0, -1.0, 1.0),
-        (5.0, 3.0, 1.0, -1.0), (-5.0, 3.0, math.nan, 1.0)])
+        (5.0, -3.0, 1.0), (5.0, 0.0, 1.0), (5.0, 3.0, -1.0),
+        (5.0, 3.0, math.inf), (-5.0, 3.0, math.nan)])
     def test_invalid_parameters_rejected(self, args):
         with pytest.raises(ValueError):
             theta_factor(*args)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_seeded_draws_equal_theta_at_the_split_slots(self):
+        # theta_factor(alpha, b, sigma) reads the shared step; at the slots of
+        # sigma_split it equals theta of the two slots, bit for bit, and raises
+        # the same error type
+        rng = random.Random(20261027)
+        values = 0
+        for alpha, b, sigma in _theta_draws(rng, 5000):
+            got = _value_or_error(theta_factor, alpha, b, sigma)
+            if alpha == 0.0 and not 0.0 <= sigma < math.inf:
+                # sigma enters no phase at strength 0, but it is checked there
+                # too, as in f_plus, f_minus and f_prime
+                want = ValueError
+            else:
+                want = _value_or_error(
+                    lambda: _theta_from_slots(alpha, b, *sigma_split(alpha, sigma)))
+            assert got == want, (alpha, b, sigma)
+            values += isinstance(got, str)
+        assert 1000 < values < 5000
 
 
 class TestFiniteEpsResiduals:
@@ -1069,6 +1156,31 @@ class TestPeakRefine:
         template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)
         with pytest.raises(NoPeakError):
             peak_refine(template, 1.0, 15.0, 0.05)
+
+    def test_crest_at_the_bracket_edge_signals_no_peak(self):
+        # T falls from 13 to a trough near 22.2 and rises to a lower crest
+        # near 26.8: not monotone, but its highest sample is the left end
+        template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)
+        with pytest.raises(NoPeakError, match="no interior crest"):
+            peak_refine(template, 1.0, 20.0, 7.0)
+
+    def test_nan_zoom_stops_at_float_resolution(self):
+        # finite samples on a window shrunk to one float always pass the 1e-9
+        # flatness test; a NaN sample never does, so with every zoom NaN the
+        # search stops where the window no longer shrinks, not zooming forever
+        template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)
+        calls = []
+
+        def nan_zooms(*args):
+            g = grid(*args)
+            calls.append(args[1])
+            return g if len(calls) == 1 else replace(g, values=np.full_like(g.values, np.nan))
+
+        with mock.patch.object(resonance, "grid", nan_zooms):
+            alpha_peak, t_peak = peak_refine(template, 1.0, 2.28, 0.5)
+        a, b = calls[-1]
+        assert a == b == alpha_peak and 1.78 <= alpha_peak <= 2.78
+        assert math.isnan(t_peak) and len(calls) < 12
 
     def test_non_finite_prescan_is_rejected(self):
         # the entries overflow at alpha = 1e5, so T is NaN on the whole bracket;

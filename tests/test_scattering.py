@@ -321,6 +321,10 @@ class TestGrid:
             scan_alpha(template, 1.0, 0.0, math.inf, 3)
         with pytest.raises(ValueError, match="finite"):
             grid_blocks(template, (0.0, math.inf), (1.0, 1.0), 3, 1)  # before any block is drawn
+        for alpha_range, k_range, name in (((1.0, 0.0), (1.0, 2.0), "alpha"),
+                                           ((0.0, 1.0), (2.0, 1.0), "k")):
+            with pytest.raises(ValueError, match=f"{name} range is reversed"):
+                grid_blocks(template, alpha_range, k_range, 3, 2)
 
     @pytest.mark.parametrize("steps", [2.5, 3.0, True, "3"])
     def test_non_integer_steps_rejected(self, steps):
@@ -345,6 +349,11 @@ class TestGrid:
         got = log10_transmission([0.01, 0.0, -0.0, math.nan, -1.0])
         assert got[:3] == [-2.0, -math.inf, -math.inf]
         assert math.isnan(got[3]) and math.isnan(got[4])
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 1), (2,), (1, 2)])
+    def test_grid_shape_must_match_the_axes(self, shape):
+        with pytest.raises(ValueError, match="grid shape does not match axis lengths"):
+            TransmissionGrid(np.array([1.0, 2.0]), np.array([0.5]), np.zeros(shape))
 
     def test_csv_rows_order_and_log_sentinel(self):
         g = TransmissionGrid(np.array([1.0, 2.0]), np.array([0.5]),

@@ -36,10 +36,10 @@ def sets_minus():
 
 class TestTheta:
     def test_degenerate_origin_is_one(self):
-        assert theta(0.0, B, 1.0, 1.0) == 1.0
+        assert theta(0.0, B, 1.0) == 1.0
 
     def test_first_positive_root_value(self):
-        th = theta(PRIME_ROOT, B, 1.0, 1.0)
+        th = theta(PRIME_ROOT, B, 1.0)
         assert th != 1.0
         # direct evaluation of the cosh/cos ratio
         want = math.cosh(math.sqrt(2 * PRIME_ROOT / (1 + 1 / B))) \
@@ -49,14 +49,14 @@ class TestTheta:
         assert 0.0 < limit < 1.0
 
     def test_negative_root_continuation(self):
-        th = theta(PRIME_ROOT_NEG, B, 1.0, 1.0)
+        th = theta(PRIME_ROOT_NEG, B, 1.0)
         want = math.cos(math.sqrt(2 * abs(PRIME_ROOT_NEG) / (1 + 1 / B))) \
             / math.cosh(math.sqrt(2 * abs(PRIME_ROOT_NEG) / (1 + B)))
         assert th == pytest.approx(want, rel=1e-12)
 
     def test_pole_signal(self):
         with pytest.raises(PoleError):
-            theta(2.0 * (math.pi / 2.0) ** 2, B, 1.0, 1.0)
+            theta(2.0 * (math.pi / 2.0) ** 2, B, 1.0)
 
 
 class TestBoundaryMap:
@@ -233,7 +233,7 @@ class TestConvergeStudy:
         assert all(a > b for a, b in zip(drifts, drifts[1:]))
 
     def test_partial_root_converges_to_limit_value(self):
-        th = theta(PRIME_ROOT, B, 1.0, 1.0)
+        th = theta(PRIME_ROOT, B, 1.0)
         limit = partial_transmission_limit(th)
         rows = converge_study(Kind.PLUS, PRIME_ROOT, B, SIGMA, 1.0, [0.02, 0.01])
         assert rows[-1].t_peak == pytest.approx(limit, rel=0.02)
