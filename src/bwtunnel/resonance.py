@@ -12,23 +12,23 @@ Each residual is one formula on the terms of one shared step (the
 phases, their tanh and tan, and a boolean pole mask, set where the tan
 phase lies within 1e-12 of a singularity). _residual_rows, the one
 residual body, evaluates formulas over a numpy array of strengths as the
-rows of one array; the scalar names f_plus, f_minus and f_prime are one
-point of it and raise PoleError where the mask is set, and theta_factor
-reads its phases off one point of the same step. numpy's tan and tanh
-can differ from the math module's by an ulp or two, so residual values
-can differ from a math-based evaluation in the last digits.
+rows of one array, NaN where the mask is set; the scalar names f_plus,
+f_minus and f_prime are one point of it and raise PoleError there, and
+theta_factor reads its phases off one point of the same step. numpy's
+tan and tanh can differ from math's by an ulp or two, and so can the
+residuals in their last digits.
 
 The finder is a bracketing bisection that knows the residuals alternate
 roots with tan poles and drops, by one relative magnitude rule, each
-bisection that closed in on a pole. It scans all cells of the grid in
-lockstep over rows of array residuals that share a pole mask, then
-bisects every sign-change cell of every row in a tree walk: one residual
-call evaluates the next four levels of midpoints of every bracket, and
-each bracket walks down its tree by the rules of one step at a time, so
-it returns the roots of one step per call, bit for bit. resonance_sets
-finds both of its sets in one such pass, and resonance_sets_near in one
-over the grid cells around one strength; find_roots lifts a scalar
-callable into it as one row.
+bisection that closed in on a pole; a NaN sample is no sign change and
+drops its bracket. It scans all cells of the grid in lockstep over the
+rows of one array body, then bisects every sign-change cell of every row
+in a tree walk: one residual call evaluates the next four levels of
+midpoints of every bracket, and each bracket walks down its tree by the
+rules of one step at a time, so it returns the roots of one step per
+call, bit for bit. resonance_sets finds both of its sets in one such
+pass, and resonance_sets_near in one over the grid cells around one
+strength; find_roots lifts a scalar callable into it as one row.
 
 peak_refine finds a transmission crest by zooming on the closed-form
 kernel of scattering.grid, the route of scans and grids; the slab
@@ -218,14 +218,17 @@ def _prime(alpha, sp, sm, x, y, tx, ty, b: float, sigma: float) -> np.ndarray:
 MODEL_SETS = {Kind.PLUS: (_plus, SetLabel.SIGMA_PLUS), Kind.MINUS: (_minus, SetLabel.SIGMA_MINUS)}
 
 
-def _residual_rows(formulas, alpha, b: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The formulas' residuals at strengths as the rows of one array, and their pole mask.
+def _residual_rows(formulas, alpha, b: float, sigma: float) -> np.ndarray:
+    """The formulas' residuals at strengths as the rows of one array, NaN where the pole mask is set.
 
     One shared step serves every row; the rows are computed in order, so
     the first formula's exception comes first.
     """
     *terms, pole = _residual_phases(alpha, b, sigma)
-    return np.array([formula(*terms, b, sigma) for formula in formulas]), pole
+    rows = np.array([formula(*terms, b, sigma) for formula in formulas])
+    if pole.any():
+        rows[:, pole] = math.nan
+    return rows
 
 
 def _check_poles(alphas: Sequence[float], pole: np.ndarray) -> None:
@@ -243,9 +246,10 @@ def _check_poles(alphas: Sequence[float], pole: np.ndarray) -> None:
 
 def _scalar(formula, alpha: float, b: float, sigma: float) -> float:
     """One point of a formula's residual as a float; PoleError where its mask is set."""
-    values, pole = _residual_rows((formula,), np.array([alpha], dtype=float), b, sigma)
+    *terms, pole = _residual_phases(np.array([alpha], dtype=float), b, sigma)
+    value = formula(*terms, b, sigma)
     _check_poles([alpha], pole)
-    return float(values[0, 0])
+    return float(value[0])
 
 
 def f_plus(alpha: float, b: float, sigma: float) -> float:
@@ -353,40 +357,39 @@ def find_roots(
     """All roots of f in the window by sign-change bracketing.
 
     Scans a uniform grid and bisects each sign-change cell to the
-    requested width. A bracket that meets a PoleError is dropped, and so
-    is one whose |f| at the left end of its last bracket exceeds |f| at
-    both ends of its cell (a pole crossing, not a root); that rule is
-    relative, so it keeps steep roots. Raises WindowTooCoarseError when
-    two returned roots are closer than one grid cell, since siblings may
-    then have been missed. grid_steps must be an integer >= 100 and tol
-    finite and > 0. f is called one point at a time, under the same cell
-    rules as the array residuals of resonance_sets; each bisection round
-    calls it at up to 15 points per bracket, all strictly inside it.
+    requested width. A PoleError or NaN sample is no sign change and drops
+    a bracket that meets it, as does a pole crossing: |f| at the left end
+    of the last bracket above |f| at both ends of the cell, a relative
+    rule that keeps steep roots. Raises WindowTooCoarseError when two
+    returned roots are closer than one grid cell, since siblings may then
+    have been missed. grid_steps must be an integer >= 100 and tol finite
+    and > 0. f is called one point at a time, under the same cell rules as
+    the array residuals of resonance_sets; each bisection round calls it
+    at up to 15 points per bracket, all strictly inside it.
     """
-    def f_array(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values = np.full((1, xs.size), np.nan)
-        pole = np.zeros(xs.shape, dtype=bool)
+    def f_array(xs: np.ndarray) -> np.ndarray:
+        values = np.full((1, xs.size), np.nan)  # NaN where f raises PoleError
         for i, x in enumerate(xs.tolist()):
             try:
                 values[0, i] = f(x)
             except PoleError:
-                pole[i] = True
-        return values, pole
+                pass
+        return values
 
     return _bracket_roots(f_array, window, grid_steps, tol)[0]
 
 
 def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float,
                    near: tuple[float, float] | None = None) -> list[list[float]]:
-    """find_roots for an array body f: strengths -> (residual rows, pole mask).
+    """find_roots for an array body f: strengths -> residual rows.
 
-    f returns a 2-D array with one row per residual and one pole mask
-    that all rows share; the result is one root list per row. Every row
-    and every cell follow the same rules, in lockstep, so one call of f
-    serves all rows per scan block and per bisection round. The scan
-    hands f BLOCK_POINTS cells at a time, so the residual's temporaries
-    stay small whatever grid_steps is. Where two rows raise
-    WindowTooCoarseError, the first row's is raised.
+    f returns a 2-D array with one row per residual, NaN at a pole; the
+    result is one root list per row. A cell is bracketed where its ends
+    are numbers of opposite sign. Every row and every cell follow the same
+    rules, in lockstep, so one call of f serves all rows per scan block
+    and per bisection round. The scan hands f BLOCK_POINTS cells at a
+    time, so the residual's temporaries stay small whatever grid_steps is.
+    Where two rows raise WindowTooCoarseError, the first row's is raised.
 
     With near = (lo', hi'), only the window's grid cells that touch
     [lo', hi'] are solved, plus one neighbouring cell on each side (at
@@ -416,21 +419,20 @@ def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float,
     zeros, cells = [], []
     for start in range(0, xs.size - 1, BLOCK_POINTS):
         x = xs[start:start + BLOCK_POINTS + 1]
-        fx, pole = f(x)
+        fx = f(x)
         # the few cells whose ends do not share a sign hold every zero and
         # sign change; the rules are applied to them alone
         with np.errstate(over="ignore"):  # an overflowing product keeps its sign
             row, i = np.nonzero(~(fx[:, :-1] * fx[:, 1:] > 0))
-        fa, fb, clear_a, clear_b = fx[row, i], fx[row, i + 1], ~pole[i], ~pole[i + 1]
+            fa, fb = fx[row, i], fx[row, i + 1]
+            change = fa * fb < 0  # ends that are numbers of opposite sign; a NaN is neither
         # a zero at the right end is recorded by the next cell
-        zero = clear_a & (fa == 0.0)
+        zero = fa == 0.0
         zeros.append((row[zero], x[i[zero]]))
-        change = clear_a & clear_b & (fa != 0.0) & (fb != 0.0)
         row, i = row[change], i[change]
         cells.append((row, x[i], x[i + 1], fa[change], fb[change]))
-    if not pole[-1]:
-        row = np.flatnonzero(fx[:, -1] == 0.0)
-        zeros.append((row, xs[-1:].repeat(row.size)))
+    row = np.flatnonzero(fx[:, -1] == 0.0)
+    zeros.append((row, xs[-1:].repeat(row.size)))
     roots: list[list[float]] = [[] for _ in fx]
     for row, x in zeros:
         for r, root in zip(row.tolist(), x.tolist()):
@@ -505,8 +507,8 @@ def _bisect(f, brackets: list[tuple[int, float, float, float]],
     row by the rules of one step at a time: it stops at the requested
     width or at double-precision resolution with the midpoint and f at
     its bracket's left end, records an exact zero with f = 0 there, is
-    dropped (None) at a pole, and otherwise keeps the half whose ends
-    change sign. So every bracket visits the midpoints, and returns the
+    dropped (None) at a NaN midpoint, and otherwise keeps the half whose
+    ends change sign. So every bracket visits the midpoints, and returns the
     root, of one bisection step per call; the nodes it does not visit are
     never read.
     """
@@ -517,8 +519,7 @@ def _bisect(f, brackets: list[tuple[int, float, float, float]],
         trees = [_midpoint_tree(a, b, tol, points) for _, (_, a, b, _) in live]
         if points:  # else every bracket stops at its first midpoint
             with np.errstate(over="ignore"):  # beside a tan pole f may overflow to +-inf
-                fm, pole = f(np.array(points))
-            values, poles = fm.tolist(), pole.tolist()
+                values = f(np.array(points)).tolist()
         walking = []
         for (k, (row, a, b, fa)), slots in zip(live, trees):
             i = 0
@@ -527,9 +528,9 @@ def _bisect(f, brackets: list[tuple[int, float, float, float]],
                 if j < 0:  # the requested width or double-precision resolution
                     found[k] = (0.5 * (a + b), fa)
                     break
-                if poles[j]:  # a bracket that meets a pole is dropped
-                    break
                 m, fm = points[j], values[row][j]
+                if math.isnan(fm):  # a bracket that meets a pole or a NaN is dropped
+                    break
                 if fm == 0.0:
                     found[k] = (m, fm)
                     break
@@ -673,16 +674,20 @@ def peak_refine(
     below it, down to float resolution, so the reported transmission is
     the crest's and not a point on its flank. Returns the highest sample
     and its T. Raises NoPeakError when transmission is monotone across
-    the bracket, and ValueError where the pre-scan holds a T that is not
-    finite.
+    the bracket, and ValueError where a pre-scan or zoom sample of T is
+    not finite.
     """
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
+
+    def scan(a: float, b: float) -> tuple[np.ndarray, np.ndarray, float]:
+        g = grid(template, (a, b), (k, k), PEAK_PRESCAN_STEPS, 1)
+        if not np.all(np.isfinite(g.values)):
+            raise ValueError(f"transmission is not finite on [{a}, {b}]")
+        return g.alphas, g.values[:, 0], b - a
+
     lo, hi = alpha_guess - radius, alpha_guess + radius
-    prescan = grid(template, (lo, hi), (k, k), PEAK_PRESCAN_STEPS, 1)
-    ts = prescan.values[:, 0]
-    if not np.all(np.isfinite(ts)):
-        raise ValueError(f"transmission is not finite on [{lo}, {hi}]")
+    alphas, ts, width = scan(lo, hi)
     diffs = np.diff(ts)
     if np.all(diffs >= 0) or np.all(diffs <= 0):
         raise NoPeakError(f"transmission is monotone on [{lo}, {hi}]")
@@ -690,7 +695,6 @@ def peak_refine(
     if imax == 0 or imax == len(ts) - 1:
         raise NoPeakError(f"no interior crest on [{lo}, {hi}]")
 
-    alphas, width = prescan.alphas, hi - lo
     while True:
         cell = width / (PEAK_PRESCAN_STEPS - 1)
         t_max = ts[imax]
@@ -698,9 +702,8 @@ def peak_refine(
             break
         a_max = float(alphas[imax])
         a, b = max(lo, a_max - 2 * cell), min(hi, a_max + 2 * cell)
-        if b - a >= width:  # float resolution, where only a NaN sample fails the test above
+        if b - a >= width:  # float resolution: the window no longer shrinks
             break
-        zoom = grid(template, (a, b), (k, k), PEAK_PRESCAN_STEPS, 1)
-        alphas, ts, width = zoom.alphas, zoom.values[:, 0], b - a
+        alphas, ts, width = scan(a, b)
         imax = int(np.argmax(ts))
     return float(alphas[imax]), float(ts[imax])

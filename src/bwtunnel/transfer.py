@@ -221,14 +221,11 @@ def lambda21_factored(params: BWParams, E: float) -> complex:
 
     Each factor is one of the divergence-cancellation residuals, so the
     entry vanishes exactly when either cancellation condition holds:
-    -r8*r9 = (A + D)*C for PLUS and 2*(r10/q)*r9 = 2*A*C for MINUS, read
-    off the cell with no division by p or q. It is closed_form's m21 bit
-    for bit.
+    -r8*r9 = (A + D)*C for PLUS and 2*(r10/q)*r9 = 2*A*C for MINUS, with
+    no division by p or q. It is closed_form's m21, whose kernel writes
+    those two products.
     """
-    (A, _, C, D), _ = _point_cell(params, E)
-    if params.kind is Kind.PLUS:
-        return complex((A + D) * C)
-    return complex(2 * A * C)
+    return closed_form(params, E).m21
 
 
 def limit_matrix(kind: Kind, branch: Branch, theta: float | None = None) -> TransferMatrix:

@@ -242,8 +242,11 @@ class TestArrayBodies:
         poles = [(math.pi / 2) ** 2 * (1.0 + b) / (2.0 * sigma),
                  -(math.pi / 2) ** 2 * (1.0 + 1.0 / b) / (2.0 * sigma)] if sigma else []
         alphas = np.concatenate([np.linspace(-40.0, 40.0, 20001), [-0.0], poles])
-        (values,), pole = _residual_rows((formula,), alphas, b, sigma)
+        values, = _residual_rows((formula,), alphas, b, sigma)
+        pole = _residual_phases(alphas, b, sigma)[-1]
         assert values.dtype == np.float64 and pole.dtype == np.bool_
+        # the body stores its pole mask as NaN, and has no other NaN here
+        assert np.array_equal(np.isnan(values), pole)
         got = np.empty_like(values)
         raised = np.zeros_like(pole)
         for i, alpha in enumerate(alphas.tolist()):
@@ -283,9 +286,9 @@ class TestArrayBodies:
         alphas = [5e-324, -5e-324, 1e-310, -1e-310, 0.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (values,), pole = _residual_rows((formula,), np.array(alphas), 3.0, sigma)
+            values, = _residual_rows((formula,), np.array(alphas), 3.0, sigma)
             got = [scalar(alpha, 3.0, sigma) for alpha in alphas]
-        assert not pole.any()
+        assert not np.isnan(values).any()
         assert [v.hex() for v in got] == [v.hex() for v in values.tolist()]
 
     @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
@@ -358,6 +361,24 @@ class TestFindRoots:
         roots = find_roots(math.tan, (1.0, 2.0), grid_steps=100, tol=1e-10)
         assert roots == []
 
+    @pytest.mark.parametrize("f, want", [
+        # a NaN band between grid points 3.0 and 3.2, and a NaN last grid point:
+        # each was taken for a sign change and its bisection returned as a root
+        (lambda a: math.nan if 3.05 < a < 3.15 else a - 7.0, [7.0]),
+        (lambda a: math.nan if a > 9.95 else a - 7.0, [7.0]),
+        # two such bogus roots in neighbouring cells raised WindowTooCoarseError
+        (lambda a: math.nan if 3.05 < a < 3.15 else 1.0, []),
+    ])
+    def test_nan_sample_is_no_sign_change(self, f, want):
+        assert find_roots(f, (0.0, 10.0), 100) == want
+
+    def test_copies_of_one_root_are_merged(self):
+        # both cells beside the grid point 5.0 change sign; their bisections
+        # end at 4.999999999953434 and 5.000000000046566, within tol of each
+        # other, so they are one root and not a pair closer than one cell
+        assert find_roots(lambda a: 1.0 if a == 5.0 else -1.0, (0.0, 10.0), 100) == \
+            [4.999999999953434]
+
     def test_window_too_coarse_signal(self):
         def f(x):
             return (x - 0.9999) * (x - 1.0001) * (x + 5.0)
@@ -419,7 +440,7 @@ def _bisect_one_step(f, brackets, tol):
 
     brackets are (row, a, b, f(a)) and each walks on its own row of f; one
     result per bracket, (root, f at the bracket's left end or 0 at an
-    exact zero), or None where it met a pole.
+    exact zero), or None where it met a NaN midpoint (a pole).
     """
     found = [None] * len(brackets)
     if not brackets:
@@ -439,12 +460,11 @@ def _bisect_one_step(f, brackets, tol):
         if not go.any():
             return found
         k, row, a, b, fa, m = k[go], row[go], a[go], b[go], fa[go], m[go]
-        rows, pole = f(m)
-        fm = rows[row, np.arange(row.size)]
-        zero = ~pole & (fm == 0.0)
+        fm = f(m)[row, np.arange(row.size)]
+        zero = fm == 0.0
         record(zero, m, fm)
         left = fa * fm < 0
-        live = ~pole & ~zero  # a bracket that meets a pole is dropped
+        live = ~np.isnan(fm) & ~zero  # a bracket that meets a NaN is dropped
         k, row, a, b, fa = (k[live], row[live], np.where(left, a, m)[live],
                             np.where(left, m, b)[live], np.where(left, fa, fm)[live])
 
@@ -493,6 +513,8 @@ class TestTreeBisection:
         (lambda a: a - 5.0, (-1.2890625, 11.2109375), 100, 1e-12),
         # the same bracket meets a pole there instead, and is dropped
         (_pole_at_five, (-1.2890625, 11.2109375), 100, 1e-12),
+        # and a NaN midpoint drops its bracket as a pole does
+        (lambda a: math.nan if a == 5.0 else a - 5.0, (-1.2890625, 11.2109375), 100, 1e-12),
         # a tol below float resolution: bisection stops at adjacent floats
         (lambda a: a - 5.123456789, (0.0, 10.0), 100, 1e-300),
     ])
@@ -585,8 +607,7 @@ class TestStackedRows:
     def _two_rows(first, second):
         # rows with roots at the given points and no pole
         def f(x):
-            rows = [np.prod([x - r for r in roots], axis=0) for roots in (first, second)]
-            return np.array(rows), np.zeros(x.shape, dtype=bool)
+            return np.array([np.prod([x - r for r in roots], axis=0) for roots in (first, second)])
         return f
 
     def test_first_row_too_coarse_is_raised_first(self):
@@ -804,22 +825,22 @@ class TestRootsOracle:
 def unfound_sign_changes(kind, b, sigma, window=(-40.0, 40.0), grid_steps=20000):
     """How many scan cells of resonance_sets' grid must hold a root, and which hold none.
 
-    Such a cell is one where a row of _residual_rows changes sign, both
-    ends are unmasked and both ends lie on one tan branch (equal
-    floor(y/pi + 1/2) of the tan phase y): the residual is continuous
-    across it. Cells within 1e-6 of strength 0, which the sets leave out
-    as the trivial root, are not checked. An empty cell is given as
-    (label, a, b); resonance_sets' errors propagate.
+    Such a cell is one where a row of _residual_rows changes sign (so
+    neither end is a masked NaN) and both ends lie on one tan branch
+    (equal floor(y/pi + 1/2) of the tan phase y): the residual is
+    continuous across it. Cells within 1e-6 of strength 0, which the sets
+    leave out as the trivial root, are not checked. An empty cell is given
+    as (label, a, b); resonance_sets' errors propagate.
     """
     sets = resonance_sets(kind, b, sigma, window, grid_steps)
     xs = np.linspace(*window, grid_steps + 1)
     formula, label = resonance.MODEL_SETS[kind]
-    values, pole = _residual_rows((formula, _prime), xs, b, sigma)
+    values = _residual_rows((formula, _prime), xs, b, sigma)
     y = _residual_phases(xs, b, sigma)[4]
     branch = np.floor(y / math.pi + 0.5)
     with np.errstate(over="ignore"):
         change = values[:, :-1] * values[:, 1:] < 0
-    clear = ~pole[:-1] & ~pole[1:] & (branch[:-1] == branch[1:])
+    clear = branch[:-1] == branch[1:]
     clear &= (xs[1:] < -1e-6) | (xs[:-1] > 1e-6)
     unfound = []
     cells = change & clear
@@ -1164,10 +1185,9 @@ class TestPeakRefine:
         with pytest.raises(NoPeakError, match="no interior crest"):
             peak_refine(template, 1.0, 20.0, 7.0)
 
-    def test_nan_zoom_stops_at_float_resolution(self):
-        # finite samples on a window shrunk to one float always pass the 1e-9
-        # flatness test; a NaN sample never does, so with every zoom NaN the
-        # search stops where the window no longer shrinks, not zooming forever
+    def test_nan_zoom_is_rejected(self):
+        # as a NaN in the pre-scan is: argmax picked the NaN zoom sample, and
+        # the search returned T_peak = NaN with no error
         template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)
         calls = []
 
@@ -1176,11 +1196,30 @@ class TestPeakRefine:
             calls.append(args[1])
             return g if len(calls) == 1 else replace(g, values=np.full_like(g.values, np.nan))
 
-        with mock.patch.object(resonance, "grid", nan_zooms):
+        with mock.patch.object(resonance, "grid", nan_zooms), \
+                pytest.raises(ValueError, match="transmission is not finite"):
+            peak_refine(template, 1.0, 2.28, 0.5)
+        assert len(calls) == 2
+
+    def test_sharp_zooms_stop_at_float_resolution(self):
+        # a highest sample whose neighbours are never within 1e-9 of it keeps
+        # the zoom going, so the search stops where the window no longer
+        # shrinks, not zooming forever
+        template = BWParams(Kind.PLUS, 0.0, 0.1, 3.0, 1.0, 1.0)
+        calls = []
+
+        def spikes(*args):
+            g = grid(*args)
+            calls.append(args[1])
+            values = np.zeros_like(g.values)
+            values[resonance.PEAK_PRESCAN_STEPS // 2] = 1.0
+            return replace(g, values=values)
+
+        with mock.patch.object(resonance, "grid", spikes):
             alpha_peak, t_peak = peak_refine(template, 1.0, 2.28, 0.5)
         a, b = calls[-1]
-        assert a == b == alpha_peak and 1.78 <= alpha_peak <= 2.78
-        assert math.isnan(t_peak) and len(calls) < 12
+        assert a == b == alpha_peak == pytest.approx(2.28, abs=1e-12)
+        assert t_peak == 1.0 and len(calls) < 12
 
     def test_non_finite_prescan_is_rejected(self):
         # the entries overflow at alpha = 1e5, so T is NaN on the whole bracket;

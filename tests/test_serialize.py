@@ -134,6 +134,20 @@ def test_json_quotes_only_float_cells():
     assert json_dumps(["-inf", -math.inf, {"inf": None}]) == b'["-inf", "-inf", {"inf": null}]'
 
 
+def test_json_bools_are_not_ints():
+    # bool is a subclass of int, so it is tested first
+    assert json_dumps({"flags": [True, False], "n": 1}) == b'{"flags": [true, false], "n": 1}'
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({1: 2.0}, "JSON keys must be str"), ({"x": [1.0, {2.0: 1}]}, "JSON keys must be str"),
+    (1 + 2j, "cannot serialize"), ({"x": {1.0}}, "cannot serialize"),
+])
+def test_json_rejects_what_it_cannot_write(obj, message):
+    with pytest.raises(TypeError, match=message):
+        json_dumps(obj)
+
+
 def _percent_rows(block, head, sep, tail):
     """The str %.17g fill of a 2-D block, one cell at a time, encoded: the bytes _rows17 must give."""
     return b"".join(head + sep.join(("%.17g" % (v + 0.0)).encode("ascii") for v in row) + tail
