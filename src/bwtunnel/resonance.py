@@ -9,26 +9,26 @@ factors, so the real form there is that swap, with the tan phase moved
 from the well slot to the barrier slot.
 
 Each residual is one formula on the terms of one shared step (the
-phases, their tanh and tan, and a boolean pole mask, set where the tan
-phase lies within 1e-12 of a singularity). _residual_rows, the one
-residual body, evaluates formulas over a numpy array of strengths as the
-rows of one array, NaN where the mask is set; the scalar names f_plus,
-f_minus and f_prime are one point of it and raise PoleError there, and
-theta_factor reads its phases off one point of the same step. numpy's
-tan and tanh can differ from math's by an ulp or two, and so can the
-residuals in their last digits.
+phases and their tanh and tan). _residual_rows, the one residual body,
+evaluates formulas over a numpy array of strengths as the rows of one
+array; the scalar names f_plus, f_minus and f_prime are one point of it
+and raise PoleError where the cos of the tan phase is within 1e-12 of
+zero, and theta_factor reads its phases off one point of the same step.
+numpy's tan and tanh can differ from math's by an ulp or two, and so can
+the residuals in their last digits.
 
-The finder is a bracketing bisection that knows the residuals alternate
-roots with tan poles and drops, by one relative magnitude rule, each
-bisection that closed in on a pole; a NaN sample is no sign change and
-drops its bracket. It scans all cells of the grid in lockstep over the
-rows of one array body, then bisects every sign-change cell of every row
-in a tree walk: one residual call evaluates the next four levels of
-midpoints of every bracket, and each bracket walks down its tree by the
-rules of one step at a time, so it returns the roots of one step per
-call, bit for bit. resonance_sets finds both of its sets in one such
-pass, and resonance_sets_near in one over the grid cells around one
-strength; find_roots lifts a scalar callable into it as one row.
+The finder is a bracketing bisection on the signs of its samples. It
+knows the residuals alternate roots with tan poles and drops, by one
+relative magnitude rule, each bisection that closed in on a pole; a NaN
+sample is neither sign and drops its bracket. It scans all cells of the
+grid in lockstep over the rows of one array body, then bisects every
+sign-change cell of every row in a tree walk: one residual call
+evaluates the next four levels of midpoints of every bracket, and each
+bracket walks down its tree by the rules of one step at a time, so it
+returns the roots of one step per call, bit for bit. resonance_sets
+finds both of its sets in one such pass, and resonance_sets_near in one
+over the grid cells around one strength; find_roots lifts a scalar
+callable into it as one row.
 
 peak_refine finds a transmission crest by zooming on the closed-form
 kernel of scattering.grid, the route of scans and grids; the slab
@@ -105,13 +105,13 @@ def _check_bsigma(b: float, sigma: float) -> None:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
 
 
-def _near_tan_pole(y):
-    """Whether tan(y) is within _POLE_TOL of a singularity, for a phase y >= 0, elementwise."""
-    return np.abs(np.fmod(y, math.pi) - math.pi / 2) < _POLE_TOL
+def _near_pole(c):
+    """The one pole test: |c| < _POLE_TOL, for c the cos under a tan or the sin under a cot."""
+    return abs(c) < _POLE_TOL
 
 
 def _residual_phases(alpha, b: float, sigma: float):
-    """(alpha, sp, sm, x, y, tanh x, tan y, pole): the step all limiting residuals and theta share.
+    """(alpha, sp, sm, x, y, tanh x, tan y): the step all limiting residuals and theta share.
 
     Runs the input checks, then elementwise over strengths: the slots
     (sp, sm) of potential.sigma_split and the two limiting slab phases x,
@@ -119,9 +119,8 @@ def _residual_phases(alpha, b: float, sigma: float):
     strengths y is the well slot's phase; continuation to negative
     strengths swaps the trigonometric and hyperbolic factors, so there y
     is the barrier slot's. Only y carries sigma, so sigma = 0 gives y = 0.
-    Last come the tanh and tan of the phases, and pole marking the
-    strengths whose tan phase lies within 1e-12 of a singularity; the
-    hyperbolic factors are pole free.
+    Last come the tanh and tan of the phases; the hyperbolic factors are
+    pole free, and the tan is taken as it is even at a pole.
     """
     _check_bsigma(b, sigma)
     alpha = np.asarray(alpha, dtype=float)
@@ -137,7 +136,7 @@ def _residual_phases(alpha, b: float, sigma: float):
         raise ValueError(f"the slab phases of strength {alpha[~finite][0]} are not finite")
     up = alpha >= 0
     x, y = np.where(up, barrier, well), np.where(up, well, barrier)
-    return alpha, sp, sm, x, y, np.tanh(x), np.tan(y), _near_tan_pole(y)
+    return alpha, sp, sm, x, y, np.tanh(x), np.tan(y)
 
 
 def _ratio(sp: np.ndarray, sm: np.ndarray, b: float, sigma: float) -> np.ndarray:
@@ -219,36 +218,34 @@ MODEL_SETS = {Kind.PLUS: (_plus, SetLabel.SIGMA_PLUS), Kind.MINUS: (_minus, SetL
 
 
 def _residual_rows(formulas, alpha, b: float, sigma: float) -> np.ndarray:
-    """The formulas' residuals at strengths as the rows of one array, NaN where the pole mask is set.
+    """The formulas' residuals at strengths as the rows of one array, as the formulas give them.
 
-    One shared step serves every row; the rows are computed in order, so
-    the first formula's exception comes first.
+    One shared step serves every row, poles untested; the rows are computed
+    in order, so the first formula's exception comes first.
     """
-    *terms, pole = _residual_phases(alpha, b, sigma)
-    rows = np.array([formula(*terms, b, sigma) for formula in formulas])
-    if pole.any():
-        rows[:, pole] = math.nan
-    return rows
+    terms = _residual_phases(alpha, b, sigma)
+    return np.array([formula(*terms, b, sigma) for formula in formulas])
 
 
-def _check_poles(alphas: Sequence[float], pole: np.ndarray) -> None:
-    """PoleError at the first strength whose pole mask is set.
+def _check_poles(alphas: Sequence[float], y: np.ndarray) -> None:
+    """PoleError at the first strength whose tan phase y is near a pole (_near_pole).
 
     The one pole check of the scalar wrappers (one strength) and of the
     residual fields of resonance_sets (the roots of one set), whose values
     come from the same shared step and formulas, so those fields equal the
     wrappers' |f| bit for bit.
     """
+    pole = _near_pole(np.cos(y))
     if np.count_nonzero(pole):  # cheaper than pole.any() on the one-point mask of a wrapper
         alpha = alphas[int(np.argmax(pole))]
         raise PoleError(f"the tan phase of strength {alpha} is within {_POLE_TOL} of a pole")
 
 
 def _scalar(formula, alpha: float, b: float, sigma: float) -> float:
-    """One point of a formula's residual as a float; PoleError where its mask is set."""
-    *terms, pole = _residual_phases(np.array([alpha], dtype=float), b, sigma)
+    """One point of a formula's residual as a float; PoleError near a tan pole."""
+    terms = _residual_phases(np.array([alpha], dtype=float), b, sigma)
     value = formula(*terms, b, sigma)
-    _check_poles([alpha], pole)
+    _check_poles([alpha], terms[4])
     return float(value[0])
 
 
@@ -261,7 +258,7 @@ def f_plus(alpha: float, b: float, sigma: float) -> float:
     argument would otherwise meet in a 0*inf; in the degenerate case the
     residual stays strictly negative, matching the disappearance of
     finite roots. One point of the array body; raises PoleError where
-    the body's pole mask is set.
+    its tan phase is near a pole.
     """
     return _scalar(_plus, alpha, b, sigma)
 
@@ -273,8 +270,8 @@ def f_minus(alpha: float, b: float, sigma: float) -> float:
     identically for positive strengths and diverges for negative ones),
     so those branches return the direction-of-approach rescaled
     residual, which is finite, strictly positive, and rootless. One
-    point of the array body; raises PoleError where the body's pole mask
-    is set.
+    point of the array body; raises PoleError where its tan phase is near
+    a pole.
     """
     return _scalar(_minus, alpha, b, sigma)
 
@@ -287,7 +284,7 @@ def f_prime(alpha: float, b: float, sigma: float) -> float:
     the residual purely imaginary, and its imaginary part is returned;
     at sigma = 0 that part diverges, so it is returned divided by its
     diverging prefactor. One point of the array body; raises PoleError
-    where the body's pole mask is set.
+    where its tan phase is near a pole.
     """
     return _scalar(_prime, alpha, b, sigma)
 
@@ -309,7 +306,7 @@ def _theta(alpha: float, x: float, y: float) -> float:
     if alpha < 0:
         return math.cos(y) / math.cosh(x)
     denom = math.cos(y)
-    if abs(denom) < _POLE_TOL:
+    if _near_pole(denom):
         raise PoleError(f"cos denominator {denom!r} is within {_POLE_TOL} of zero")
     return math.cosh(x) / denom
 
@@ -335,12 +332,12 @@ def db_resonance_residual(k: float, alpha: float, eps: float, c1: float, c2: flo
     p = math.sqrt(abs(p2))
     pl = p * l
     # an infinite phase (k*k overflows) meets math.tan's ValueError below
-    if 0 < p2 < math.inf and _near_tan_pole(pl):
+    if 0 < p2 < math.inf and _near_pole(math.cos(pl)):
         raise PoleError(f"tan argument {pl} is within {_POLE_TOL} of a pole")
-    krm = math.fmod(2.0 * k * r, math.pi)
-    if min(krm, math.pi - krm) < _POLE_TOL:
+    sin_kr = math.sin(2.0 * k * r)
+    if _near_pole(sin_kr):
         raise PoleError(f"cot argument {2 * k * r} is within {_POLE_TOL} of a pole")
-    cot = math.cos(2.0 * k * r) / math.sin(2.0 * k * r)
+    cot = math.cos(2.0 * k * r) / sin_kr
     if p2 >= 0:
         t = math.tan(pl)
         return float(p / k * t + k * l * _tanc(pl, t) - 2.0 * cot)
@@ -357,7 +354,7 @@ def find_roots(
     """All roots of f in the window by sign-change bracketing.
 
     Scans a uniform grid and bisects each sign-change cell to the
-    requested width. A PoleError or NaN sample is no sign change and drops
+    requested width. A PoleError or NaN sample is neither sign and drops
     a bracket that meets it, as does a pole crossing: |f| at the left end
     of the last bracket above |f| at both ends of the cell, a relative
     rule that keeps steep roots. Raises WindowTooCoarseError when two
@@ -383,12 +380,13 @@ def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float,
                    near: tuple[float, float] | None = None) -> list[list[float]]:
     """find_roots for an array body f: strengths -> residual rows.
 
-    f returns a 2-D array with one row per residual, NaN at a pole; the
-    result is one root list per row. A cell is bracketed where its ends
-    are numbers of opposite sign. Every row and every cell follow the same
-    rules, in lockstep, so one call of f serves all rows per scan block
-    and per bisection round. The scan hands f BLOCK_POINTS cells at a
-    time, so the residual's temporaries stay small whatever grid_steps is.
+    f returns a 2-D array with one row per residual; the result is one
+    root list per row. A cell is bracketed where its ends are numbers of
+    opposite sign (signs, not values, are multiplied, exact at any scale;
+    NaN is neither). Every row and every cell follow the same rules, in
+    lockstep, so one call of f serves all rows per scan block and per
+    bisection round. The scan hands f BLOCK_POINTS cells at a time, so the
+    residual's temporaries stay small whatever grid_steps is.
     Where two rows raise WindowTooCoarseError, the first row's is raised.
 
     With near = (lo', hi'), only the window's grid cells that touch
@@ -420,12 +418,12 @@ def _bracket_roots(f, window: tuple[float, float], grid_steps: int, tol: float,
     for start in range(0, xs.size - 1, BLOCK_POINTS):
         x = xs[start:start + BLOCK_POINTS + 1]
         fx = f(x)
+        s = np.sign(fx)
         # the few cells whose ends do not share a sign hold every zero and
         # sign change; the rules are applied to them alone
-        with np.errstate(over="ignore"):  # an overflowing product keeps its sign
-            row, i = np.nonzero(~(fx[:, :-1] * fx[:, 1:] > 0))
-            fa, fb = fx[row, i], fx[row, i + 1]
-            change = fa * fb < 0  # ends that are numbers of opposite sign; a NaN is neither
+        row, i = np.nonzero(~(s[:, :-1] * s[:, 1:] > 0))
+        fa, fb = fx[row, i], fx[row, i + 1]
+        change = s[row, i] * s[row, i + 1] < 0  # ends that are numbers of opposite sign
         # a zero at the right end is recorded by the next cell
         zero = fa == 0.0
         zeros.append((row[zero], x[i[zero]]))
@@ -534,7 +532,7 @@ def _bisect(f, brackets: list[tuple[int, float, float, float]],
                 if fm == 0.0:
                     found[k] = (m, fm)
                     break
-                if fa * fm < 0:
+                if (fa < 0.0) != (fm < 0.0):  # both are nonzero numbers
                     b, i = m, 2 * i + 1
                 else:
                     a, fa, i = m, fm, 2 * i + 2
@@ -619,10 +617,10 @@ def _sets(kind, b, sigma, window, grid_steps, tol, near):
     # finder has raised any WindowTooCoarseError of either set by now
     n = len(model)
     alphas = [alpha for alpha, _ in model + prime]
-    alpha, sp, sm, x, y, tx, ty, pole = _residual_phases(alphas, b, sigma)
-    terms = (alpha, sp, sm, x, y, tx, ty)
-    _check_poles(alphas[:n], pole[:n])
-    _check_poles(alphas[n:], pole[n:])
+    terms = _residual_phases(alphas, b, sigma)
+    x, y = terms[3], terms[4]
+    _check_poles(alphas[:n], y[:n])
+    _check_poles(alphas[n:], y[n:])
     model_res = np.abs(formula(*terms, b, sigma)[:n]).tolist()
     prime_res = np.abs(_prime(*terms, b, sigma)[n:]).tolist()
     counted = near is None  # only a pass over every cell knows a root's outward index

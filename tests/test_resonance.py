@@ -15,6 +15,7 @@ from bwtunnel.potential import BWParams, Kind, bw_geometry, sigma_split
 from bwtunnel.resonance import (
     _bracket_roots,
     _minus,
+    _near_pole,
     _plus,
     _prime,
     _residual_phases,
@@ -173,6 +174,37 @@ class TestResidualFunctions:
         with pytest.raises(PoleError):
             f_plus(2.0 * (math.pi / 2.0) ** 2, 3.0, 1.0)
 
+    def test_pole_signal_at_a_large_phase(self):
+        # the tan phase 1e5 lies 1.25e-13 from a pole (60 digits); the test
+        # fmod(y, math.pi) drifted by 1.2e-16 per branch and returned -9.2e12
+        with pytest.raises(PoleError):
+            f_plus(19999385988.74866, 3.0, 1.0)
+
+    def test_pole_test_equals_50_digit_distance(self):
+        # seeded tan phases in [1, 1e8], half of them (n + 1/2) pi + d with
+        # |d| in [1e-14, 1e-10] rounded to a float: 570 end within 1e-12 of
+        # a pole, up to phases near 1e6, where fmod(y, math.pi) missed 90.
+        # The test agrees with the 50-digit distance to the nearest
+        # (n + 1/2) pi on both of the package's cos routes
+        mp = pytest.importorskip("mpmath").mp
+        rng = random.Random(20261028)
+        ys, near = [], []
+        with mp.workdps(50):
+            for i in range(4000):
+                if i % 2:
+                    n = int(10 ** rng.uniform(0.0, 8.0) / math.pi)
+                    delta = rng.choice([-1, 1]) * 10 ** rng.uniform(-14.0, -10.0)
+                    y = float((n + mp.mpf(0.5)) * mp.pi + delta)
+                else:
+                    y = 10 ** rng.uniform(0.0, 8.0)
+                distance = abs(mp.mpf(y) - (mp.floor(mp.mpf(y) / mp.pi) + mp.mpf(0.5)) * mp.pi)
+                if abs(distance - resonance._POLE_TOL) > 1e-15:
+                    ys.append(y)
+                    near.append(bool(distance < resonance._POLE_TOL))
+        assert 500 < sum(near) < len(near) - 500
+        assert _near_pole(np.cos(ys)).tolist() == near
+        assert [_near_pole(math.cos(y)) for y in ys] == near
+
     @pytest.mark.parametrize("f, f_continued", [
         (f_plus, f_plus_continued), (f_minus, f_minus_continued),
         (f_prime, f_prime_continued)])
@@ -243,10 +275,10 @@ class TestArrayBodies:
                  -(math.pi / 2) ** 2 * (1.0 + 1.0 / b) / (2.0 * sigma)] if sigma else []
         alphas = np.concatenate([np.linspace(-40.0, 40.0, 20001), [-0.0], poles])
         values, = _residual_rows((formula,), alphas, b, sigma)
-        pole = _residual_phases(alphas, b, sigma)[-1]
+        pole = _near_pole(np.cos(_residual_phases(alphas, b, sigma)[4]))
         assert values.dtype == np.float64 and pole.dtype == np.bool_
-        # the body stores its pole mask as NaN, and has no other NaN here
-        assert np.array_equal(np.isnan(values), pole)
+        # the body gives the formula's value at a pole too, and no NaN here
+        assert not np.isnan(values).any()
         got = np.empty_like(values)
         raised = np.zeros_like(pole)
         for i, alpha in enumerate(alphas.tolist()):
@@ -372,6 +404,13 @@ class TestFindRoots:
     def test_nan_sample_is_no_sign_change(self, f, want):
         assert find_roots(f, (0.0, 10.0), 100) == want
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300, 1e300])
+    def test_sign_changes_at_any_scale(self, scale):
+        # the products of two values underflowed to 0: at 1e-160 a bisection
+        # took the wrong half and returned 5.0999..., at 1e-200 the scan
+        # bracketed no cell
+        assert find_roots(lambda a: (a - 5.05) * scale, (0.0, 10.0), 100) == [5.049999999953434]
+
     def test_copies_of_one_root_are_merged(self):
         # both cells beside the grid point 5.0 change sign; their bisections
         # end at 4.999999999953434 and 5.000000000046566, within tol of each
@@ -463,7 +502,7 @@ def _bisect_one_step(f, brackets, tol):
         fm = f(m)[row, np.arange(row.size)]
         zero = fm == 0.0
         record(zero, m, fm)
-        left = fa * fm < 0
+        left = (fa < 0) != (fm < 0)  # signs, not a product that can underflow
         live = ~np.isnan(fm) & ~zero  # a bracket that meets a NaN is dropped
         k, row, a, b, fa = (k[live], row[live], np.where(left, a, m)[live],
                             np.where(left, m, b)[live], np.where(left, fa, fm)[live])
@@ -825,8 +864,8 @@ class TestRootsOracle:
 def unfound_sign_changes(kind, b, sigma, window=(-40.0, 40.0), grid_steps=20000):
     """How many scan cells of resonance_sets' grid must hold a root, and which hold none.
 
-    Such a cell is one where a row of _residual_rows changes sign (so
-    neither end is a masked NaN) and both ends lie on one tan branch
+    Such a cell is one where a row of _residual_rows changes sign (ends
+    that are numbers of opposite sign) and both ends lie on one tan branch
     (equal floor(y/pi + 1/2) of the tan phase y): the residual is
     continuous across it. Cells within 1e-6 of strength 0, which the sets
     leave out as the trivial root, are not checked. An empty cell is given
@@ -838,8 +877,8 @@ def unfound_sign_changes(kind, b, sigma, window=(-40.0, 40.0), grid_steps=20000)
     values = _residual_rows((formula, _prime), xs, b, sigma)
     y = _residual_phases(xs, b, sigma)[4]
     branch = np.floor(y / math.pi + 0.5)
-    with np.errstate(over="ignore"):
-        change = values[:, :-1] * values[:, 1:] < 0
+    signs = np.sign(values)
+    change = signs[:, :-1] * signs[:, 1:] < 0
     clear = branch[:-1] == branch[1:]
     clear &= (xs[1:] < -1e-6) | (xs[:-1] > 1e-6)
     unfound = []
