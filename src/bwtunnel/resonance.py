@@ -22,13 +22,12 @@ knows the residuals alternate roots with tan poles and drops, by one
 relative magnitude rule, each bisection that closed in on a pole; a NaN
 sample is neither sign and drops its bracket. It scans all cells of the
 grid in lockstep over the rows of one array body, then bisects every
-sign-change cell of every row in a tree walk: one residual call
-evaluates the next four levels of midpoints of every bracket, and each
-bracket walks down its tree by the rules of one step at a time, so it
-returns the roots of one step per call, bit for bit. resonance_sets
-finds both of its sets in one such pass, and resonance_sets_near in one
-over the grid cells around one strength; find_roots lifts a scalar
-callable into it as one row.
+sign-change cell of every row on evenly spaced samples: one residual
+call evaluates 15 samples that cut every bracket into 16 equal
+sections, and each bracket takes four bisection steps on its own row's
+samples. resonance_sets finds both of its sets in one such pass, and
+resonance_sets_near in one over the grid cells around one strength;
+find_roots lifts a scalar callable into it as one row.
 
 peak_refine finds a transmission crest by zooming on the closed-form
 kernel of scattering.grid, the route of scans and grids; the slab
@@ -362,7 +361,8 @@ def find_roots(
     have been missed. grid_steps must be an integer >= 100 and tol finite
     and > 0. f is called one point at a time, under the same cell rules as
     the array residuals of resonance_sets; each bisection round calls it
-    at up to 15 points per bracket, all strictly inside it.
+    at 15 evenly spaced points of each bracket. At double-precision
+    resolution such a point may equal an end of its bracket.
     """
     def f_array(xs: np.ndarray) -> np.ndarray:
         values = np.full((1, xs.size), np.nan)  # NaN where f raises PoleError
@@ -467,78 +467,58 @@ def _merged(roots: list[float], tol: float, cell: float) -> list[float]:
     return merged
 
 
-# bisection steps that one residual call advances every live bracket by
-_TREE_LEVELS = 4
-_TREE_NODES = 2 ** _TREE_LEVELS - 1
-
-
-def _midpoint_tree(a: float, b: float, tol: float, points: list[float]) -> list[int]:
-    """Append the next _TREE_LEVELS midpoints of bracket (a, b) to points.
-
-    Returns each tree node's index in points, in heap order: node i
-    bisects its interval at 0.5 * (lo + hi), and its children 2i+1 and
-    2i+2 bisect the left and the right half. A node where bisection stops
-    (an interval narrower than tol, or no float strictly inside it) gets
-    -1 and no children, so every point lies strictly inside (a, b).
-    """
-    slots = [-1] * _TREE_NODES
-    spans = [(a, b)] + [None] * (_TREE_NODES - 1)
-    for i in range(_TREE_NODES):
-        if spans[i] is None:
-            continue
-        lo, hi = spans[i]
-        m = 0.5 * (lo + hi)
-        if hi - lo >= tol and lo < m < hi:
-            slots[i] = len(points)
-            points.append(m)
-            if 2 * i + 2 < _TREE_NODES:
-                spans[2 * i + 1], spans[2 * i + 2] = (lo, m), (m, hi)
-    return slots
+_SECTIONS = 16  # per bracket and residual call: 15 inner samples serve 4 bisection steps
 
 
 def _bisect(f, brackets: list[tuple[int, float, float, float]],
             tol: float) -> list[tuple[float, float] | None]:
     """Bisect each (row, a, b, f(a)) bracket on its row to its root; one result per bracket.
 
-    One call of f evaluates the midpoint trees of all live brackets, and
-    each bracket then walks _TREE_LEVELS steps down its tree on its own
-    row by the rules of one step at a time: it stops at the requested
-    width or at double-precision resolution with the midpoint and f at
-    its bracket's left end, records an exact zero with f = 0 there, is
-    dropped (None) at a NaN midpoint, and otherwise keeps the half whose
-    ends change sign. So every bracket visits the midpoints, and returns the
-    root, of one bisection step per call; the nodes it does not visit are
-    never read.
+    A bracket at least tol wide with a float strictly inside it is live.
+    One call of f evaluates the samples a + j*(b - a)/16, j = 1 .. 15, of
+    every live bracket; each then takes four bisection steps on its own
+    row's samples, keeping the half whose ends change sign. An exact zero
+    is recorded with f = 0, and a NaN sample drops the bracket (None). A
+    bracket no longer live stops with its midpoint and f at its left end.
+    At double-precision resolution a sample may equal a bracket end, but
+    the middle one never does, so each round narrows a live bracket.
     """
     found: list[tuple[float, float] | None] = [None] * len(brackets)
     live = list(enumerate(brackets))
+    steps = np.arange(_SECTIONS + 1.0)
     while live:
-        points: list[float] = []
-        trees = [_midpoint_tree(a, b, tol, points) for _, (_, a, b, _) in live]
-        if points:  # else every bracket stops at its first midpoint
-            with np.errstate(over="ignore"):  # beside a tan pole f may overflow to +-inf
-                values = f(np.array(points)).tolist()
-        walking = []
-        for (k, (row, a, b, fa)), slots in zip(live, trees):
-            i = 0
-            while i < _TREE_NODES:
-                j = slots[i]
-                if j < 0:  # the requested width or double-precision resolution
-                    found[k] = (0.5 * (a + b), fa)
-                    break
-                m, fm = points[j], values[row][j]
+        cut = []
+        for k, (row, a, b, fa) in live:
+            m = 0.5 * (a + b)
+            if b - a >= tol and a < m < b:
+                cut.append((k, row, a, b, fa))
+            else:  # the requested width or double-precision resolution
+                found[k] = (m, fa)
+        if not cut:
+            break
+        a, b = np.array([(a, b) for _, _, a, b, _ in cut]).T
+        # j*(b - a) before the division: (b - a)/16 may round to 0 among subnormals
+        x = a[:, None] + steps * (b - a)[:, None] / _SECTIONS
+        x[:, -1] = b  # a + (b - a) may round off b
+        with np.errstate(over="ignore"):  # beside a tan pole f may overflow to +-inf
+            values = f(x[:, 1:-1].ravel()).reshape(-1, len(cut), _SECTIONS - 1).tolist()
+        live = []
+        for n, ((k, row, _, _, fa), xs) in enumerate(zip(cut, x.tolist())):
+            lo, hi = 0, _SECTIONS  # the indices of the bracket's ends in xs
+            while hi - lo > 1:
+                i = (lo + hi) // 2
+                fm = values[row][n][i - 1]
                 if math.isnan(fm):  # a bracket that meets a pole or a NaN is dropped
                     break
                 if fm == 0.0:
-                    found[k] = (m, fm)
+                    found[k] = (xs[i], fm)
                     break
                 if (fa < 0.0) != (fm < 0.0):  # both are nonzero numbers
-                    b, i = m, 2 * i + 1
+                    hi = i
                 else:
-                    a, fa, i = m, fm, 2 * i + 2
+                    lo, fa = i, fm
             else:
-                walking.append((k, (row, a, b, fa)))
-        live = walking
+                live.append((k, (row, xs[lo], xs[hi], fa)))
     return found
 
 

@@ -409,14 +409,21 @@ class TestFindRoots:
         # the products of two values underflowed to 0: at 1e-160 a bisection
         # took the wrong half and returned 5.0999..., at 1e-200 the scan
         # bracketed no cell
-        assert find_roots(lambda a: (a - 5.05) * scale, (0.0, 10.0), 100) == [5.049999999953434]
+        assert find_roots(lambda a: (a - 5.05) * scale, (0.0, 10.0), 100) == [5.049999999988359]
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-10, 1e-13])
+    def test_tol_bounds_the_error(self, tol):
+        rng = random.Random(20261029)
+        for r in [rng.uniform(-40.0, 40.0) for _ in range(100)]:
+            roots = find_roots(lambda a: a - r, (-40.0, 40.0), 100, tol)
+            assert len(roots) == 1 and abs(roots[0] - r) <= tol / 2, (r, roots)
 
     def test_copies_of_one_root_are_merged(self):
         # both cells beside the grid point 5.0 change sign; their bisections
-        # end at 4.999999999953434 and 5.000000000046566, within tol of each
+        # end at 4.999999999988359 and 5.000000000011641, within tol of each
         # other, so they are one root and not a pair closer than one cell
         assert find_roots(lambda a: 1.0 if a == 5.0 else -1.0, (0.0, 10.0), 100) == \
-            [4.999999999953434]
+            [4.999999999988359]
 
     def test_window_too_coarse_signal(self):
         def f(x):
@@ -475,7 +482,7 @@ class TestFindRoots:
 
 
 def _bisect_one_step(f, brackets, tol):
-    """The bisection stage at one step per call of f: the oracle of resonance._bisect.
+    """The bisection stage at one step per call of f: a cross-check of resonance._bisect.
 
     brackets are (row, a, b, f(a)) and each walks on its own row of f; one
     result per bracket, (root, f at the bracket's left end or 0 at an
@@ -508,9 +515,43 @@ def _bisect_one_step(f, brackets, tol):
                             np.where(left, m, b)[live], np.where(left, fa, fm)[live])
 
 
-def _one_step_roots(finder, *args):
-    """What finder returns with the bisection stage of one step per call."""
-    with mock.patch.object(resonance, "_bisect", _bisect_one_step):
+def _bisect_plainly(f, brackets, tol):
+    """The bisection stage one bracket at a time: the oracle of resonance._bisect.
+
+    Each (row, a, b, f(a)) bracket walks on its own row of f, called at one
+    point at a time. While the bracket is at least tol wide with a float
+    strictly inside it, a round takes four bisection steps on the samples
+    a + j*(b - a)/16, j = 1 .. 15, calling f at the four it probes. One
+    result per bracket: (root, f at its left end or 0 at an exact zero),
+    or None where a probed sample is NaN (a pole).
+    """
+    def root(row, a, b, fa):
+        while True:
+            m = 0.5 * (a + b)
+            if not (b - a >= tol and a < m < b):
+                return m, fa
+            xs = [a, *(a + j * (b - a) / 16 for j in range(1, 16)), b]
+            lo, hi = 0, 16
+            while hi - lo > 1:
+                i = (lo + hi) // 2
+                with np.errstate(over="ignore"):  # beside a tan pole f may overflow to +-inf
+                    fm = f(np.array([xs[i]]))[row, 0].item()
+                if math.isnan(fm):
+                    return None
+                if fm == 0.0:
+                    return xs[i], fm
+                if (fa < 0) != (fm < 0):
+                    hi = i
+                else:
+                    lo, fa = i, fm
+            a, b = xs[lo], xs[hi]
+
+    return [root(*bracket) for bracket in brackets]
+
+
+def _roots_with(bisect, finder, *args):
+    """What finder returns with bisect as its bisection stage."""
+    with mock.patch.object(resonance, "_bisect", bisect):
         return finder(*args)
 
 
@@ -526,21 +567,31 @@ SEEDED_BSIGMA = ([(_RNG.uniform(0.5, 8.0), _RNG.uniform(0.0, 3.0)) for _ in rang
                  + [(_RNG.uniform(0.5, 8.0), 0.0) for _ in range(3)])
 
 
-class TestTreeBisection:
-    """Four bisection steps per residual call return the roots of one step per call."""
+class TestSampleBisection:
+    """Four bisection steps per residual call on 15 evenly spaced samples of each bracket."""
 
     @pytest.mark.parametrize("b, sigma", SEEDED_BSIGMA)
     @pytest.mark.parametrize("formula", [_plus, _minus, _prime])
-    def test_array_roots_equal_one_step_bisection(self, formula, b, sigma):
+    def test_array_roots_equal_plain_bisection(self, formula, b, sigma):
         args = (lambda a: _residual_rows((formula,), a, b, sigma), (-40.0, 40.0), 20000, 1e-10)
         roots, = _bracket_roots(*args)
-        assert [r.hex() for r in roots] == [r.hex() for r in _one_step_roots(_bracket_roots, *args)[0]]
+        want, = _roots_with(_bisect_plainly, _bracket_roots, *args)
+        assert [r.hex() for r in roots] == [r.hex() for r in want]
+
+    @pytest.mark.parametrize("b, sigma", SEEDED_BSIGMA)
+    @pytest.mark.parametrize("formula", [_plus, _minus, _prime])
+    def test_array_roots_within_tol_of_one_step_bisection(self, formula, b, sigma):
+        tol = 1e-10
+        args = (lambda a: _residual_rows((formula,), a, b, sigma), (-40.0, 40.0), 20000, tol)
+        roots, = _bracket_roots(*args)
+        want, = _roots_with(_bisect_one_step, _bracket_roots, *args)
+        assert len(roots) == len(want) and all(abs(r - w) <= tol for r, w in zip(roots, want))
 
     @pytest.mark.parametrize("b, sigma", SEEDED_BSIGMA)
     @pytest.mark.parametrize("formula", [_plus, _minus])
-    def test_stacked_roots_equal_one_step_bisection(self, formula, b, sigma):
+    def test_stacked_roots_equal_plain_bisection(self, formula, b, sigma):
         args = (lambda a: _residual_rows((formula, _prime), a, b, sigma), (-40.0, 40.0), 20000, 1e-10)
-        want = _one_step_roots(_bracket_roots, *args)
+        want = _roots_with(_bisect_plainly, _bracket_roots, *args)
         assert [[r.hex() for r in row] for row in _bracket_roots(*args)] == \
             [[r.hex() for r in row] for row in want]
 
@@ -548,21 +599,26 @@ class TestTreeBisection:
         # tan's poles are dropped, its roots kept
         (math.tan, (1.0, 2.0), 100, 1e-10),
         (math.tan, (-10.0, 10.0), 100, 1e-12),
-        # cells of 1/8 that put 5.0 on the third-level midpoint of its cell
+        # cells of 1/8 that put 5.0 on the fifth sample of its cell, probed at the fourth step
         (lambda a: a - 5.0, (-1.2890625, 11.2109375), 100, 1e-12),
         # the same bracket meets a pole there instead, and is dropped
         (_pole_at_five, (-1.2890625, 11.2109375), 100, 1e-12),
-        # and a NaN midpoint drops its bracket as a pole does
+        # and a NaN sample drops its bracket as a pole does
         (lambda a: math.nan if a == 5.0 else a - 5.0, (-1.2890625, 11.2109375), 100, 1e-12),
         # a tol below float resolution: bisection stops at adjacent floats
         (lambda a: a - 5.123456789, (0.0, 10.0), 100, 1e-300),
+        # three roots in one cell: bisection keeps 5.03, the first sign change is 5.01
+        (lambda a: (a - 5.01) * (a - 5.02) * (a - 5.03), (0.0, 10.0), 100, 1e-12),
+        # below 16 subnormal steps (b - a)/16 rounds to 0: samples taken at
+        # a + j*((b - a)/16) all equal a there, and the bracket never narrowed
+        (lambda a: a - 3e-321, (-1.0, 2.0), 100, 5e-324),
     ])
-    def test_scalar_roots_equal_one_step_bisection(self, f, window, grid_steps, tol):
+    def test_scalar_roots_equal_plain_bisection(self, f, window, grid_steps, tol):
         roots = find_roots(f, window, grid_steps, tol)
         assert [r.hex() for r in roots] == [
-            r.hex() for r in _one_step_roots(find_roots, f, window, grid_steps, tol)]
+            r.hex() for r in _roots_with(_bisect_plainly, find_roots, f, window, grid_steps, tol)]
 
-    def test_root_or_pole_on_a_tree_midpoint(self):
+    def test_root_or_pole_on_a_sample(self):
         assert find_roots(lambda a: a - 5.0, (-1.2890625, 11.2109375), 100, 1e-12) == [5.0]
         assert find_roots(_pole_at_five, (-1.2890625, 11.2109375), 100, 1e-12) == []
 
@@ -581,9 +637,9 @@ class TestTreeBisection:
 
     @pytest.mark.parametrize("kind", [Kind.PLUS, Kind.MINUS])
     def test_both_sets_share_every_residual_call(self, kind):
-        # the 5 scan blocks and the ceil(27/4) tree rounds serve both sets,
-        # and one more call gives both sets' residual fields; a pass per set
-        # took twice the finder's calls
+        # the 5 scan blocks and the ceil(27/4) bisection rounds serve both
+        # sets, and one more call gives both sets' residual fields; a pass
+        # per set took twice the finder's calls
         calls = []
         shared = resonance._residual_phases
 
@@ -670,7 +726,7 @@ class TestResonanceSets:
         # so it is no root. Taken as one, it and the root raised
         # WindowTooCoarseError
         model, _ = resonance_sets(Kind.MINUS, 90.65087093655639, 9.885609104410841)
-        assert [r.alpha for r in model.roots if -0.2 < r.alpha < -0.05] == [-0.1234386419355886]
+        assert [r.alpha for r in model.roots if -0.2 < r.alpha < -0.05] == [-0.12343864195794031]
         assert max(r.residual for r in model.roots) < 1e-6
 
     def test_plus_sets(self):
@@ -828,12 +884,13 @@ def _scan_count(label, b, sigma, window=(-40.0, 40.0), cells=20000):
     fs = [f(x, b, sigma) for x in xs]
     count = 0
     for a, c, fa, fc in zip(xs, xs[1:], fs, fs[1:]):
-        if not fa * fc < 0:
+        # signs, not products of values, which underflow below about 1e-162
+        if not (fa < 0.0 < fc or fc < 0.0 < fa):
             continue
         while a < 0.5 * (a + c) < c:
             m = 0.5 * (a + c)
             fm = f(m, b, sigma)
-            if fa * fm <= 0:
+            if fm == 0.0 or (fa < 0.0) != (fm < 0.0):
                 c = m
             else:
                 a, fa = m, fm
@@ -935,7 +992,7 @@ class TestCompleteness:
         b, sigma = 42.299768464923005, 97.05882328818129
         assert unfound_sign_changes(Kind.MINUS, b, sigma)[1] == []
         model, _ = resonance_sets(Kind.MINUS, b, sigma)
-        assert 0.5589387262761603 in model.alphas()
+        assert 0.5589387262538086 in model.alphas()
 
     def test_residuals_of_scale_1e100(self):
         # f_prime = tanh x - 1e100 tan y crosses zero near (n pi)^2 / 2 at a slope near 1e100
@@ -944,7 +1001,7 @@ class TestCompleteness:
             assert checked > 0 and unfound == []
         model, prime = resonance_sets(Kind.PLUS, 1e100, 1e100, (0.0, 40.0))
         _, prime_minus = resonance_sets(Kind.MINUS, 1e100, 1e100, (0.0, 40.0))
-        want = [4.934802200525999, 19.739208802193403]
+        want = [4.934802200544626, 19.739208802182233]
         assert model.alphas() == [0.0] + want
         assert prime.alphas() == prime_minus.alphas() == want
 
@@ -969,10 +1026,10 @@ class TestCompleteness:
         # on |f| kept 124
         assert len(model.roots) == 1875
         cases = [(SetLabel.SIGMA_PLUS, r.alpha, 1.0, 1e6) for r in model.roots[1::60]]
-        cases += [(SetLabel.SIGMA_MINUS, 0.5589387262761603, 42.299768464923005, 97.05882328818129),
-                  (SetLabel.SIGMA_PRIME, 4.934802200525999, 1e100, 1e100),
-                  (SetLabel.SIGMA_PRIME, 19.739208802193403, 1e100, 1e100),
-                  (SetLabel.SIGMA_PLUS, 19.739208802193403, 1e100, 1e100)]
+        cases += [(SetLabel.SIGMA_MINUS, 0.5589387262538086, 42.299768464923005, 97.05882328818129),
+                  (SetLabel.SIGMA_PRIME, 4.934802200544626, 1e100, 1e100),
+                  (SetLabel.SIGMA_PRIME, 19.739208802182233, 1e100, 1e100),
+                  (SetLabel.SIGMA_PLUS, 19.739208802182233, 1e100, 1e100)]
         for label, alpha, b, sigma in cases:
             lo = _mp_continued(mp, label, alpha - 2 * tol, b, sigma)
             hi = _mp_continued(mp, label, alpha + 2 * tol, b, sigma)
