@@ -39,9 +39,9 @@ from .resonance import (
 )
 from .scattering import BLOCK_POINTS, grid_blocks, log10_transmission
 from .serialize import (
-    _rows17,
     csv_row,
     floats,
+    format_block,
     format_column,
     format_rows,
     json_dumps,
@@ -257,26 +257,30 @@ def _emit(data: bytes, out_path: str | None) -> None:
 def _write_json_floats(out, values) -> None:
     """A JSON list's floats, BLOCK_POINTS at a time, so a long axis costs no more than a block."""
     for i in range(0, len(values), BLOCK_POINTS):
-        text = quote_nonfinite(_rows17(values[i:i + BLOCK_POINTS, None], b", ", b"", b""))
+        text = quote_nonfinite(format_block((values[i:i + BLOCK_POINTS],), 17, (b", ", b"")))
         out.write(text if i else text[2:])  # no separator before the first value
 
 
 def _write_grid(out, out_format: str, alphas, ks, blocks) -> None:
     """Write a grid's rows (CSV) or its axes and value rows (JSON) block by block.
 
-    Each block is one bytes % over its template. In CSV a text that repeats
-    across cells (k, and alpha on a grid) is formatted once and written
-    into the template, so % fills only the cells that differ; in JSON
-    serialize._rows17 writes each block's %.17g cells.
+    A scan's CSV rows and every JSON block go through
+    serialize.format_block, which writes most cells as %d fields of their
+    significands into one row template per run of rows of equal layout: a
+    scan row is three value columns, its one k text inside the template,
+    at 12 digits, and JSON is written at 17. A grid's CSV rows change
+    layout every few cells along k, so runs would be short; there each
+    block is one bytes %.12g fill, with each alpha and k text formatted
+    once and written into the template, so % fills only T and log10T.
     """
     if out_format == "csv":
         out.write(b"alpha,k,T,log10T\n")
         k_texts = format_column(ks, 12)
         if len(k_texts) == 1:  # a scan: alpha is a field, the one k a constant
-            row = b"%.12g," + k_texts[0] + b",%.12g,%.12g\n"
+            gaps = (b"", b"," + k_texts[0] + b",", b",", b"\n")
             for a, t in blocks:
-                ts = floats(t)
-                out.write(format_rows(row * len(a), (floats(a), ts, log10_transmission(ts))))
+                t = t.ravel()
+                out.write(format_block((a, t, log10_transmission(t.tolist())), 12, gaps))
             return
         tails = [k + b",%.12g,%.12g\n" for k in k_texts]
         for a, t in blocks:
@@ -290,8 +294,9 @@ def _write_grid(out, out_format: str, alphas, ks, blocks) -> None:
     out.write(b'], "ks": [')
     _write_json_floats(out, ks)
     out.write(b'], "values": [')
+    row_gaps = (b", [",) + (b", ",) * (len(ks) - 1) + (b"]",)
     for i, (a, t) in enumerate(blocks):
-        rows = quote_nonfinite(_rows17(t, b", [", b", ", b"]"))
+        rows = quote_nonfinite(format_block(t.T, 17, row_gaps))
         out.write(rows if i else rows[2:])  # no separator before the first row
     out.write(b"]}\n")
 

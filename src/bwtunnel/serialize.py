@@ -14,14 +14,21 @@ block as it was filled, with no encoded copy. bytes % and str % format a
 float by the same routine (PyOS_double_to_string), so the bytes are
 those of the str fill.
 
-The JSON axes and value rows of scans and grids are written by
-_rows17, which gives the bytes of %.17g without the float formatter.
-For 17 digits CPython's %g takes the bignum path of its correctly
-rounded dtoa (D. M. Gay, 1990), several times the cost of a %d field of
-a 17-digit integer. _rows17 computes each value's 17-digit significand
-exactly in numpy and writes it as one integer % field inside a short
-fragment that holds the rest of its text; a value it cannot certify
-keeps its %.17g field.
+format_block writes a block of rows at 12 or 17 digits with the bytes
+of the %.12g or %.17g fill, without the float formatter for most cells.
+CPython's %g takes its correctly rounded dtoa (D. M. Gay, 1990), about
+0.23 us a field against 0.06 us for a %d field of an integer.
+format_block computes each value's significand exactly in numpy and
+writes it as one integer % field inside a fragment that holds the rest
+of its text (sign, integer part, leading zeros, exponent); a value it
+cannot certify keeps its %g field. Neighbouring rows of a scan mostly
+share one such layout, about a hundred rows at a time, so the template
+is one row fragment repeated per run of equal rows. It writes a scan's
+CSV rows (alpha, T and log10T at 12 digits, the k text inside the row
+fragment) and the JSON axes and value rows of scans and grids. A grid's
+CSV rows change layout every few cells along k, so its runs are short,
+and there format_block was slower than the plain %.12g fill the CLI
+keeps (format_column and format_rows).
 """
 
 from __future__ import annotations
@@ -88,8 +95,8 @@ def format_rows(template: bytes, columns) -> bytes:
 # powers of ten as int64, 10**0 to 10**17
 _P10 = 10 ** np.arange(18, dtype=np.int64)
 
-# values from here up keep %.17g, so a fragment holds at most three integer
-# digits and the codes that occur stay few
+# values from here up keep their %g field, so a fragment holds at most three
+# integer digits and the codes that occur stay few
 _WHOLE_LIMIT = 1000
 
 
@@ -112,15 +119,15 @@ def _powers_of_ten():
 
 
 @functools.lru_cache(maxsize=4096)
-def _fragment_body(code: int) -> bytes:
-    """The text of one certified value around its integer field; code -1 is %.17g.
+def _fragment_body(code: int, sig: int) -> bytes:
+    """The text of one certified value around its integer field; code -1 is the %g field.
 
     code packs, from the top: the negated exponent of the e-notation (0
     in fixed notation), whether there is a fraction, its leading zeros,
     the sign and the integer part that precedes the point.
     """
     if code < 0:
-        return b"%.17g"
+        return b"%%.%dg" % sig
     code, whole = divmod(code, _WHOLE_LIMIT)
     code, negative = divmod(code, 2)
     code, zeros = divmod(code, 32)
@@ -129,20 +136,26 @@ def _fragment_body(code: int) -> bytes:
     return text + b"e-%02d" % exponent if exponent else text
 
 
-def _significands(a):
-    """(m, s, ok) of a in [1e-290, 1000): m = a * 10**s rounded half to even, 17 digits where ok.
+def _significands(a, sig: int):
+    """(m, s, ok) of a in [1e-290, 1000): m = a * 10**s rounded half to even, sig digits where ok.
 
-    s = 16 - floor(log10 a). Dekker's two-product against the power table
-    gives a * 10**s as the double p plus the remainder f. Where 10**s is a
-    double (s <= 22) p + f is exact, and since p > 1e16 > 2**53 is an even
-    integer, m = p + rint(f) is the rounding of p + f. Past s = 22 the
-    table's lo adds an error of about 1e-14 to f, so a value whose f lies
-    within 1e-6 of a tie is not ok. p + f >= 1e16 and p < 1e17 check s,
-    which log10 may miss by one.
+    s = sig - 1 - floor(log10 a), and p = a * 10**s by one product with
+    the power table. At 12 digits p < 2**40, so p lies within 2e-4 of the
+    exact value, and m = rint(p) wherever p lies more than 1e-3 from a
+    tie. At 17 digits Dekker's two-product gives a * 10**s as p plus the
+    remainder f. Where 10**s is a double (s <= 22) p + f is exact, and
+    since p > 1e16 > 2**53 is an even integer, m = p + rint(f) is the
+    rounding of p + f. Past s = 22 the table's lo adds an error of about
+    1e-14 to f, so a value whose f lies within 1e-6 of a tie is not ok.
+    The bounds on p check s, which log10 may miss by one.
     """
-    s = (16.0 - np.floor(np.log10(a))).astype(np.intp)
+    s = (sig - 1.0 - np.floor(np.log10(a))).astype(np.intp)
     hi, hi_upper, hi_lower, lo = _powers_of_ten()
     p = a * hi[s]
+    if sig == 12:
+        m = np.rint(p)
+        ok = (p >= 1e11) & (m < 1e12) & (np.abs(np.abs(p - m) - 0.5) > 1e-3)
+        return m.astype(np.int64), s, ok
     a_upper = a * 134217729.0
     a_upper -= a_upper - a
     a_lower = a - a_upper
@@ -155,24 +168,24 @@ def _significands(a):
     return p.astype(np.int64) + r.astype(np.int64), s, ok
 
 
-def _codes(x):
-    """(code, arg) of each flat cell x: its fragment code and %d argument, code -1 for %.17g.
+def _codes(x, sig: int):
+    """(code, arg) of each flat cell x: its fragment code and %d argument, code -1 for %g.
 
-    A value that _significands certifies is written from its 17-digit
+    A value that _significands certifies is written from its sig-digit
     significand m: the digits after the point lose their trailing zeros,
     as %g does, and the code keeps the e-notation exponent, whether there
     is a fraction, its leading zeros, the sign and the integer part
     before the point (see _fragment_body).
     """
     a = np.abs(x)
-    ok = a >= 1e-290  # 0, tiny values, nan, inf and 1000 up keep %.17g
+    ok = a >= 1e-290  # 0, tiny values, nan, inf and 1000 up keep %g
     ok &= a < _WHOLE_LIMIT
-    m, s, certified = _significands(np.where(ok, a, 1.0))
+    m, s, certified = _significands(np.where(ok, a, 1.0), sig)
     ok &= certified
 
-    # %g's fixed notation from exponent 16 - s = -4 up, its e-notation below
-    fixed = s <= 20
-    places = np.where(fixed, s, 16)  # digits after the point before stripping
+    # %g's fixed notation from exponent sig - 1 - s = -4 up, its e-notation below
+    fixed = s <= sig + 3
+    places = np.where(fixed, s, sig - 1)  # digits after the point before stripping
     scale = _P10[np.minimum(places, 17)]
     whole = m // scale
     digits = m - whole * scale
@@ -186,7 +199,7 @@ def _codes(x):
             d = np.where(shorter * _P10[n] == d, shorter, d)
         digits[ends_in_zero] = d
 
-    code = np.where(fixed, 0, s - 16) * 2 + fraction
+    code = np.where(fixed, 0, s - (sig - 1)) * 2 + fraction
     code = ((code * 32 + np.where(fraction, zeros, 0)) * 2 + (x < 0)) * _WHOLE_LIMIT
     code += np.where(fraction, whole, 0)
     code[~ok] = -1
@@ -194,38 +207,60 @@ def _codes(x):
 
 
 class _Fragments(dict):
-    """The text around each cell's field by code, built on first use.
+    """The text of one cell by key (code + 1) * width + column, built on first use.
 
-    The two low bits of a code mark the first and the last cell of a
-    row, which carry its head and its tail; the rest is the code of
-    _fragment_body.
+    A cell's text is the gap before its column, the _fragment_body of its
+    code, and after the last column the row's closing gap. Columns with
+    the same text around them share one key column, the first of them.
     """
 
-    def __init__(self, head: bytes, sep: bytes, tail: bytes):
+    def __init__(self, sig: int, gaps):
         super().__init__()
-        self.before, self.after = (sep, head, sep, head), (b"", b"", tail, tail)
+        self.sig, self.gaps, self.width = sig, gaps, len(gaps) - 1
+        first = {}
+        self.columns = np.array([first.setdefault((gap, j == self.width - 1), j)
+                                 for j, gap in enumerate(gaps[:-1])])
 
-    def __missing__(self, code: int) -> bytes:
-        text = self[code] = self.before[code & 3] + _fragment_body(code >> 2) + self.after[code & 3]
+    def __missing__(self, key: int) -> bytes:
+        code, column = divmod(key, self.width)
+        text = self.gaps[column] + _fragment_body(code - 1, self.sig)
+        if column == self.width - 1:
+            text += self.gaps[-1]
+        self[key] = text
         return text
 
 
-def _rows17(values, head: bytes, sep: bytes, tail: bytes) -> bytes:
-    """A 2-D block as rows of head, cells joined by sep, and tail: each cell b"%.17g" % (v + 0.0).
+# one table per layout: a writer passes the same gaps for every block
+_fragments = functools.lru_cache(maxsize=16)(_Fragments)
 
-    The bytes equal that % fill for every float64, nan and inf included,
-    so quote_nonfinite works on the text as on the % fill's. Most cells
-    are one %d field inside a fragment that holds the separator, sign,
-    integer part, point, leading zeros and exponent (_codes).
+
+def format_block(columns, sig: int, gaps) -> bytes:
+    """Rows of cells between gaps, cell (i, j) b"%.*g" % (sig, v + 0.0) of item i of column j.
+
+    columns are equal-length sequences of floats (the rows of a 2-D
+    array, or its transpose for a block of rows). gaps holds the text
+    before each column and, last, the text that ends a row. The bytes
+    equal that % fill for every float64, nan and inf included, so
+    quote_nonfinite works on the text as on the % fill's. Most cells are
+    one %d field of their significand inside a fragment that holds the
+    sign, integer part, point, leading zeros and exponent (_codes).
+    Neighbouring rows mostly share their fragments, so the template
+    repeats one row text per run of rows whose codes are all equal.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(columns, dtype=float).T
     rows, width = values.shape
     with np.errstate(invalid="ignore"):  # only a signaling nan raises it, and stays nan
         x = values.ravel() + 0.0  # -0 to 0
-    code, args = _codes(x)
-    column = np.arange(width)
-    cells = (code.reshape(rows, width) * 4 + (column == 0) + 2 * (column == width - 1)).ravel()
-    template = b"".join(map(_Fragments(head, sep, tail).__getitem__, cells.tolist()))
+    code, args = _codes(x, sig)
+    codes = code.reshape(rows, width)
+    starts = np.ones(rows, dtype=bool)  # a run starts where a row's codes leave the last row's
+    np.any(codes[1:] != codes[:-1], axis=1, out=starts[1:])
+    starts = np.flatnonzero(starts)
+    fragments = _fragments(sig, tuple(gaps))
+    keys = ((codes[starts] + 1) * width + fragments.columns).ravel().tolist()
+    cells = list(map(fragments.__getitem__, keys))
+    template = b"".join([b"".join(cells[i * width:(i + 1) * width]) * n
+                         for i, n in enumerate(np.diff(starts, append=rows).tolist())])
     args = args.tolist()
     kept = np.flatnonzero(code < 0)
     for i, v in zip(kept.tolist(), x[kept].tolist()):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwtunnel import cli, scattering
+from bwtunnel import cli, scattering, serialize
 from bwtunnel.cli import main, parse_args, run
 from bwtunnel.potential import BWParams, Kind
 from bwtunnel.resonance import WindowTooCoarseError, resonance_sets
@@ -799,12 +799,26 @@ class TestBlockBytes:
         # a k axis longer than BLOCK_POINTS: one alpha row per block, two JSON chunks of ks
         "long-k-grid": ["grid", "--alpha-min", "-0", "--alpha-max", "1", "--alpha-steps", "3",
                         "--k-steps", "5000"],
+        # linspace ends an axis on its stop as given, so this one ends at -0, written 0
+        "finite-minus-zero-scan": ["scan-alpha", "--alpha-min", "-3", "--alpha-max", "-0", "--steps", "301"],
+        # from 1000 up the alpha cells keep their %g fields
+        "finite-past-1000-scan": ["scan-alpha", "--alpha-min", "990", "--alpha-max", "1010",
+                                  "--steps", "2001"],
+        # a row layout that changes every row or two
+        "finite-short-run-scan": ["scan-alpha", "--alpha-min", "-999", "--alpha-max", "999", "--steps", "5001",
+                                  "--eps", "0.05", "--k", "3.7"],
+        # runs of up to 315 equal row layouts, cut by blocks of 100 points
+        "finite-block-crossing-scan": ["scan-alpha", "--alpha-min", "2", "--alpha-max", "2.5", "--steps", "2001"],
     }
+    BLOCK_POINTS = {"finite-block-crossing-scan": 100}
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("case", list(CASES))
-    def test_cli_bytes_equal_the_per_cell_rendering(self, run_cli, case, fmt):
+    def test_cli_bytes_equal_the_per_cell_rendering(self, run_cli, monkeypatch, case, fmt):
         argv = self.CASES[case]
+        block_points = self.BLOCK_POINTS.get(case, scattering.BLOCK_POINTS)
+        monkeypatch.setattr(scattering, "BLOCK_POINTS", block_points)
+        monkeypatch.setattr(cli, "BLOCK_POINTS", block_points)
         want_csv, want_json, g = _per_cell_reference(argv)
         code, out, err = run_cli([*argv, "--format", fmt])
         assert code == 0 and err == ""
@@ -819,6 +833,17 @@ class TestBlockBytes:
             assert want_csv.count(",-inf\n") == 1391
         if case == "long-k-grid":
             assert g.values.shape[1] > scattering.BLOCK_POINTS
+        if case == "finite-minus-zero-scan":
+            assert np.signbit(g.alphas[-1]) and g.alphas[-1] == 0
+        if case == "finite-past-1000-scan":
+            assert (g.alphas >= 1000).any() and (g.alphas < 1000).any()
+        if case == "finite-block-crossing-scan":
+            # some run of equal row layouts crosses a block boundary
+            t = g.values.ravel()
+            rows = np.column_stack([g.alphas, t, np.log10(t)])
+            codes = serialize._codes(rows.ravel(), 12)[0].reshape(rows.shape)
+            edges = np.arange(block_points, len(rows), block_points)
+            assert (codes[edges] == codes[edges - 1]).all(axis=1).any()
 
 
 def _percent_json(alphas, ks, values):

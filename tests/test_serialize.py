@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from bwtunnel import serialize
 from bwtunnel.serialize import (
-    _rows17,
     csv_row,
     floats,
+    format_block,
     format_column,
     format_rows,
     json_dumps,
@@ -148,20 +148,35 @@ def test_json_rejects_what_it_cannot_write(obj, message):
         json_dumps(obj)
 
 
-def _percent_rows(block, head, sep, tail):
-    """The str %.17g fill of a 2-D block, one cell at a time, encoded: the bytes _rows17 must give."""
-    return b"".join(head + sep.join(("%.17g" % (v + 0.0)).encode("ascii") for v in row) + tail
-                    for row in np.asarray(block, dtype=float).tolist())
+def _percent_rows(block, sig, gaps):
+    """The str %g fill of a 2-D block, one cell at a time, encoded: the bytes format_block must give."""
+    return b"".join(b"".join(gap + ("%.*g" % (sig, v + 0.0)).encode("ascii") for gap, v in zip(gaps, row))
+                    + gaps[-1] for row in np.asarray(block, dtype=float).tolist())
 
 
-def _check_rows17(values):
-    """values as a column, and beside a column of certified values, in both JSON layouts."""
+def _gaps(head, sep, tail, width):
+    return (head,) + (sep,) * (width - 1) + (tail,)
+
+
+# the JSON axis, the JSON value rows and the scan's CSV rows, by width
+LAYOUTS = {1: [_gaps(b", ", b"", b"", 1), _gaps(b", [", b", ", b"]", 1)],
+           2: [_gaps(b", [", b", ", b"]", 2), _gaps(b"[", b";", b"]\n", 2)],
+           3: [(b"", b",1.5,", b",", b"\n"), _gaps(b", [", b", ", b"]", 3)]}
+
+# each per-cell oracle test runs at the CSV's 12 digits and at the JSON's 17
+DIGITS = pytest.mark.parametrize("sig", [12, 17])
+
+
+def _check_rows(values, sig):
+    """values as a column, beside a certified column and as the scan's outer columns, in each layout."""
     values = np.asarray(values, dtype=float).ravel()
-    blocks = (values[:, None], np.column_stack([values, np.full(values.size, 1.25)]))
+    certified = np.full(values.size, 1.25)
+    blocks = (values[:, None], np.column_stack([values, certified]),
+              np.column_stack([values, certified, values[::-1]]))
     with np.errstate(all="raise"):
         for block in blocks:
-            for layout in ((b", ", b"", b""), (b", [", b", ", b"]")):
-                assert _rows17(block, *layout) == _percent_rows(block, *layout)
+            for gaps in LAYOUTS[block.shape[1]]:
+                assert format_block(block.T, sig, gaps) == _percent_rows(block, sig, gaps)
 
 
 def _bits(n):
@@ -175,68 +190,81 @@ any_float64 = st.one_of(st.floats(), st.integers(0, 2 ** 64 - 1).map(_bits))
 certified = st.one_of(st.floats(1e-280, 999.0), st.floats(-999.0, -1e-280))
 
 
+@DIGITS
 @settings(max_examples=400, deadline=None)
 @given(data=st.data(), width=st.integers(1, 4), rows=st.integers(1, 6),
-       bracketed=st.booleans())
-def test_rows17_is_the_percent_fill_of_any_float64(data, width, rows, bracketed):
+       bracketed=st.booleans(), runs=st.booleans())
+def test_block_is_the_percent_fill_of_any_float64(data, sig, width, rows, bracketed, runs):
     n = rows * width
     tame = data.draw(st.integers(0, n))
     cells = data.draw(st.lists(any_float64, min_size=n - tame, max_size=n - tame))
     cells += data.draw(st.lists(certified, min_size=tame, max_size=tame))
     block = np.reshape(data.draw(st.permutations(cells)), (rows, width))
-    layout = (b", [", b", ", b"]") if bracketed else (b"[", b";", b"]\n")
+    if runs:  # rows that repeat, so that runs of equal codes are longer than a row
+        block = np.repeat(block, data.draw(st.integers(1, 3)), axis=0)
+    gaps = _gaps(b", [", b", ", b"]", width) if bracketed else _gaps(b"[", b";", b"]\n", width)
     with np.errstate(all="raise"):
-        assert _rows17(block, *layout) == _percent_rows(block, *layout)
+        assert format_block(block.T, sig, gaps) == _percent_rows(block, sig, gaps)
 
 
-def test_rows17_powers_of_two():
-    _check_rows17(2.0 ** np.arange(-1074, 1024))
+@DIGITS
+def test_block_powers_of_two(sig):
+    _check_rows(2.0 ** np.arange(-1074, 1024), sig)
 
 
-def test_rows17_near_ties():
-    # 17 random digits and then a 5: the nearest double to an 18-digit tie
-    rng = np.random.default_rng(17)
-    digits = rng.integers(10 ** 16, 10 ** 17, 20000)
+@DIGITS
+def test_block_near_ties(sig):
+    # sig random digits and then a 5: the nearest double to a (sig + 1)-digit tie
+    rng = np.random.default_rng(sig)
+    digits = rng.integers(10 ** (sig - 1), 10 ** sig, 20000)
     exponents = rng.integers(-330, 300, 20000)
     near = [float(f"{d}5e{e}") for d, e in zip(digits.tolist(), exponents.tolist())]
-    # where 10**s is exact, s <= 22: values between 1e-6 and 1e17
-    near += [float(f"{d}5e{e}") for d, e in zip(digits.tolist(), (exponents % 23 - 39).tolist())]
-    # exact ties: x = M / 2**(s + 1), M odd, with s = 16 - floor(log10 x), makes
+    # values from 1e-6 to 1e3, where most cells are certified
+    near += [float(f"{d}5e{e}") for d, e in zip(digits.tolist(), (exponents % 10 - 6 - sig).tolist())]
+    # exact ties: x = M / 2**(s + 1), M odd, with s = sig - 1 - floor(log10 x), makes
     # x * 10**s a half-integer, which %g rounds half to even
     for s in range(40):
-        lo, hi = 10 ** (16 - s) * 2 ** (s + 1), 10 ** (17 - s) * 2 ** (s + 1)
+        lo, hi = 10 ** (sig - 1 - s) * 2 ** (s + 1), 10 ** (sig - s) * 2 ** (s + 1)
         lo, hi = math.ceil(lo), min(math.ceil(hi), 2 ** 53)
         odd = [m | 1 for m in rng.integers(lo, hi, 50).tolist()] if lo < hi else []
         near += [m / 2 ** (s + 1) for m in odd if lo <= m < hi]
-    _check_rows17(np.array(near) * rng.choice([-1.0, 1.0], len(near)))
+    _check_rows(np.array(near) * rng.choice([-1.0, 1.0], len(near)), sig)
 
 
-def test_rows17_powers_of_ten_and_their_neighbours():
+@DIGITS
+def test_block_powers_of_ten_and_their_neighbours(sig):
     powers = 10.0 ** np.arange(-323, 309)
-    _check_rows17(np.concatenate([powers, np.nextafter(powers, np.inf),
-                                  np.nextafter(powers, -np.inf), -powers]))
+    _check_rows(np.concatenate([powers, np.nextafter(powers, np.inf),
+                                np.nextafter(powers, -np.inf), -powers]), sig)
 
 
-def test_rows17_scan_axis():
-    _check_rows17(np.linspace(-40, 40, 160001))
+@DIGITS
+def test_block_scan_axis(sig):
+    _check_rows(np.linspace(-40, 40, 160001), sig)
 
 
-def test_rows17_short_fractions_and_integers():
+@DIGITS
+def test_block_short_fractions_and_integers(sig):
     # trailing zeros to strip, leading zeros after the point, whole numbers
     rng = np.random.default_rng(3)
     values = [round(v, d) for v, d in zip((rng.random(5000) * 2000 - 1000).tolist(),
                                           rng.integers(0, 18, 5000).tolist())]
-    _check_rows17(values + [1e16, 99999999999999984.0, 123.0, 1000.5, 999.5, 0.5, 1e-5, 1.5e-5])
+    _check_rows(values + [1e16, 99999999999999984.0, 123.0, 1000.5, 999.5, 0.5, 1e-5, 1.5e-5,
+                          1e11, 999999999999.5, 99.99999999995, 1e-4, 9.99999999999995e-5], sig)
 
 
-def test_rows17_builds_fragments_for_every_block():
+@DIGITS
+def test_block_builds_fragments_for_every_block(sig):
     # whatever share of a block is certified, it goes through the fragments:
-    # its uncertified cells as %.17g fields (code -1), the rest as integer fields
+    # its uncertified cells as %g fields (code -1), the rest as integer fields
     body = mock.patch.object(serialize, "_fragment_body", wraps=serialize._fragment_body)
     for block, integer_fields in (([[0.5, math.nan]], True), ([[0.5, math.nan, 0.0]], True),
                                   ([[math.nan, math.inf]], False), ([[1e17, 1e300]], False),
                                   ([[1234.5, 0.5, -1234.25]], True)):
+        gaps = _gaps(b"[", b",", b"]", len(block[0]))
+        serialize._fragments.cache_clear()  # the table of an earlier block would hold its texts
         with body as spy, np.errstate(all="raise"):
-            assert _rows17(np.array(block), b"[", b",", b"]") == _percent_rows(block, b"[", b",", b"]")
+            assert format_block(np.transpose(block), sig, gaps) == _percent_rows(block, sig, gaps)
         codes = {c.args[0] for c in spy.call_args_list}
         assert -1 in codes and (max(codes) >= 0) == integer_fields
+
