@@ -39,6 +39,7 @@ from .resonance import (
 )
 from .scattering import BLOCK_POINTS, grid_blocks, log10_transmission
 from .serialize import (
+    BlockLayout,
     csv_row,
     floats,
     format_block,
@@ -256,8 +257,9 @@ def _emit(data: bytes, out_path: str | None) -> None:
 
 def _write_json_floats(out, values) -> None:
     """A JSON list's floats, BLOCK_POINTS at a time, so a long axis costs no more than a block."""
+    layout = BlockLayout(17, (b", ", b""))
     for i in range(0, len(values), BLOCK_POINTS):
-        text = quote_nonfinite(format_block((values[i:i + BLOCK_POINTS],), 17, (b", ", b"")))
+        text = quote_nonfinite(format_block((values[i:i + BLOCK_POINTS],), layout))
         out.write(text if i else text[2:])  # no separator before the first value
 
 
@@ -268,19 +270,21 @@ def _write_grid(out, out_format: str, alphas, ks, blocks) -> None:
     serialize.format_block, which writes most cells as %d fields of their
     significands into one row template per run of rows of equal layout: a
     scan row is three value columns, its one k text inside the template,
-    at 12 digits, and JSON is written at 17. A grid's CSV rows change
-    layout every few cells along k, so runs would be short; there each
-    block is one bytes %.12g fill, with each alpha and k text formatted
-    once and written into the template, so % fills only T and log10T.
+    at 12 digits, and JSON is written at 17. Each output keeps one
+    BlockLayout, so its blocks share the cell texts. A grid's CSV rows
+    change layout every few cells along k, so runs would be short; there
+    each block is one bytes %.12g fill, with each alpha and k text
+    formatted once and written into the template, so % fills only T and
+    log10T.
     """
     if out_format == "csv":
         out.write(b"alpha,k,T,log10T\n")
         k_texts = format_column(ks, 12)
         if len(k_texts) == 1:  # a scan: alpha is a field, the one k a constant
-            gaps = (b"", b"," + k_texts[0] + b",", b",", b"\n")
+            layout = BlockLayout(12, (b"", b"," + k_texts[0] + b",", b",", b"\n"))
             for a, t in blocks:
                 t = t.ravel()
-                out.write(format_block((a, t, log10_transmission(t.tolist())), 12, gaps))
+                out.write(format_block((a, t, log10_transmission(t.tolist())), layout))
             return
         tails = [k + b",%.12g,%.12g\n" for k in k_texts]
         for a, t in blocks:
@@ -294,9 +298,9 @@ def _write_grid(out, out_format: str, alphas, ks, blocks) -> None:
     out.write(b'], "ks": [')
     _write_json_floats(out, ks)
     out.write(b'], "values": [')
-    row_gaps = (b", [",) + (b", ",) * (len(ks) - 1) + (b"]",)
+    layout = BlockLayout(17, (b", [",) + (b", ",) * (len(ks) - 1) + (b"]",))
     for i, (a, t) in enumerate(blocks):
-        rows = quote_nonfinite(format_block(t.T, 17, row_gaps))
+        rows = quote_nonfinite(format_block(t.T, layout))
         out.write(rows if i else rows[2:])  # no separator before the first row
     out.write(b"]}\n")
 

@@ -23,7 +23,9 @@ writes it as one integer % field inside a fragment that holds the rest
 of its text (sign, integer part, leading zeros, exponent); a value it
 cannot certify keeps its %g field. Neighbouring rows of a scan mostly
 share one such layout, about a hundred rows at a time, so the template
-is one row fragment repeated per run of equal rows. It writes a scan's
+is one row fragment repeated per run of equal rows. A writer keeps one
+BlockLayout (digit count, gaps and the fragment texts built so far) for
+all its blocks. format_block writes a scan's
 CSV rows (alpha, T and log10T at 12 digits, the k text inside the row
 fragment) and the JSON axes and value rows of scans and grids. A grid's
 CSV rows change layout every few cells along k, so its runs are short,
@@ -124,10 +126,12 @@ def _fragment_body(code: int, sig: int) -> bytes:
 
     code packs, from the top: the negated exponent of the e-notation (0
     in fixed notation), whether there is a fraction, its leading zeros,
-    the sign and the integer part that precedes the point.
+    the sign and the integer part that precedes the point. The %g field
+    is written %%.12g or %%.17g, so that the fill of the %d fields leaves
+    one % field for the fill of the floats.
     """
     if code < 0:
-        return b"%%.%dg" % sig
+        return b"%%%%.%dg" % sig
     code, whole = divmod(code, _WHOLE_LIMIT)
     code, negative = divmod(code, 2)
     code, zeros = divmod(code, 32)
@@ -169,17 +173,20 @@ def _significands(a, sig: int):
 
 
 def _codes(x, sig: int):
-    """(code, arg) of each flat cell x: its fragment code and %d argument, code -1 for %g.
+    """(code, args): each flat cell x's fragment code, -1 for %g, and the %d arguments in order.
 
     A value that _significands certifies is written from its sig-digit
     significand m: the digits after the point lose their trailing zeros,
     as %g does, and the code keeps the e-notation exponent, whether there
     is a fraction, its leading zeros, the sign and the integer part
-    before the point (see _fragment_body).
+    before the point (see _fragment_body). A block with no cell in
+    [1e-290, 1000) returns before any of this work.
     """
     a = np.abs(x)
     ok = a >= 1e-290  # 0, tiny values, nan, inf and 1000 up keep %g
     ok &= a < _WHOLE_LIMIT
+    if not ok.any():
+        return np.full(x.size, -1), np.empty(0, dtype=np.int64)
     m, s, certified = _significands(np.where(ok, a, 1.0), sig)
     ok &= certified
 
@@ -203,15 +210,19 @@ def _codes(x, sig: int):
     code = ((code * 32 + np.where(fraction, zeros, 0)) * 2 + (x < 0)) * _WHOLE_LIMIT
     code += np.where(fraction, whole, 0)
     code[~ok] = -1
-    return code, np.where(fraction, digits, whole)
+    return code, np.where(fraction, digits, whole)[ok]
 
 
-class _Fragments(dict):
-    """The text of one cell by key (code + 1) * width + column, built on first use.
+class BlockLayout(dict):
+    """One writer's rows, sig digits a cell between gaps, and its cell texts by key.
 
-    A cell's text is the gap before its column, the _fragment_body of its
-    code, and after the last column the row's closing gap. Columns with
-    the same text around them share one key column, the first of them.
+    gaps holds the text before each column and, last, the text that ends
+    a row. A writer passes one BlockLayout to format_block for each of
+    its blocks, so a cell text built for one block serves the later ones.
+    The key of a cell is (code + 1) * width + column; its text is the gap
+    before its column, the _fragment_body of its code, and after the last
+    column the row's closing gap. Columns with the same text around them
+    share one key column, the first of them.
     """
 
     def __init__(self, sig: int, gaps):
@@ -230,42 +241,34 @@ class _Fragments(dict):
         return text
 
 
-# one table per layout: a writer passes the same gaps for every block
-_fragments = functools.lru_cache(maxsize=16)(_Fragments)
-
-
-def format_block(columns, sig: int, gaps) -> bytes:
-    """Rows of cells between gaps, cell (i, j) b"%.*g" % (sig, v + 0.0) of item i of column j.
+def format_block(columns, layout: BlockLayout) -> bytes:
+    """Rows of cells between the layout's gaps, cell (i, j) b"%.*g" % (sig, v + 0.0) of item i of column j.
 
     columns are equal-length sequences of floats (the rows of a 2-D
-    array, or its transpose for a block of rows). gaps holds the text
-    before each column and, last, the text that ends a row. The bytes
-    equal that % fill for every float64, nan and inf included, so
+    array, or its transpose for a block of rows), one per column of the
+    layout, which gives sig and the gaps. The bytes equal that % fill for every float64, nan and inf included, so
     quote_nonfinite works on the text as on the % fill's. Most cells are
     one %d field of their significand inside a fragment that holds the
     sign, integer part, point, leading zeros and exponent (_codes).
     Neighbouring rows mostly share their fragments, so the template
-    repeats one row text per run of rows whose codes are all equal.
+    repeats one row text per run of rows whose codes are all equal. One %
+    fills the %d fields and a second the %g fields of the other cells.
     """
     values = np.asarray(columns, dtype=float).T
     rows, width = values.shape
     with np.errstate(invalid="ignore"):  # only a signaling nan raises it, and stays nan
         x = values.ravel() + 0.0  # -0 to 0
-    code, args = _codes(x, sig)
+    code, args = _codes(x, layout.sig)
     codes = code.reshape(rows, width)
     starts = np.ones(rows, dtype=bool)  # a run starts where a row's codes leave the last row's
     np.any(codes[1:] != codes[:-1], axis=1, out=starts[1:])
     starts = np.flatnonzero(starts)
-    fragments = _fragments(sig, tuple(gaps))
-    keys = ((codes[starts] + 1) * width + fragments.columns).ravel().tolist()
-    cells = list(map(fragments.__getitem__, keys))
+    keys = ((codes[starts] + 1) * width + layout.columns).ravel().tolist()
+    cells = list(map(layout.__getitem__, keys))
     template = b"".join([b"".join(cells[i * width:(i + 1) * width]) * n
                          for i, n in enumerate(np.diff(starts, append=rows).tolist())])
-    args = args.tolist()
-    kept = np.flatnonzero(code < 0)
-    for i, v in zip(kept.tolist(), x[kept].tolist()):
-        args[i] = v
-    return template % tuple(args)
+    # the %d fields first; each %g field's %% leaves one % for the floats
+    return template % tuple(args.tolist()) % tuple(x[code < 0].tolist())
 
 
 def json_dumps(obj) -> bytes:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bwtunnel import serialize
 from bwtunnel.serialize import (
+    BlockLayout,
     csv_row,
     floats,
     format_block,
@@ -176,7 +177,7 @@ def _check_rows(values, sig):
     with np.errstate(all="raise"):
         for block in blocks:
             for gaps in LAYOUTS[block.shape[1]]:
-                assert format_block(block.T, sig, gaps) == _percent_rows(block, sig, gaps)
+                assert format_block(block.T, BlockLayout(sig, gaps)) == _percent_rows(block, sig, gaps)
 
 
 def _bits(n):
@@ -203,8 +204,11 @@ def test_block_is_the_percent_fill_of_any_float64(data, sig, width, rows, bracke
     if runs:  # rows that repeat, so that runs of equal codes are longer than a row
         block = np.repeat(block, data.draw(st.integers(1, 3)), axis=0)
     gaps = _gaps(b", [", b", ", b"]", width) if bracketed else _gaps(b"[", b";", b"]\n", width)
+    layout = BlockLayout(sig, gaps)
     with np.errstate(all="raise"):
-        assert format_block(block.T, sig, gaps) == _percent_rows(block, sig, gaps)
+        # the second block reads the cell texts the first one built
+        for b in (block, block[::-1]):
+            assert format_block(b.T, layout) == _percent_rows(b, sig, gaps)
 
 
 @DIGITS
@@ -219,7 +223,11 @@ def test_block_near_ties(sig):
     digits = rng.integers(10 ** (sig - 1), 10 ** sig, 20000)
     exponents = rng.integers(-330, 300, 20000)
     near = [float(f"{d}5e{e}") for d, e in zip(digits.tolist(), exponents.tolist())]
-    # values from 1e-6 to 1e3, where most cells are certified
+    # values from 1e-22 to 10: at 17 digits most have s > 22, where 10**s is no
+    # double and the table's lo errs; at 12 digits hi's rounding takes part of
+    # the 2e-4 bound
+    near += [float(f"{d}5e{e}") for d, e in zip(digits.tolist(), (exponents % 23 - 22 - sig).tolist())]
+    # values from 1e-6 to 1e4, where most cells are certified
     near += [float(f"{d}5e{e}") for d, e in zip(digits.tolist(), (exponents % 10 - 6 - sig).tolist())]
     # exact ties: x = M / 2**(s + 1), M odd, with s = sig - 1 - floor(log10 x), makes
     # x * 10**s a half-integer, which %g rounds half to even
@@ -262,9 +270,8 @@ def test_block_builds_fragments_for_every_block(sig):
                                   ([[math.nan, math.inf]], False), ([[1e17, 1e300]], False),
                                   ([[1234.5, 0.5, -1234.25]], True)):
         gaps = _gaps(b"[", b",", b"]", len(block[0]))
-        serialize._fragments.cache_clear()  # the table of an earlier block would hold its texts
         with body as spy, np.errstate(all="raise"):
-            assert format_block(np.transpose(block), sig, gaps) == _percent_rows(block, sig, gaps)
+            assert format_block(np.transpose(block), BlockLayout(sig, gaps)) == _percent_rows(block, sig, gaps)
         codes = {c.args[0] for c in spy.call_args_list}
         assert -1 in codes and (max(codes) >= 0) == integer_fields
 
